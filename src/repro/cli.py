@@ -242,7 +242,6 @@ def cmd_explore(args) -> int:
         merge_states=args.merge,
         collect_coverage=True,
         use_solver_cache=not getattr(args, "no_solver_cache", False),
-        compiled_semantics=getattr(args, "compiled", False),
         max_wall_seconds=args.max_seconds,
         health=health,
         obs=obs,
@@ -353,7 +352,6 @@ def cmd_record(args) -> int:
         merge_states=args.merge,
         collect_coverage=True,
         use_solver_cache=not args.no_solver_cache,
-        compiled_semantics=getattr(args, "compiled", False),
         obs=obs,
         attr=attr_config,
     )
@@ -1124,25 +1122,27 @@ def cmd_bench(args) -> int:
 def cmd_compile(args) -> int:
     """Dump the generated transfer-function modules for one ISA.
 
-    What ``--compiled`` actually executes: the concrete per-instruction
-    transfer functions and/or the symbolic term-building plans, headed
-    by the spec digest that keys the compilation cache.  Useful for
-    eyeballing the specializer's output and as a CI artifact.
+    What actually executes: the concrete per-instruction transfer
+    functions (``run --compiled``) and/or the symbolic term-building
+    plans with their probed twins (``explore``), headed by the spec
+    digest that keys the compilation cache.  Useful for eyeballing the
+    specializer's output and as a CI artifact.
     """
     from .compile import compiled_for
     model = build(args.isa)
     compiled = compiled_for(model)
     parts = ["# %s @ %s" % (compiled.isa, compiled.digest)]
     if args.which in ("concrete", "both"):
-        parts.append(compiled.concrete_source)
+        parts.append(compiled.concrete_source(model))
     if args.which in ("symbolic", "both"):
-        parts.append(compiled.symbolic_source)
+        parts.append(compiled.symbolic_source(model))
     text = "\n\n".join(parts)
     if args.out:
         with open(args.out, "w") as handle:
             handle.write(text + "\n")
         print("wrote %s (%d rules, %d lines)"
-              % (args.out, len(compiled.plans), text.count("\n") + 1))
+              % (args.out, len(model.instructions),
+                 text.count("\n") + 1))
     else:
         print(text)
     return 0
@@ -1355,11 +1355,6 @@ def main(argv=None) -> int:
                               "content-addressed run store (and record "
                               "misses into it); DIR overrides "
                               "~/.repro/store / $REPRO_STORE")
-    explore.add_argument("--compiled", action="store_true",
-                         help="execute compiled per-instruction transfer "
-                              "functions (repro.compile) instead of "
-                              "walking rule IR; fingerprint-identical "
-                              "(never part of the run key), just faster")
 
     record = commands.add_parser(
         "record",
@@ -1397,10 +1392,6 @@ def main(argv=None) -> int:
                         help="cost-attribution profile stored with the "
                              "run as attr.json (default 'sampled'; "
                              "observe-only: never part of the run key)")
-    record.add_argument("--compiled", action="store_true",
-                        help="explore with compiled transfer functions "
-                             "(repro.compile); fingerprint-identical, "
-                             "never part of the run key")
 
     replay = commands.add_parser(
         "replay",
@@ -1659,7 +1650,7 @@ def main(argv=None) -> int:
     compile_cmd = commands.add_parser(
         "compile",
         help="dump the generated transfer-function modules for an ISA "
-             "(what --compiled executes; CI artifact)")
+             "(what run --compiled and explore execute; CI artifact)")
     compile_cmd.add_argument("isa",
                              help="built-in ISA name (see 'isas')")
     compile_cmd.add_argument("--which", default="both",

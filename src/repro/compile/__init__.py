@@ -1,93 +1,137 @@
 """Specialized transfer functions compiled from ADL semantics.
 
-ROADMAP open item 1 ("compile the generated semantics"): instead of
-walking each rule's IR tree per executed instruction, every rule is
-lowered *once* into generated Python — a concrete transfer function for
-the simulator (:mod:`repro.compile.concrete`) and a symbolic
-term-building plan for the engine (:mod:`repro.compile.symbolic`).
-Decode -> semantics dispatch becomes one per-ISA table lookup.
+Instead of walking each rule's IR tree per executed instruction, every
+rule is lowered into generated Python — a concrete transfer function
+for the simulator (:mod:`repro.compile.concrete`) and a symbolic
+term-building plan for the engine (:mod:`repro.compile.symbolic`), the
+engine's only way to execute a rule.
+
+Lazy compilation
+----------------
+:func:`compiled_for` returns an entry whose tables are empty; a rule is
+generated the first time it is looked up (``compiled.plan(instr)``), so
+constructing an engine generates nothing and a program compiles only
+the rules it executes.  The entry compiles from the instruction the
+caller passes in and never holds a model.  The module texts
+(:meth:`CompiledSemantics.symbolic_source`, ``concrete_source``) are
+assembled from the per-rule texts that were executed, so translation
+validation proves exactly the code that runs.
 
 Cache discipline
 ----------------
-Compiled tables are cached in-process keyed on ``(isa name,
-spec_digest, CODEGEN_VERSION)`` — the content digest the run store
-uses for provenance (:func:`repro.runstore.provenance.spec_digest`)
-plus a bump-on-change codegen version, so editing a spec *or* the code
-generator itself transparently regenerates the table; models rebuilt
-from an unchanged spec under an unchanged generator share the cached
-compilation.  Translation-validation certificates
-(:mod:`repro.runstore.certs`) key on the same pair, so a stale
-"verified" verdict can never outlive the generator that earned it.
-The cache holds only generated *functions and plan tuples* — never
-:class:`repro.smt.terms.Term` objects, because the term pool is
-swappable and cached terms would dangle across ``terms.configure()``.
-
-Equivalence discipline
-----------------------
-Compilation is an optimization, **not** a semantics change: the
-differential harness (``tests/compile/``) requires bit-for-bit
-identical exploration fingerprints (tree/leaves/defects) interpreted
-vs compiled on every shipped ISA, and a Hypothesis property test pins
-single-step equality against :mod:`repro.ir.interp`.  That is why
-``EngineConfig.compiled_semantics`` is deliberately *excluded* from the
-run-store key material: a compiled run answers for an interpreted run
-and vice versa.
+Entries are cached in-process keyed on ``(isa name, spec_digest,
+CODEGEN_VERSION)`` — the content digest the run store uses for
+provenance (:func:`repro.runstore.provenance.spec_digest`, the digest
+of the spec bytes the model was built from) plus a bump-on-change
+codegen version, so editing a spec *or* the code generator itself
+transparently regenerates the code; models rebuilt from an unchanged
+spec under an unchanged generator share the entry.
+Translation-validation certificates (:mod:`repro.runstore.certs`) key
+on the same pair, so a stale "verified" verdict can never outlive the
+generator that earned it.  The cache holds only generated *functions
+and plan tuples* — never :class:`repro.smt.terms.Term` objects,
+because the term pool is swappable and cached terms would dangle
+across ``terms.configure()``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Any, Callable, Dict, List, Tuple
 
-from ..runstore.provenance import spec_digest
-from .concrete import compile_block, compile_concrete  # noqa: F401
+from . import concrete, symbolic
+from .concrete import compile_block  # noqa: F401
 from .errors import CompileError  # noqa: F401
-from .symbolic import compile_symbolic, exec_block  # noqa: F401
 
 __all__ = ["CODEGEN_VERSION", "CompiledSemantics", "CompileError",
-           "compiled_for", "compile_block", "compile_concrete",
-           "compile_symbolic", "clear_cache", "cache_info"]
+           "RuleTable", "compiled_for", "compile_block", "clear_cache",
+           "cache_info"]
 
 #: Version of the code generators themselves.  Bump whenever
 #: :mod:`repro.compile.concrete` or :mod:`repro.compile.symbolic`
 #: change the code they emit: it invalidates the in-process compilation
 #: cache and every translation-validation certificate keyed on the old
 #: generator's output.
-CODEGEN_VERSION = 2
+CODEGEN_VERSION = 3
+
+
+class RuleTable:
+    """Rule name -> generated artifact, generated on first lookup.
+
+    Calling the table with an instruction is its one accessor: there is
+    no ``get`` or ``[]`` that could miss a rule not generated yet.
+    """
+
+    __slots__ = ("_generate", "_entries")
+
+    def __init__(self, generate: Callable[[Any], Tuple[Any, str]]):
+        self._generate = generate
+        #: rule name -> (artifact, source)
+        self._entries: Dict[str, Tuple[Any, str]] = {}
+
+    def __call__(self, instr) -> Any:
+        entry = self._entries.get(instr.name)
+        if entry is None:
+            entry = self._entries[instr.name] = self._generate(instr)
+        return entry[0]
+
+    def source(self, instr) -> str:
+        """The exact text executed to build ``self(instr)``."""
+        self(instr)
+        return self._entries[instr.name][1]
+
+    def generated(self) -> List[str]:
+        """Names of the rules generated so far, in generation order."""
+        return list(self._entries)
 
 
 class CompiledSemantics:
-    """One ISA's compiled transfer functions, keyed by spec digest."""
+    """One ISA's compiled transfer functions, keyed by spec digest.
 
-    __slots__ = ("isa", "digest", "codegen_version", "concrete", "plans",
-                 "concrete_source", "symbolic_source")
+    ``concrete(instr)`` is the simulator's transfer function
+    ``fn(ctx, fields, outcome)``; ``plan(instr)`` the engine's plan;
+    ``probed_plan(instr)`` that plan's probed twin.
+    """
 
-    def __init__(self, isa: str, digest: str, concrete, plans,
-                 concrete_source: str, symbolic_source: str):
+    __slots__ = ("isa", "digest", "codegen_version", "concrete", "plan",
+                 "probed_plan")
+
+    def __init__(self, isa: str, digest: str):
         self.isa = isa
         self.digest = digest
         self.codegen_version = CODEGEN_VERSION
-        #: instruction name -> fn(ctx, fields, outcome)
-        self.concrete = concrete
-        #: instruction name -> plan tuple for symbolic.exec_block
-        self.plans = plans
-        self.concrete_source = concrete_source
-        self.symbolic_source = symbolic_source
+        # The generators are looked up at call time, so a patched
+        # module function reaches tables that already exist.
+        self.concrete = RuleTable(
+            lambda instr: concrete.rule_function(isa, instr))
+        self.plan = RuleTable(
+            lambda instr: symbolic.rule_plan(isa, instr))
+        self.probed_plan = RuleTable(
+            lambda instr: symbolic.rule_plan(isa, instr, probe=True))
 
-    @property
-    def source(self) -> str:
-        """Both generated modules, concatenated (debugging, artifacts)."""
-        return self.concrete_source + "\n\n" + self.symbolic_source
+    def concrete_source(self, model) -> str:
+        """The generated concrete module for every rule of ``model``."""
+        return concrete.module_source(self.isa, [
+            (instr.name, self.concrete.source(instr))
+            for instr in model.instructions])
+
+    def symbolic_source(self, model) -> str:
+        """The generated plans and probed twins for every rule of
+        ``model``, as one module with ``PLANS``/``PROBED`` tables."""
+        return symbolic.module_source(self.isa, [
+            (instr.name, self.plan.source(instr),
+             self.probed_plan.source(instr))
+            for instr in model.instructions])
 
     def __repr__(self):
-        return "<CompiledSemantics %s %s: %d rules>" % (
-            self.isa, self.digest[:18], len(self.plans))
+        return "<CompiledSemantics %s %s: %d plans generated>" % (
+            self.isa, self.digest[:18], len(self.plan.generated()))
 
 
 _CACHE: Dict[Tuple[str, str, int], CompiledSemantics] = {}
 
 
 def compiled_for(model) -> CompiledSemantics:
-    """The (cached) compiled semantics for ``model``.
+    """The (cached) compiled semantics for ``model``; generates no code.
 
     Cache key is ``(model.name, spec_digest(model),
     CODEGEN_VERSION)``: an edited spec digests differently and is
@@ -95,15 +139,14 @@ def compiled_for(model) -> CompiledSemantics:
     unchanged spec under an unchanged generator — even through a fresh
     :func:`repro.isa.build` — hits the cache.
     """
+    # Imported here: repro.runstore imports the engine, which imports
+    # this package.
+    from ..runstore.provenance import spec_digest
     digest = spec_digest(model)
     key = (model.name, digest, CODEGEN_VERSION)
     compiled = _CACHE.get(key)
     if compiled is None:
-        concrete, concrete_source = compile_concrete(model)
-        plans, symbolic_source = compile_symbolic(model)
-        compiled = CompiledSemantics(model.name, digest, concrete, plans,
-                                     concrete_source, symbolic_source)
-        _CACHE[key] = compiled
+        compiled = _CACHE[key] = CompiledSemantics(model.name, digest)
     return compiled
 
 

@@ -1,9 +1,10 @@
 """Concrete codegen: IR blocks -> specialized Python transfer functions.
 
 Each translated rule (a tuple of :mod:`repro.ir.nodes` statements) is
-lowered once into a generated Python function
+lowered, the first time it is looked up, into a generated Python
+function
 
-    def _c0(C, F, O): ...
+    def _c_add(C, F, O): ...
 
 where ``C`` is a :class:`repro.ir.interp.MachineContext`, ``F`` the raw
 decoded field dict and ``O`` the :class:`repro.ir.interp.ExecOutcome` to
@@ -33,13 +34,13 @@ documented in :mod:`repro.adl.translate`.  Nested ``InputByte`` is a
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..ir import interp
 from ..ir import nodes as N
 from .errors import CompileError
 
-__all__ = ["compile_concrete", "compile_block"]
+__all__ = ["compile_block", "rule_function", "module_source"]
 
 
 def _mask(width: int) -> int:
@@ -381,55 +382,47 @@ class _FunctionEmitter:
         return "\n".join(header + body)
 
 
-def compile_block(name: str, stmts) -> "object":
+def _function(name: str, stmts, filename: str) -> Tuple[Any, str]:
+    """Generate, compile and exec one function: ``(fn, source)``."""
+    emitter = _FunctionEmitter(name)
+    emitter.block(stmts)
+    source = emitter.source()
+    namespace = dict(_HELPERS)
+    exec(compile(source, filename, "exec"), namespace)
+    return namespace[name], source
+
+
+def compile_block(name: str, stmts) -> Any:
     """Compile one IR block into a callable ``fn(ctx, fields, outcome)``.
 
     The unit-level entry point (tests, tooling); model-level callers go
-    through :func:`compile_concrete`.
+    through :func:`repro.compile.compiled_for`.
     """
-    emitter = _FunctionEmitter("_fn")
-    emitter.block(stmts)
-    namespace = dict(_HELPERS)
-    source = emitter.source()
-    exec(compile(source, "<repro.compile:%s>" % name, "exec"), namespace)
-    fn = namespace["_fn"]
+    fn, source = _function("_fn", stmts, "<repro.compile:%s>" % name)
     fn.__name__ = "compiled_" + name
     fn.__qualname__ = fn.__name__
     fn.generated_source = source
     return fn
 
 
-def compile_concrete(model) -> Tuple[Dict[str, object], str]:
-    """Compile every rule of ``model``; returns ``(table, source)``.
+def rule_function(isa: str, instr) -> Tuple[Any, str]:
+    """Generate one rule's concrete transfer function: ``(fn, source)``,
+    ``source`` being the exact text executed to build ``fn``."""
+    name = "_c_%s" % instr.name
+    try:
+        return _function(name, instr.semantics,
+                         "<repro.compile:%s:%s>" % (isa, name))
+    except CompileError as error:
+        raise CompileError("%s: rule %r: %s" % (isa, instr.name, error))
 
-    ``table`` maps instruction name -> generated transfer function —
-    the fused decode->semantics dispatch table for the concrete
-    simulator.  ``source`` is the whole generated module (debugging,
-    CI artifacts).
-    """
+
+def module_source(isa: str, rows: List[Tuple[str, str]]) -> str:
+    """One module from per-rule ``(name, source)`` rows, with a
+    ``CONCRETE`` table (rule name -> transfer function)."""
     chunks = ["# generated by repro.compile — concrete semantics for %r"
-              % model.name]
-    table_rows = []
-    rule_sources: Dict[str, str] = {}
-    namespace = dict(_HELPERS)
-    for position, instr in enumerate(model.instructions):
-        emitter = _FunctionEmitter("_c%d" % position)
-        try:
-            emitter.block(instr.semantics)
-        except CompileError as error:
-            raise CompileError("%s: rule %r: %s"
-                               % (model.name, instr.name, error))
-        chunks.append("# rule %r" % instr.name)
-        rule_sources[instr.name] = emitter.source()
-        chunks.append(rule_sources[instr.name])
-        table_rows.append("    %r: _c%d," % (instr.name, position))
-    chunks.append("CONCRETE = {\n%s\n}" % "\n".join(table_rows))
-    source = "\n\n".join(chunks) + "\n"
-    exec(compile(source, "<repro.compile:%s:concrete>" % model.name,
-                 "exec"), namespace)
-    table = namespace["CONCRETE"]
-    for name, fn in table.items():
-        # Per-rule introspection hook: the translation validator
-        # re-evaluates exactly the source this function was built from.
-        fn.generated_source = rule_sources[name]
-    return table, source
+              % isa]
+    for name, source in rows:
+        chunks.extend(["# rule %r" % name, source])
+    chunks.append("CONCRETE = {\n%s\n}" % "\n".join(
+        "    %r: _c_%s," % (name, name) for name, _source in rows))
+    return "\n\n".join(chunks) + "\n"

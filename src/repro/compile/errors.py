@@ -4,6 +4,7 @@
 class CompileError(Exception):
     """A rule could not be specialized (malformed or undisciplined IR).
 
-    Raised at generation time — never mid-execution: a model either
-    compiles completely or the compiled engine refuses to start.
+    Raised at generation time, which for a lazily compiled rule is the
+    first time something looks it up (e.g. the engine's first step on
+    it).
     """

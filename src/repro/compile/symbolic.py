@@ -4,47 +4,52 @@ The symbolic twin of :mod:`repro.compile.concrete`.  Each rule is
 lowered into a *plan*: a nested tuple tree of tagged statements whose
 expression slots are generated Python functions
 
-    def _s0(E, S, FT, FI, L, D): ...
+    def _s_add_0(E, S, FT, L, D): ...
 
-(``E`` engine, ``S`` state, ``FT`` per-decode field *terms*, ``FI`` raw
-decoded field ints, ``L`` locals dict, ``D`` decoded) returning a
-:class:`repro.smt.terms.Term`.  The generated body is the engine's
-recursive ``Engine._eval`` unrolled for one specific expression tree:
+(``E`` engine, ``S`` state, ``FT`` per-decode field *terms*, ``L``
+locals dict, ``D`` decoded) returning a :class:`repro.smt.terms.Term`.
+The engine's plan driver (:meth:`repro.core.executor.Engine._run`)
+walks the statement tuples; the generated bodies build the terms:
 
-* isinstance dispatch is gone — each node became a line of code,
+* each IR node became a line of code, with no isinstance dispatch,
 * widths, masks and extension amounts are literals,
-* register-index fields are pre-resolved (``FT['rs1'].value`` instead
-  of eval + ``_concrete_index``),
-* guard tuples for expression-``ite`` arms are threaded exactly as the
-  engine threads them, and solver-visible callbacks (``_load``,
-  ``_store``, ``_check_div``, ``_branch_feasible``,
-  ``_concrete_index``) go back through the engine itself.
+* register-index fields are pre-resolved (``FT['rs1'].value``),
+* guard tuples for expression-``ite`` arms are threaded to the
+  solver-visible callbacks (``_load``, ``_check_div``,
+  ``_concrete_index``), which go back through the engine itself.
 
-The plan driver (:func:`exec_block` / ``_run`` / ``_fork``) mirrors
-``Engine._run_frames`` / ``Engine._fork_if`` statement for statement —
-same solver-query order, same ``assume`` order, same fork order, same
-frame-model seeding — because the equivalence contract is *bit-for-bit
-identical exploration fingerprints* (tree/leaves/defects), not just
-equal final values.  Term construction happens at run time, never at
-generation time: the term pool is swappable (``terms.set_pool``), so a
-digest-keyed cross-engine cache must not bake ``Term`` objects in.
+Evaluation order is the IR's: operands left to right, a register
+write's value before its index, a division's operands before its
+div-zero check, and only the chosen arm of a constant-condition
+``ite``.  The engine's term *structure* feeds solver queries and
+fingerprints, so no constant folding happens beyond constant ``ite``
+conditions and constant register indices.  Translation validation
+(:mod:`repro.verify`) proves every plan equal to its rule's IR.
 
-No constant folding happens here beyond what ``Engine._eval`` itself
-does (const-condition ``ite`` laziness, const register indices): the
-engine's term *structure* feeds solver queries and fingerprints, so the
-compiled path must build exactly the same terms.
+**Probed twins.**  ``rule_plan(..., probe=True)`` emits the same plan
+with ``A.ir_enter(kind)`` / ``A.ir_exit()`` (``A = E.attr``) around
+every IR node it evaluates, the register-index ``Field``/``Const``
+nodes the plain plan resolves ahead of time included.  The engine runs
+the twin on deep cost-attribution steps (:mod:`repro.obs.attr`).  A
+frame left open by a path ending mid-expression is closed by
+:meth:`~repro.obs.attr.CostAttribution.ir_unwind`, so the twin needs no
+``try``/``finally``.
+
+Term construction happens at run time, never at generation time: the
+term pool is swappable (``terms.set_pool``), so a digest-keyed
+cross-engine cache must not bake ``Term`` objects in.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..ir import nodes as N
-from ..smt import SAT
+from ..obs.attr import ir_kind
 from ..smt import terms as T
 from .errors import CompileError
 
-__all__ = ["compile_symbolic", "exec_block",
+__all__ = ["rule_plan", "plan_name", "module_source",
            "S_LOCAL", "S_LOCAL_IN", "S_REG", "S_REG_IN", "S_PC",
            "S_STORE", "S_OUT", "S_HALT", "S_TRAP", "S_IF"]
 
@@ -65,6 +70,8 @@ S_IF = 9         # (tag, cond_fn, then_plan, else_plan)
 #   ("f", field_name)  index comes from an encoding field: FT[name].value
 #   ("c", value)       constant index, resolved at generation time
 #   ("e", fn)          general expression: eval + engine._concrete_index
+# Probed twins use ("e", fn) for every index, so the index node is
+# probed like any other.
 
 _BUILDERS = {
     "add": "add", "sub": "sub", "mul": "mul",
@@ -85,8 +92,7 @@ def _emits_statements(expr: N.Expr) -> bool:
     Used for operand ordering: when a *right* operand emits statements,
     the left operand must be materialized into a temp first, or the
     right operand's effects (solver checks, loads) would run before the
-    left operand evaluates — diverging from ``Engine._eval``'s strict
-    left-to-right order.
+    left operand evaluates.
     """
     if isinstance(expr, N.IteExpr):
         return True
@@ -110,9 +116,11 @@ def _emits_statements(expr: N.Expr) -> bool:
 class _SymEmitter:
     """Emits one generated term-building function's source."""
 
-    def __init__(self, name: str):
-        self.name = name
-        self.lines: List[str] = ["def %s(E, S, FT, FI, L, D):" % name]
+    def __init__(self, name: str, probe: bool):
+        self.probe = probe
+        self.lines: List[str] = ["def %s(E, S, FT, L, D):" % name]
+        if probe:
+            self.lines.append("    A = E.attr")
         self.indent = 1
         self._temp = 0
         self._guard = 0
@@ -129,10 +137,26 @@ class _SymEmitter:
         return "_g%d" % self._guard
 
     # ``guards`` below is a *source-level* expression string for the
-    # current guard tuple — "()" at statement level, growing inside
-    # symbolic ite arms exactly like Engine._eval's ``guards`` argument.
+    # current guard tuple — "()" at statement level, growing by the
+    # arm condition inside each symbolic ite arm.
 
     def expr(self, expr: N.Expr, guards: str) -> str:
+        if not self.probe:
+            return self._node(expr, guards)
+        self.emit("A.ir_enter(%r)" % ir_kind(expr))
+        result = self.temp()
+        self.emit("%s = %s" % (result, self._node(expr, guards)))
+        self.emit("A.ir_exit()")
+        return result
+
+    def _probe_leaf(self, expr: N.Expr) -> None:
+        """Probe frame for an index node the plan resolves ahead of
+        time (a twin must still count it)."""
+        if self.probe:
+            self.emit("A.ir_enter(%r)" % ir_kind(expr))
+            self.emit("A.ir_exit()")
+
+    def _node(self, expr: N.Expr, guards: str) -> str:
         if isinstance(expr, N.Const):
             return "T.bv(%d, %d)" % (expr.value, expr.width)
         if isinstance(expr, N.Field):
@@ -154,8 +178,7 @@ class _SymEmitter:
         if isinstance(expr, N.BinOp):
             if expr.op in _DIV_OPS:
                 # Both operands materialize in order, then the div-zero
-                # check runs *before* the op term is built — engine
-                # order.
+                # check runs *before* the op term is built.
                 left_t = self.temp()
                 self.emit("%s = %s" % (left_t, self.expr(expr.left,
                                                          guards)))
@@ -205,10 +228,12 @@ class _SymEmitter:
         if index is None:
             return "None"
         if isinstance(index, N.Field):
-            # fields[name] is a const term; _concrete_index returns its
-            # value.  FT[name].value is that same masked int.
+            # A field term is constant; _concrete_index would return
+            # its value, which is FT[name].value.
+            self._probe_leaf(index)
             return "FT[%r].value" % index.name
         if isinstance(index, N.Const):
+            self._probe_leaf(index)
             return str(index.value)
         term = self.temp()
         self.emit("%s = %s" % (term, self.expr(index, guards)))
@@ -220,8 +245,8 @@ class _SymEmitter:
         result = self.temp()
         self.emit("if %s.is_const():" % cond)
         self.indent += 1
-        # Const condition: engine evaluates only the chosen arm, under
-        # the *unchanged* guards.
+        # Const condition: evaluate only the chosen arm, under the
+        # *unchanged* guards.
         self.emit("if %s.value == 1:" % cond)
         self.indent += 1
         self.emit("%s = %s" % (result, self.expr(expr.then, guards)))
@@ -251,15 +276,16 @@ class _SymEmitter:
 class _PlanBuilder:
     """Lowers one rule into (plan literal, generated functions)."""
 
-    def __init__(self, prefix: str):
+    def __init__(self, prefix: str, probe: bool):
         self.prefix = prefix
+        self.probe = probe
         self.functions: List[str] = []
         self._count = 0
 
     def fn(self, expr: N.Expr) -> str:
         name = "%s_%d" % (self.prefix, self._count)
         self._count += 1
-        emitter = _SymEmitter(name)
+        emitter = _SymEmitter(name, self.probe)
         result = emitter.expr(expr, "()")
         self.functions.append(emitter.source(result))
         return name
@@ -267,10 +293,11 @@ class _PlanBuilder:
     def index_spec(self, index: Optional[N.Expr]) -> str:
         if index is None:
             return "None"
-        if isinstance(index, N.Field):
-            return "('f', %r)" % index.name
-        if isinstance(index, N.Const):
-            return "('c', %d)" % index.value
+        if not self.probe:
+            if isinstance(index, N.Field):
+                return "('f', %r)" % index.name
+            if isinstance(index, N.Const):
+                return "('c', %d)" % index.value
         return "('e', %s)" % self.fn(index)
 
     def plan(self, stmts) -> str:
@@ -283,13 +310,15 @@ class _PlanBuilder:
                     rows.append("(%d, %r, %s)" % (
                         S_LOCAL, stmt.name, self.fn(stmt.value)))
             elif isinstance(stmt, N.SetReg):
-                spec = self.index_spec(stmt.index)
                 if isinstance(stmt.value, N.InputByte):
                     rows.append("(%d, %r, %s)" % (
-                        S_REG_IN, stmt.regfile, spec))
+                        S_REG_IN, stmt.regfile,
+                        self.index_spec(stmt.index)))
                 else:
+                    value = self.fn(stmt.value)
                     rows.append("(%d, %r, %s, %s)" % (
-                        S_REG, stmt.regfile, spec, self.fn(stmt.value)))
+                        S_REG, stmt.regfile, self.index_spec(stmt.index),
+                        value))
             elif isinstance(stmt, N.SetPc):
                 rows.append("(%d, %s)" % (S_PC, self.fn(stmt.value)))
             elif isinstance(stmt, N.Store):
@@ -313,147 +342,43 @@ class _PlanBuilder:
         return "(%s,)" % ", ".join(rows)
 
 
-def compile_symbolic(model) -> Tuple[Dict[str, tuple], str]:
-    """Compile every rule of ``model``; returns ``(plans, source)``.
+def plan_name(rule: str, probe: bool = False) -> str:
+    """The module-level name a rule's generated source binds its plan
+    (or probed twin) to."""
+    return ("_probed_%s" if probe else "_plan_%s") % rule
 
-    ``plans`` maps instruction name -> plan tuple for
-    :func:`exec_block`; ``source`` is the generated module text.
+
+def rule_plan(isa: str, instr, probe: bool = False) -> Tuple[tuple, str]:
+    """Generate one rule's plan, or its probed twin: ``(plan, source)``.
+
+    ``source`` is the exact text executed to build ``plan``;
+    :func:`module_source` assembles these texts into one module.
     """
-    chunks = ["# generated by repro.compile — symbolic plans for %r"
-              % model.name]
-    table_rows = []
-    namespace: Dict[str, object] = {"T": T}
-    for position, instr in enumerate(model.instructions):
-        builder = _PlanBuilder("_s%d" % position)
-        try:
-            plan = builder.plan(instr.semantics)
-        except CompileError as error:
-            raise CompileError("%s: rule %r: %s"
-                               % (model.name, instr.name, error))
-        chunks.append("# rule %r" % instr.name)
-        chunks.extend(builder.functions)
-        table_rows.append("    %r: %s," % (instr.name, plan))
-    chunks.append("PLANS = {\n%s\n}" % "\n".join(table_rows))
-    source = "\n\n".join(chunks) + "\n"
-    exec(compile(source, "<repro.compile:%s:symbolic>" % model.name,
-                 "exec"), namespace)
-    return namespace["PLANS"], source
-
-
-# -- plan driver --------------------------------------------------------------
-#
-# Mirrors Engine._exec_block / _run_frames / _exec_simple / _fork_if.
-# Any change to the engine's fork/assume/query order must be replicated
-# here (the differential harness in tests/compile will catch drift).
-
-def exec_block(engine, state, decoded, plan):
-    """Compiled replacement for ``Engine._exec_block``."""
-    from ..core.executor import _Outcome
-    FT = engine._compiled_fields(decoded)
-    return _run(engine, state, [(plan, 0)], {}, _Outcome(), FT,
-                decoded.fields, decoded)
-
-
-def _resolve_index(E, state, spec, FT, FI, L, D):
-    if spec is None:
-        return None
-    kind = spec[0]
-    if kind == "f":
-        return FT[spec[1]].value
-    if kind == "c":
-        return spec[1]
-    term = spec[1](E, state, FT, FI, L, D)
-    return E._concrete_index(state, term, D)
-
-
-def _run(E, state, frames, L, outcome, FT, FI, D):
-    while frames:
-        stmts, index = frames[-1]
-        if index >= len(stmts):
-            frames.pop()
-            continue
-        frames[-1] = (stmts, index + 1)
-        st = stmts[index]
-        tag = st[0]
-        if tag == S_IF:
-            cond = st[1](E, state, FT, FI, L, D)
-            if cond.is_const():
-                body = st[2] if cond.value == 1 else st[3]
-                if body:
-                    frames.append((body, 0))
-                continue
-            return _fork(E, state, st, cond, frames, L, outcome, FT, FI, D)
-        if tag == S_REG:
-            value = st[3](E, state, FT, FI, L, D)
-            state.write_reg(st[1],
-                            _resolve_index(E, state, st[2], FT, FI, L, D),
-                            value)
-        elif tag == S_LOCAL:
-            L[st[1]] = st[2](E, state, FT, FI, L, D)
-        elif tag == S_LOCAL_IN:
-            L[st[1]] = state.next_input()
-        elif tag == S_REG_IN:
-            value = state.next_input()
-            state.write_reg(st[1],
-                            _resolve_index(E, state, st[2], FT, FI, L, D),
-                            value)
-        elif tag == S_PC:
-            outcome.next_pc = st[1](E, state, FT, FI, L, D)
-        elif tag == S_STORE:
-            addr = st[1](E, state, FT, FI, L, D)
-            value = st[2](E, state, FT, FI, L, D)
-            E._store(state, addr, value, st[3], D)
-        elif tag == S_OUT:
-            state.output.append(st[1](E, state, FT, FI, L, D))
-        elif tag == S_HALT:
-            outcome.halted = True
-            outcome.exit_code = st[1](E, state, FT, FI, L, D)
-            return [(state, outcome)]
-        elif tag == S_TRAP:
-            outcome.trapped = True
-            outcome.trap_code = st[1](E, state, FT, FI, L, D)
-            return [(state, outcome)]
-        else:  # pragma: no cover - plans are generated, tags are total
-            raise CompileError("unknown plan tag %r" % (tag,))
-    return [(state, outcome)]
-
-
-def _fork(E, state, st, cond, frames, L, outcome, FT, FI, D):
-    from ..core.executor import _Outcome, _PathEnd
-    results = []
-    branches = ((cond, st[2]), (T.not_(cond), st[3]))
-    feasible = []
-    attr = E.attr
-    probe = attr is not None and attr.deep
-    if probe:
-        attr.ir_enter("IfStmt")
+    prefix = ("_p_%s" if probe else "_s_%s") % instr.name
+    builder = _PlanBuilder(prefix, probe)
     try:
-        for branch_cond, body in branches:
-            verdict, model, memo = E._branch_feasible(state, branch_cond)
-            if verdict == SAT:
-                feasible.append((branch_cond, body, model, memo))
-    finally:
-        if probe:
-            attr.ir_exit()
-    for position, (branch_cond, body, model, memo) in enumerate(feasible):
-        last = position == len(feasible) - 1
-        branch_state = state if last else state.fork()
-        branch_state.assume(branch_cond)
-        if model is not None:
-            branch_state.frame_model = model
-            branch_state.frame_memo = memo if memo is not None else {}
-            branch_state.frame_checked = len(branch_state.path_condition)
-        branch_frames = [(stmts, idx) for stmts, idx in frames]
-        if body:
-            branch_frames.append((body, 0))
-        branch_outcome = _Outcome()
-        for slot in _Outcome.__slots__:
-            setattr(branch_outcome, slot, getattr(outcome, slot))
-        branch_locals = dict(L)
-        try:
-            results.extend(_run(E, branch_state, branch_frames,
-                                branch_locals, branch_outcome, FT, FI, D))
-        except _PathEnd as dead:
-            E._dead_end(branch_state, dead.reason)
-            continue
-    return results
+        plan = builder.plan(instr.semantics)
+    except CompileError as error:
+        raise CompileError("%s: rule %r: %s" % (isa, instr.name, error))
+    name = plan_name(instr.name, probe)
+    source = "\n\n".join(builder.functions
+                         + ["%s = %s" % (name, plan)]) + "\n"
+    namespace: Dict[str, Any] = {"T": T}
+    exec(compile(source, "<repro.compile:%s:%s>" % (isa, prefix), "exec"),
+         namespace)
+    return namespace[name], source
+
+
+def module_source(isa: str, rows: List[Tuple[str, str, str]]) -> str:
+    """One module from per-rule ``(name, plan source, probed source)``
+    rows, with ``PLANS`` and ``PROBED`` tables (rule name -> plan)."""
+    chunks = ["# generated by repro.compile — symbolic plans for %r" % isa]
+    for name, source, probed in rows:
+        chunks.extend(["# rule %r" % name, source.rstrip("\n"),
+                       "# rule %r, probed twin" % name,
+                       probed.rstrip("\n")])
+    for table, probe in (("PLANS", False), ("PROBED", True)):
+        chunks.append("%s = {\n%s\n}" % (table, "\n".join(
+            "    %r: %s," % (name, plan_name(name, probe))
+            for name, _source, _probed in rows)))
+    return "\n\n".join(chunks) + "\n"

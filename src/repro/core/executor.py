@@ -1,12 +1,18 @@
 """The retargetable symbolic execution engine.
 
 This is the paper's contribution: a single engine that symbolically
-executes *any* ADL-described ISA by interpreting the generated IR over
-solver terms.  Nothing in this module is ISA-specific — the ISA enters only
-through the :class:`~repro.isa.model.ArchModel` passed to :class:`Engine`.
+executes *any* ADL-described ISA by running each rule's semantics, compiled
+from the generated IR (:mod:`repro.compile`), over solver terms.  Nothing
+in this module is ISA-specific — the ISA enters only through the
+:class:`~repro.isa.model.ArchModel` passed to :class:`Engine`.
 
 Execution model
 ---------------
+* Each instruction runs its rule's compiled *plan*: statement tuples
+  walked by :meth:`Engine._run`, whose expression slots are generated
+  term-building functions.  A rule is compiled the first time it
+  executes; deep cost-attribution steps run the plan's probed twin.
+  Fork, assume and solver-query order all live in this module.
 * The program counter is concrete; conditional branches (IR ``IfStmt`` with
   a symbolic condition) fork the state, indirect jumps (symbolic ``SetPc``)
   are concretized by solver enumeration (up to ``max_fork_targets``).
@@ -30,10 +36,10 @@ from __future__ import annotations
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..ir import nodes as N
+from ..compile.symbolic import (S_HALT, S_IF, S_LOCAL, S_LOCAL_IN, S_OUT,
+                               S_PC, S_REG, S_REG_IN, S_STORE, S_TRAP)
 from ..isa.decoder import DecodeError
 from ..obs import Obs
-from ..obs.attr import ir_kind
 from ..smt import SAT, Solver
 from ..smt import terms as T
 from . import reporting as R
@@ -75,7 +81,6 @@ class EngineConfig:
                  collect_coverage: bool = False,
                  cow_memory: bool = True,
                  use_solver_cache: bool = True,
-                 compiled_semantics: bool = False,
                  obs: Optional[Obs] = None,
                  health: Optional[object] = None,
                  attr: Optional[object] = None):
@@ -123,14 +128,6 @@ class EngineConfig:
         # cache (repro.smt.cache) and the engine's per-state frame-model
         # reuse for branch feasibility checks (_branch_feasible).
         self.use_solver_cache = use_solver_cache
-        # Execute specialized per-instruction transfer functions
-        # (repro.compile) instead of walking rule IR per step (CLI
-        # --compiled).  Proven observationally equivalent by the
-        # differential harness (tests/compile): identical tree/leaf/
-        # defect fingerprints on every shipped ISA — which is why this
-        # flag is absent from _SERIALIZED_FIELDS and never perturbs
-        # run-store identity.
-        self.compiled_semantics = compiled_semantics
         # Observability handle (repro.obs).  None means "engine default":
         # enabled counters, no event sink, no profiler — negligible
         # overhead.  Pass Obs.disabled() for a zero-telemetry baseline,
@@ -152,10 +149,8 @@ class EngineConfig:
     # key material (repro.runstore).  ``obs``, ``health`` and ``attr``
     # are deliberately absent: observability must never change what a
     # run computes, and serializing live handles makes no sense.
-    # ``compiled_semantics`` is likewise absent: compiled and
-    # interpreted execution produce bit-identical fingerprints (the
-    # differential harness enforces it), so a compiled run answers for
-    # an interpreted one in the store and vice versa.
+    # ``health`` watchdog *actions* do change the tree; the run store
+    # refuses configs that enable them (repro.runstore.store).
     _SERIALIZED_FIELDS = (
         "max_steps_per_path", "max_states", "max_paths", "max_defects",
         "max_instructions", "max_wall_seconds", "max_fork_targets",
@@ -271,17 +266,17 @@ class Engine:
         self._defect_sites: set = set()
         self._endian = model.endian
         self._addr_width = model.pc_width
-        # Specialized transfer functions (repro.compile): plans compiled
-        # once per (isa, spec digest) and dispatched per instruction in
-        # _exec_block.  Field terms are cached per decoded word because
-        # term identity may matter to the solver's structural caches —
-        # per-engine only, never across terms.configure() (the engine
-        # lifetime is within one pool configuration).
-        self._compiled = None
+        # The rules' compiled plans (repro.compile), shared per (isa,
+        # spec digest) and generated rule by rule on first execution, so
+        # construction compiles nothing.  compiled_for is looked up in
+        # repro.compile at call time.  Field terms are cached per
+        # decoded word because term identity may matter to the solver's
+        # structural caches — per-engine only, never across
+        # terms.configure() (the engine lifetime is within one pool
+        # configuration).
+        from ..compile import compiled_for
+        self._compiled = compiled_for(model)
         self._field_term_cache: Dict = {}
-        if self.config.compiled_semantics:
-            from ..compile import compiled_for
-            self._compiled = compiled_for(model)
 
     # -- setup -------------------------------------------------------------------
 
@@ -532,17 +527,15 @@ class Engine:
         if tracer.enabled:
             tracer.emit("step", state_id=state.state_id, pc=state.pc,
                         instr=decoded.instruction.name)
-        # Cost attribution: set the (rule, pc) context every step; on a
-        # *deep* (sampled) step additionally probe the recursive _eval
-        # so per-IR-kind timings accrue.  The end_step charge in the
-        # finally mirrors the eval phase scope exactly — that is the
-        # reconciliation contract (attr eval calls == phase eval calls).
+        # Cost attribution: set the (rule, pc) context every step; a
+        # *deep* (sampled) step runs the rule's probed twin so
+        # per-IR-kind timings accrue (_exec_block).  The end_step charge
+        # in the finally mirrors the eval phase scope exactly — that is
+        # the reconciliation contract (attr eval calls == phase eval
+        # calls).
         attr = self.attr
-        deep = False
         if attr is not None:
-            deep = attr.begin_step(decoded.instruction.name, state.pc)
-            if deep:
-                self._install_ir_probe(attr)
+            attr.begin_step(decoded.instruction.name, state.pc)
             attr_start = time.perf_counter()
         try:
             if self._profile_on:
@@ -555,8 +548,6 @@ class Engine:
             return []
         finally:
             if attr is not None:
-                if deep:
-                    self.__dict__.pop("_eval", None)
                 attr.end_step(time.perf_counter() - attr_start)
         successors: List[SymState] = []
         for sub_state, outcome in finished:
@@ -588,27 +579,6 @@ class Engine:
                                    for sub, _ in finished])
         return successors
 
-    def _install_ir_probe(self, attr) -> None:
-        """Shadow ``self._eval`` with a timing wrapper for one deep step.
-
-        Every ``self._eval(...)`` call site — including the recursive
-        ones inside :meth:`_eval` itself — resolves through the
-        instance attribute, so the whole expression tree is probed
-        without duplicating the evaluator.  The shadow is popped in
-        ``_step``'s finally, restoring the plain class method."""
-        engine = self
-        base = Engine._eval
-
-        def probed(state, expr, fields, local_values, guards, decoded):
-            attr.ir_enter(ir_kind(expr))
-            try:
-                return base(engine, state, expr, fields, local_values,
-                            guards, decoded)
-            finally:
-                attr.ir_exit()
-
-        self.__dict__["_eval"] = probed
-
     #: Rendered branch-condition summaries on fork events are truncated
     #: to this many characters (flight-recorder edge labels, not proofs).
     COND_SUMMARY_LIMIT = 96
@@ -630,7 +600,7 @@ class Engine:
 
         Emits a ``prune`` event so the flight recorder can close the
         node instead of leaving it dangling as live.  Carries the fork
-        parent when known: a branch that dies inside ``_fork_if`` never
+        parent when known: a branch that dies inside ``_fork`` never
         appears in a ``fork`` event (only survivors do), so this is the
         recorder's only chance to attach it to the tree."""
         if self._tracer.enabled:
@@ -739,27 +709,21 @@ class Engine:
                                          for s in successors])
         return successors
 
-    # -- block execution (with forking on symbolic conditions) ----------------------
+    # -- block execution: the rule's compiled plan -----------------------------------
 
     def _exec_block(self, state: SymState,
                     decoded) -> List[Tuple[SymState, _Outcome]]:
-        if self._compiled is not None and (
-                self.attr is None or not self.attr.deep):
-            # Specialized path: pre-compiled plan, cached field terms.
-            # Deep attribution steps fall back to the interpreted walk
-            # so the per-IR-kind probes (`repro hot`) still see every
-            # node — attr is observe-only and forces identical
-            # evaluation order, so fingerprints cannot shift.
-            from ..compile import symbolic as _compiled_sym
-            plan = self._compiled.plans[decoded.instruction.name]
-            return _compiled_sym.exec_block(self, state, decoded, plan)
-        fields = {name: T.bv(value, self._field_width(decoded, name))
-                  for name, value in decoded.fields.items()}
-        frames = [(decoded.instruction.semantics, 0)]
-        return self._run_frames(state, frames, {}, _Outcome(), fields,
-                                decoded)
+        """Run one instruction's compiled plan — its probed twin on a
+        deep attribution step; one ``(state, outcome)`` per survivor."""
+        attr = self.attr
+        if attr is not None and attr.deep:
+            plan = self._compiled.probed_plan(decoded.instruction)
+        else:
+            plan = self._compiled.plan(decoded.instruction)
+        return self._run(state, [(plan, 0)], {}, _Outcome(),
+                         self._field_terms(decoded), decoded)
 
-    def _compiled_fields(self, decoded) -> Dict[str, T.Term]:
+    def _field_terms(self, decoded) -> Dict[str, T.Term]:
         """Field-name -> term dict for one decoded word, cached.
 
         Keyed on ``(address, word)`` — :class:`Decoded` is slotted and
@@ -782,30 +746,70 @@ class Engine:
             return operand.width
         return decoded.instruction.encoding.field(name).width
 
-    def _run_frames(self, state, frames, local_values, outcome, fields,
-                    decoded) -> List[Tuple[SymState, _Outcome]]:
-        """Execute a continuation stack of (stmts, index) frames."""
+    def _resolve_index(self, state: SymState, spec, FT, L,
+                       D) -> Optional[int]:
+        if spec is None:
+            return None
+        kind = spec[0]
+        if kind == "f":
+            return FT[spec[1]].value
+        if kind == "c":
+            return spec[1]
+        return self._concrete_index(state, spec[1](self, state, FT, L, D),
+                                    D)
+
+    def _run(self, state: SymState, frames, L, outcome: _Outcome, FT,
+             D) -> List[Tuple[SymState, _Outcome]]:
+        """Execute a continuation stack of ``(plan, index)`` frames."""
         while frames:
             stmts, index = frames[-1]
             if index >= len(stmts):
                 frames.pop()
                 continue
             frames[-1] = (stmts, index + 1)
-            stmt = stmts[index]
-            if isinstance(stmt, N.IfStmt):
-                cond = self._eval(state, stmt.cond, fields, local_values, (),
-                                  decoded)
+            st = stmts[index]
+            tag = st[0]
+            if tag == S_IF:
+                cond = st[1](self, state, FT, L, D)
                 if cond.is_const():
-                    body = stmt.then_body if cond.value == 1 else stmt.else_body
+                    body = st[2] if cond.value == 1 else st[3]
                     if body:
                         frames.append((body, 0))
                     continue
-                return self._fork_if(state, stmt, cond, frames, local_values,
-                                     outcome, fields, decoded)
-            terminal = self._exec_simple(state, stmt, outcome, fields,
-                                         local_values, decoded)
-            if terminal:
+                return self._fork(state, st, cond, frames, L, outcome, FT,
+                                  D)
+            if tag == S_REG:
+                value = st[3](self, state, FT, L, D)
+                state.write_reg(
+                    st[1], self._resolve_index(state, st[2], FT, L, D),
+                    value)
+            elif tag == S_LOCAL:
+                L[st[1]] = st[2](self, state, FT, L, D)
+            elif tag == S_LOCAL_IN:
+                L[st[1]] = state.next_input()
+            elif tag == S_REG_IN:
+                value = state.next_input()
+                state.write_reg(
+                    st[1], self._resolve_index(state, st[2], FT, L, D),
+                    value)
+            elif tag == S_PC:
+                outcome.next_pc = st[1](self, state, FT, L, D)
+            elif tag == S_STORE:
+                addr = st[1](self, state, FT, L, D)
+                value = st[2](self, state, FT, L, D)
+                self._store(state, addr, value, st[3], D)
+            elif tag == S_OUT:
+                state.output.append(st[1](self, state, FT, L, D))
+            elif tag == S_HALT:
+                outcome.halted = True
+                outcome.exit_code = st[1](self, state, FT, L, D)
                 return [(state, outcome)]
+            elif tag == S_TRAP:
+                outcome.trapped = True
+                outcome.trap_code = st[1](self, state, FT, L, D)
+                return [(state, outcome)]
+            else:  # pragma: no cover - plans are generated, tags are total
+                raise EngineError("unknown plan tag %r" % (tag,))
         return [(state, outcome)]
 
     def _branch_feasible(self, state: SymState, branch_cond: T.Term):
@@ -848,10 +852,10 @@ class Engine:
             return verdict, None, None
         return SAT, (self.solver.model() if self._frame_reuse else None), None
 
-    def _fork_if(self, state, stmt, cond, frames, local_values, outcome,
-                 fields, decoded) -> List[Tuple[SymState, _Outcome]]:
+    def _fork(self, state: SymState, st, cond: T.Term, frames, L,
+              outcome: _Outcome, FT, D) -> List[Tuple[SymState, _Outcome]]:
         results: List[Tuple[SymState, _Outcome]] = []
-        branches = ((cond, stmt.then_body), (T.not_(cond), stmt.else_body))
+        branches = ((cond, st[2]), (T.not_(cond), st[3]))
         feasible = []
         # On a deep attribution step the feasibility probes run under a
         # synthetic IfStmt frame, so their solver time shows up as
@@ -881,158 +885,23 @@ class Engine:
                 branch_state.frame_memo = memo if memo is not None else {}
                 branch_state.frame_checked = \
                     len(branch_state.path_condition)
-            branch_frames = [(stmts, idx) for stmts, idx in frames]
+            branch_frames = list(frames)
             if body:
-                branch_frames.append((tuple(body), 0))
+                branch_frames.append((body, 0))
             branch_outcome = _Outcome()
             for slot in _Outcome.__slots__:
                 setattr(branch_outcome, slot, getattr(outcome, slot))
-            branch_locals = dict(local_values)
             try:
-                results.extend(self._run_frames(
-                    branch_state, branch_frames, branch_locals,
-                    branch_outcome, fields, decoded))
+                results.extend(self._run(branch_state, branch_frames,
+                                         dict(L), branch_outcome, FT, D))
             except _PathEnd as dead:
                 # This branch died (e.g. OOB store); siblings continue.
+                # A twin's probe frames still open belong to it.
+                if probe:
+                    attr.ir_unwind()
                 self._dead_end(branch_state, dead.reason)
                 continue
         return results
-
-    def _exec_simple(self, state, stmt, outcome, fields, local_values,
-                     decoded) -> bool:
-        """Execute a non-branching statement; True means block terminated."""
-        if isinstance(stmt, N.SetLocal):
-            if isinstance(stmt.value, N.InputByte):
-                local_values[stmt.name] = state.next_input()
-            else:
-                local_values[stmt.name] = self._eval(
-                    state, stmt.value, fields, local_values, (), decoded)
-            return False
-        if isinstance(stmt, N.SetReg):
-            if isinstance(stmt.value, N.InputByte):
-                value = state.next_input()
-            else:
-                value = self._eval(state, stmt.value, fields, local_values,
-                                   (), decoded)
-            index = None
-            if stmt.index is not None:
-                index_term = self._eval(state, stmt.index, fields,
-                                        local_values, (), decoded)
-                index = self._concrete_index(state, index_term, decoded)
-            state.write_reg(stmt.regfile, index, value)
-            return False
-        if isinstance(stmt, N.SetPc):
-            outcome.next_pc = self._eval(state, stmt.value, fields,
-                                         local_values, (), decoded)
-            return False
-        if isinstance(stmt, N.Store):
-            addr = self._eval(state, stmt.addr, fields, local_values, (),
-                              decoded)
-            value = self._eval(state, stmt.value, fields, local_values, (),
-                               decoded)
-            self._store(state, addr, value, stmt.size, decoded)
-            return False
-        if isinstance(stmt, N.Output):
-            state.output.append(self._eval(state, stmt.value, fields,
-                                           local_values, (), decoded))
-            return False
-        if isinstance(stmt, N.Halt):
-            outcome.halted = True
-            outcome.exit_code = self._eval(state, stmt.code, fields,
-                                           local_values, (), decoded)
-            return True
-        if isinstance(stmt, N.Trap):
-            outcome.trapped = True
-            outcome.trap_code = self._eval(state, stmt.code, fields,
-                                           local_values, (), decoded)
-            return True
-        raise EngineError("unknown IR statement %r" % (stmt,))
-
-    # -- expression evaluation ------------------------------------------------------
-
-    _BINOP_BUILDERS = {
-        "add": T.add, "sub": T.sub, "mul": T.mul,
-        "udiv": T.udiv, "urem": T.urem, "sdiv": T.sdiv, "srem": T.srem,
-        "and": T.and_, "or": T.or_, "xor": T.xor,
-        "shl": T.shl, "lshr": T.lshr, "ashr": T.ashr,
-        "eq": T.eq, "ne": T.ne, "ult": T.ult, "ule": T.ule,
-        "ugt": T.ugt, "uge": T.uge, "slt": T.slt, "sle": T.sle,
-        "sgt": T.sgt, "sge": T.sge,
-    }
-
-    _DIV_OPS = frozenset({"udiv", "urem", "sdiv", "srem"})
-
-    def _eval(self, state: SymState, expr: N.Expr, fields, local_values,
-              guards: Tuple[T.Term, ...], decoded) -> T.Term:
-        if isinstance(expr, N.Const):
-            return T.bv(expr.value, expr.width)
-        if isinstance(expr, N.Field):
-            return fields[expr.name]
-        if isinstance(expr, N.Local):
-            return local_values[expr.name]
-        if isinstance(expr, N.Pc):
-            return T.bv(state.pc, expr.width)
-        if isinstance(expr, N.ReadReg):
-            index = None
-            if expr.index is not None:
-                index_term = self._eval(state, expr.index, fields,
-                                        local_values, guards, decoded)
-                index = self._concrete_index(state, index_term, decoded)
-            return state.read_reg(expr.regfile, index)
-        if isinstance(expr, N.Load):
-            addr = self._eval(state, expr.addr, fields, local_values,
-                              guards, decoded)
-            return self._load(state, addr, expr.size, guards, decoded)
-        if isinstance(expr, N.BinOp):
-            left = self._eval(state, expr.left, fields, local_values,
-                              guards, decoded)
-            right = self._eval(state, expr.right, fields, local_values,
-                               guards, decoded)
-            if expr.op in self._DIV_OPS and self.config.check_div_zero:
-                self._check_div(state, right, guards, decoded)
-            return self._BINOP_BUILDERS[expr.op](left, right)
-        if isinstance(expr, N.UnOp):
-            operand = self._eval(state, expr.operand, fields, local_values,
-                                 guards, decoded)
-            if expr.op == "not":
-                return T.not_(operand)
-            if expr.op == "neg":
-                return T.neg(operand)
-            if expr.op == "boolnot":
-                return T.not_(operand)
-            raise EngineError("unknown unary op %r" % expr.op)
-        if isinstance(expr, N.Ext):
-            operand = self._eval(state, expr.operand, fields, local_values,
-                                 guards, decoded)
-            extra = expr.width - operand.width
-            return T.zext(operand, extra) if expr.kind == "zext" else \
-                T.sext(operand, extra)
-        if isinstance(expr, N.ExtractBits):
-            operand = self._eval(state, expr.operand, fields, local_values,
-                                 guards, decoded)
-            return T.extract(operand, expr.hi, expr.lo)
-        if isinstance(expr, N.ConcatBits):
-            hi_part = self._eval(state, expr.hi_part, fields, local_values,
-                                 guards, decoded)
-            lo_part = self._eval(state, expr.lo_part, fields, local_values,
-                                 guards, decoded)
-            return T.concat(hi_part, lo_part)
-        if isinstance(expr, N.IteExpr):
-            cond = self._eval(state, expr.cond, fields, local_values,
-                              guards, decoded)
-            if cond.is_const():
-                chosen = expr.then if cond.value == 1 else expr.other
-                return self._eval(state, chosen, fields, local_values,
-                                  guards, decoded)
-            then = self._eval(state, expr.then, fields, local_values,
-                              guards + (cond,), decoded)
-            other = self._eval(state, expr.other, fields, local_values,
-                               guards + (T.not_(cond),), decoded)
-            return T.ite(cond, then, other)
-        if isinstance(expr, N.InputByte):
-            raise EngineError(
-                "in() must be a whole right-hand side (translator bug)")
-        raise EngineError("unknown IR expression %r" % (expr,))
 
     # -- checkers --------------------------------------------------------------------
 

@@ -2,10 +2,10 @@
 
 Each ADL ``instruction`` is translated once into a small list of IR
 statements (:class:`Stmt` subclasses) over IR expressions (:class:`Expr`
-subclasses).  The IR is the *retargeting interface* of the system: both the
-concrete simulator (:mod:`repro.isa.simulator`) and the symbolic executor
-(:mod:`repro.core.executor`) are interpreters over this IR and never see
-ISA-specific code.
+subclasses).  The IR is the *retargeting interface* of the system: the concrete
+simulator (:mod:`repro.isa.simulator`) interprets it and the symbolic
+executor (:mod:`repro.core.executor`) runs code compiled from it
+(:mod:`repro.compile`); neither sees ISA-specific code.
 
 Design notes
 ------------

@@ -9,6 +9,7 @@ this class and is therefore ISA-independent.
 
 from __future__ import annotations
 
+import hashlib
 from typing import Dict, List, Optional, Tuple
 
 from .. import adl
@@ -145,6 +146,12 @@ class ArchModel:
         # Filesystem path of the ADL source, when known (set by build()
         # for built-in specs); enables annotated spec-coverage reports.
         self.source_path: Optional[str] = None
+        # ``sha256:<hex>`` of the spec bytes this model was built from
+        # (set by build(); repro.runstore.provenance.spec_digest fills
+        # it in once for a hand-built model).  Keys compiled code and
+        # stored runs, so it must name these semantics even if the file
+        # changes afterwards.
+        self.source_digest: Optional[str] = None
         # Register-name lookup for the assembler: prefix+index and aliases.
         self.register_names: Dict[str, Tuple[str, int]] = {}
         for regfile in self.regfiles.values():
@@ -186,9 +193,12 @@ def build(name: str, fresh: bool = False) -> ArchModel:
     """Build (and cache) the ArchModel for a built-in spec name."""
     if not fresh and name in _MODEL_CACHE:
         return _MODEL_CACHE[name]
-    spec = adl.load_builtin_spec(name)
-    model = ArchModel(spec)
-    model.source_path = adl.builtin_spec_path(name)
+    path = adl.builtin_spec_path(name)
+    with open(path, "rb") as handle:
+        data = handle.read()
+    model = ArchModel(adl.analyze(adl.parse_spec(data.decode("utf-8"))))
+    model.source_path = path
+    model.source_digest = "sha256:" + hashlib.sha256(data).hexdigest()
     if not fresh:
         _MODEL_CACHE[name] = model
     return model

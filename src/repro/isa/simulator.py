@@ -178,7 +178,7 @@ class Simulator:
         if site is None:
             window = self._fetch_window()
             decoded = self.model.decoder.decode_bytes(window, pc)
-            fn = self._compiled_fns[decoded.instruction.name]
+            fn = self._compiled_fns(decoded.instruction)
             pairs = tuple(((pc + i) & self._pc_mask, window[i])
                           for i in range(decoded.length))
             self._sites[pc] = (pairs, decoded, fn)

@@ -5,7 +5,9 @@ to the lint pipeline.  For each spec they statically prove every
 compiled transfer function — the generated concrete Python
 (``transval-concrete``) and the symbolic plan (``transval-symbolic``)
 — equivalent to the reference IR semantics over *all* decodable
-operand values and machine pre-states, and report:
+operand values and machine pre-states, and report (the symbolic pass
+proves each plan's probed twin too — the engine runs it on deep
+cost-attribution steps):
 
 * one ``error`` finding per proven inequivalence, carrying a concrete
   witness (encoding word + operand fields + machine pre-state) and a
@@ -51,12 +53,11 @@ def _seed_bug_override(model, mode: str) -> Optional[Dict[str, str]]:
         return None
     from ..compile import compiled_for
     from ..verify import seeded_mutation
-    fn = compiled_for(model).concrete.get(rule)
-    source = getattr(fn, "generated_source", None)
-    if source is None:
+    instr = model.by_name.get(rule)
+    if instr is None:
         raise ValueError("%s=%s: %s has no rule %r"
                          % (SEED_BUG_ENV, spec, isa, rule))
-    return {rule: seeded_mutation(source)}
+    return {rule: seeded_mutation(compiled_for(model).concrete.source(instr))}
 
 
 class _TransvalPass(LintPass):

@@ -11,10 +11,11 @@ that time is spent on.  Costs are charged at three granularities:
   threads into the :class:`~repro.isa.model.ArchModel`), accumulating
   evaluation wall time, solver check time, cache hits/misses, forks and
   term-pool allocations per rule;
-* **IR node kinds** — inside a *deep* step the engine's recursive
-  ``_eval`` is probed, so ``BinOp:add`` vs ``Load`` vs ``IteExpr`` get
-  their own inclusive/self timings (self time excludes nested kinds and
-  solver work, profiler-style);
+* **IR node kinds** — a *deep* step runs the rule's probed twin (its
+  compiled plan with :meth:`CostAttribution.ir_enter`/``ir_exit`` around
+  every IR node, :mod:`repro.compile.symbolic`), so ``BinOp:add`` vs
+  ``Load`` vs ``IteExpr`` get their own inclusive/self timings (self
+  time excludes nested kinds and solver work, profiler-style);
 * **branch sites** — solver time is blamed on the guest pc that issued
   the query, so one hot branch shows up as one hot address.
 
@@ -225,8 +226,8 @@ class CostAttribution:
             self._rule_cost.term_allocs += \
                 self._pool.misses - self._pool_mark
             self._h_eval.observe(elapsed * 1000.0)
+            self.ir_unwind()
             self.deep = False
-            del self._ir_stack[:]
 
     def on_fork(self, count: int) -> None:
         self.forks += count
@@ -253,6 +254,12 @@ class CostAttribution:
         if self._ir_stack:
             self._ir_stack[-1][2] += elapsed
 
+    def ir_unwind(self) -> None:
+        """Close every open IR frame: the path ended mid-expression, so
+        the frames it entered will never see their ``ir_exit``."""
+        while self._ir_stack:
+            self.ir_exit()
+
     # -- solver-side charging (Solver.attach_attr) ---------------------------
 
     def on_solver_check(self, elapsed: float, result: str) -> None:
@@ -271,7 +278,7 @@ class CostAttribution:
         if self._ir_stack:
             frame = self._ir_stack[-1]
             # Solver time inside an IR frame is the frame's child time,
-            # so IR self time stays pure interpretation.
+            # so IR self time stays pure term building.
             frame[2] += elapsed
             kind = frame[0]
             cost.solver_by_ir[kind] = \

@@ -60,22 +60,27 @@ def file_digest(path: str) -> str:
 def spec_digest(model) -> str:
     """Content digest of the ADL spec behind an :class:`ArchModel`.
 
-    Prefers the spec source file bytes (``model.source_path``, set for
-    every built-in spec); a model without a known source — e.g. built
-    from an in-memory spec in a test — degrades to a digest over the
-    generated rule table (instruction names, syntax and provenance
-    lines), which still changes whenever the semantics change.
+    :func:`repro.isa.build` records the digest of the bytes it parsed
+    (``model.source_digest``), so the digest names the semantics the
+    model runs even when the file is edited afterwards.  A hand-built
+    model falls back to its spec file's bytes (``model.source_path``)
+    or, without a known source — e.g. built from an in-memory spec in a
+    test — to a digest over every rule's name and IR, which changes
+    whenever the semantics do (compiled code is cached under this
+    digest).  The fallback is computed once and recorded on the model.
     """
+    digest = getattr(model, "source_digest", None)
+    if digest is not None:
+        return digest
     source = getattr(model, "source_path", None)
     if source and os.path.exists(source):
-        return file_digest(source)
-    rows: List[str] = []
-    for name in sorted(getattr(model, "rules", {}) or {}):
-        provenance = model.rules[name]
-        rows.append("%s@%s" % (name, getattr(provenance, "line", "?")))
-    if not rows:
-        rows = sorted(instr.name for instr in model.instructions)
-    return content_digest({"isa": model.name, "rules": rows})
+        digest = file_digest(source)
+    else:
+        rows = ["%s %r" % (instr.name, instr.semantics)
+                for instr in model.instructions]
+        digest = content_digest({"isa": model.name, "rules": rows})
+    model.source_digest = digest
+    return digest
 
 
 def git_revision(start: Optional[str] = None) -> Optional[str]:

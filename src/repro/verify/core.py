@@ -6,8 +6,9 @@ symbolic pre-state (:class:`~repro.verify.state.PreState`):
 * the reference IR block via :mod:`repro.ir.symexec`,
 * either the generated *concrete* Python source via
   :mod:`repro.verify.pyeval` (mode ``"concrete"``) or the generated
-  *symbolic* plan via :mod:`repro.verify.planeval` (mode
-  ``"symbolic"``),
+  *symbolic* plan and its probed twin via :mod:`repro.verify.planeval`
+  (mode ``"symbolic"``; the engine runs the twin on deep attribution
+  steps, so it is proved like the plan),
 
 and discharges the resulting per-destination equivalence obligations
 through :mod:`repro.verify.obligations`.  Operand fields are free
@@ -31,7 +32,7 @@ from __future__ import annotations
 
 import itertools
 import re
-from typing import Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from ..adl import ast as A
 from ..compile.errors import CompileError
@@ -177,6 +178,9 @@ def _rule_environment(model, instr):
 
 _UID_PREFIX = re.compile(r"tv\d+_")
 
+#: Counterexample label prefixes for a symbolic rule's plans, in order.
+_PLAN_LABELS = ("", "probed twin: ")
+
 
 def _render(instr, pre: PreState, field_terms: Dict[str, T.Term],
             mismatch: Mismatch) -> Counterexample:
@@ -208,9 +212,11 @@ def _render(instr, pre: PreState, field_terms: Dict[str, T.Term],
 
 def verify_rule(model, instr, mode: str, solver, check: Callable,
                 concrete_source: Optional[str] = None,
-                plan: Optional[tuple] = None,
+                plans: Sequence[tuple] = (),
                 max_pairs: int = 512) -> RuleResult:
-    """Prove one rule's compiled artifact equivalent to its IR."""
+    """Prove one rule's compiled artifacts equivalent to its IR: the
+    concrete source, or (mode ``"symbolic"``) every plan in ``plans`` —
+    the plan, then its probed twin — against one reference run."""
     tiers = {key: 0 for key in TIERS}
     try:
         pre, reg_widths, fields, field_terms, assumptions = \
@@ -220,19 +226,27 @@ def verify_rule(model, instr, mode: str, solver, check: Callable,
         if mode == "concrete":
             if concrete_source is None:
                 raise pyeval.PyEvalError("no generated source for rule")
-            cand_paths = pyeval.exec_function(
-                concrete_source, MachineState(pre, reg_widths), fields)
+            candidates = [("", pyeval.exec_function(
+                concrete_source, MachineState(pre, reg_widths), fields))]
         elif mode == "symbolic":
-            if plan is None:
+            if not plans:
                 raise symexec.SymExecError("no compiled plan for rule")
-            cand_paths = planeval.exec_plan(
-                plan, MachineState(pre, reg_widths), fields)
+            candidates = [
+                (_PLAN_LABELS[position], planeval.exec_plan(
+                    plan, MachineState(pre, reg_widths), fields))
+                for position, plan in enumerate(plans)]
         else:
             raise ValueError("unknown verification mode %r" % mode)
-        mismatches = compare_paths(
-            ref_paths, cand_paths, pre, assumptions,
-            set(model.registers), solver, check, tiers,
-            max_pairs=max_pairs)
+        mismatches: List[Mismatch] = []
+        for label, cand_paths in candidates:
+            found = compare_paths(
+                ref_paths, cand_paths, pre, assumptions,
+                set(model.registers), solver, check, tiers,
+                max_pairs=max_pairs)
+            for mismatch in found:
+                mismatch.label = label + mismatch.label
+            mismatches.extend(found)
+        cand_paths = candidates[0][1]
     except (symexec.SymExecError, pyeval.PyEvalError, CompileError,
             ComparisonError, T.SmtError) as error:
         return RuleResult(instr.name, UNSUPPORTED, tiers, [],
@@ -264,29 +278,26 @@ def verify_model(model, mode: str, solver_factory: Optional[Callable] = None,
         from ..smt.solver import Solver
         solver = Solver()
     overrides = source_overrides or {}
+    compiled = compiled_for(model)
+    artifacts: Dict[str, Dict[str, Any]]
     try:
-        compiled = compiled_for(model)
+        if mode == "symbolic":
+            plans, probed = planeval.load_plans(
+                compiled.symbolic_source(model), model.name)
+            artifacts = {name: {"plans": (plans[name], probed[name])}
+                         for name in plans}
+        else:
+            artifacts = {instr.name: {"concrete_source": overrides.get(
+                instr.name) or compiled.concrete.source(instr)}
+                for instr in model.instructions}
     except CompileError as error:
         return [RuleResult(instr.name, UNSUPPORTED,
                            {key: 0 for key in TIERS}, [],
                            detail="codegen failed: %s" % error)
                 for instr in model.instructions]
-    plans: Dict[str, tuple] = {}
-    if mode == "symbolic":
-        plans = planeval.load_plans(compiled.symbolic_source, model.name)
-    results: List[RuleResult] = []
-    for instr in model.instructions:
-        source = None
-        if mode == "concrete":
-            source = overrides.get(instr.name)
-            if source is None:
-                fn = compiled.concrete.get(instr.name)
-                source = getattr(fn, "generated_source", None)
-        results.append(verify_rule(
-            model, instr, mode, solver, check,
-            concrete_source=source, plan=plans.get(instr.name),
-            max_pairs=max_pairs))
-    return results
+    return [verify_rule(model, instr, mode, solver, check,
+                        max_pairs=max_pairs, **artifacts[instr.name])
+            for instr in model.instructions]
 
 
 _MASK_LITERAL = re.compile(r"& (0x[0-9a-fA-F]+)")

@@ -17,8 +17,8 @@ under a harness:
 * the engine surface (``_load``/``_concrete_index``/``_check_div``) is
   a :class:`_HarnessEngine` that routes memory through the shared
   :class:`~repro.verify.state.MachineState` and keeps symbolic indices
-  symbolic,
-* the plan driver below replaces ``compile.symbolic._run``: same tag
+  symbolic; its ``attr`` is a stub, so probed twins run the same way,
+* the plan driver below replaces the engine's ``Engine._run``: same tag
   dispatch, same statement order, but a symbolic ``if`` always explores
   *both* arms (no feasibility pruning — the validator refutes
   infeasible path pairs during obligation matching instead), mirroring
@@ -69,8 +69,19 @@ class _HarnessConfig:
     check_div_zero = False
 
 
+class _NullAttr:
+    """Probed twins' ``E.attr``: probes are timing, not semantics."""
+
+    def ir_enter(self, kind: str) -> None:
+        pass
+
+    def ir_exit(self) -> None:
+        pass
+
+
 class _HarnessEngine:
     config = _HarnessConfig()
+    attr = _NullAttr()
 
     def _load(self, state: "_HarnessState", addr: T.Term, size: int,
               guards, decoded) -> T.Term:
@@ -103,16 +114,19 @@ def _index_term(index) -> Optional[T.Term]:
     return T.bv(index, max(int(index).bit_length(), 1))
 
 
-def load_plans(symbolic_source: str, isa: str) -> Dict[str, tuple]:
-    """Compile the generated symbolic module for harness execution."""
+def load_plans(symbolic_source: str,
+               isa: str) -> Tuple[Dict[str, tuple], Dict[str, tuple]]:
+    """Compile the generated symbolic module for harness execution:
+    ``(plans, probed twins)``, each rule name -> plan."""
     rewritten = _FT_VALUE.sub(r"\1", symbolic_source)
     namespace: Dict[str, object] = {"T": _TermShim()}
     exec(compile(rewritten, "<repro.verify:%s:plans>" % isa, "exec"),
          namespace)
-    plans = namespace["PLANS"]
-    if not isinstance(plans, dict):
-        raise SymExecError("generated symbolic module has no PLANS table")
-    return plans
+    plans, probed = namespace.get("PLANS"), namespace.get("PROBED")
+    if not isinstance(plans, dict) or not isinstance(probed, dict):
+        raise SymExecError("generated symbolic module has no "
+                           "PLANS/PROBED tables")
+    return plans, probed
 
 
 def exec_plan(plan: tuple, machine: MachineState,
@@ -133,7 +147,7 @@ def _resolve_index(engine, state, spec, fields, local_values
         return fields[spec[1]]
     if kind == "c":
         return _index_term(spec[1])
-    term = spec[1](engine, state, fields, {}, local_values, None)
+    term = spec[1](engine, state, fields, local_values, None)
     return term
 
 
@@ -150,7 +164,7 @@ def _run(engine, state: _HarnessState, frames, local_values,
         st = stmts[index]
         tag = st[0]
         if tag == SP.S_IF:
-            cond = st[1](engine, state, fields, {}, local_values, None)
+            cond = st[1](engine, state, fields, local_values, None)
             if cond.is_const():
                 body = st[2] if cond.value == 1 else st[3]
                 if body:
@@ -159,12 +173,12 @@ def _run(engine, state: _HarnessState, frames, local_values,
             return _fork(engine, state, st, cond, frames, local_values,
                          outcome, guards, fields)
         if tag == SP.S_REG:
-            value = st[3](engine, state, fields, {}, local_values, None)
+            value = st[3](engine, state, fields, local_values, None)
             machine.write_reg(
                 st[1], _resolve_index(engine, state, st[2], fields,
                                       local_values), value)
         elif tag == SP.S_LOCAL:
-            local_values[st[1]] = st[2](engine, state, fields, {},
+            local_values[st[1]] = st[2](engine, state, fields,
                                         local_values, None)
         elif tag == SP.S_LOCAL_IN:
             local_values[st[1]] = machine.input_byte()
@@ -174,23 +188,23 @@ def _run(engine, state: _HarnessState, frames, local_values,
                 st[1], _resolve_index(engine, state, st[2], fields,
                                       local_values), value)
         elif tag == SP.S_PC:
-            outcome.next_pc = st[1](engine, state, fields, {},
+            outcome.next_pc = st[1](engine, state, fields,
                                     local_values, None)
         elif tag == SP.S_STORE:
-            addr = st[1](engine, state, fields, {}, local_values, None)
-            value = st[2](engine, state, fields, {}, local_values, None)
+            addr = st[1](engine, state, fields, local_values, None)
+            value = st[2](engine, state, fields, local_values, None)
             machine.store(addr, value, st[3])
         elif tag == SP.S_OUT:
-            machine.output_byte(st[1](engine, state, fields, {},
+            machine.output_byte(st[1](engine, state, fields,
                                       local_values, None))
         elif tag == SP.S_HALT:
             outcome.halted = True
-            outcome.exit_code = st[1](engine, state, fields, {},
+            outcome.exit_code = st[1](engine, state, fields,
                                       local_values, None)
             return [(machine, outcome, guards)]
         elif tag == SP.S_TRAP:
             outcome.trapped = True
-            outcome.trap_code = st[1](engine, state, fields, {},
+            outcome.trap_code = st[1](engine, state, fields,
                                       local_values, None)
             return [(machine, outcome, guards)]
         else:

@@ -36,7 +36,7 @@ def test_codegen_version_bump_invalidates(monkeypatch):
         compile_mod.clear_cache()
 
 
-def test_compiled_semantics_records_generator_version():
+def test_compiled_entry_records_generator_version():
     compile_mod.clear_cache()
     try:
         compiled = compile_mod.compiled_for(build("vlx"))
@@ -51,8 +51,8 @@ def test_every_rule_carries_its_generated_source():
         model = build("mips32")
         compiled = compile_mod.compiled_for(model)
         for instr in model.instructions:
-            source = compiled.concrete[instr.name].generated_source
-            assert source.startswith("def _c")
+            source = compiled.concrete.source(instr)
+            assert source.startswith("def _c_%s(" % instr.name)
             assert "C" in source.split("(", 1)[1]
     finally:
         compile_mod.clear_cache()

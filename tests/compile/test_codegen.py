@@ -8,7 +8,7 @@ import pytest
 
 from repro.adl import analyze, parse_spec
 from repro.compile import (CompileError, cache_info, clear_cache,
-                           compile_block, compile_symbolic, compiled_for)
+                           compile_block, compiled_for)
 from repro.ir import interp
 from repro.ir import nodes as N
 from repro.isa import build
@@ -136,9 +136,12 @@ class TestTableCoverage:
     def test_every_rule_compiles(self, target):
         model = build(target)
         compiled = compiled_for(model)
-        assert set(compiled.concrete) == set(model.by_name)
-        assert set(compiled.plans) == set(model.by_name)
-        assert "generated by repro.compile" in compiled.source
+        source = (compiled.concrete_source(model)
+                  + compiled.symbolic_source(model))
+        assert "generated by repro.compile" in source
+        for table in (compiled.concrete, compiled.plan,
+                      compiled.probed_plan):
+            assert set(table.generated()) == set(model.by_name)
 
     @pytest.mark.parametrize("target", ALL_TARGETS)
     def test_symbolic_plans_are_plain_tuples(self, target):
@@ -152,9 +155,11 @@ class TestTableCoverage:
                 for item in value:
                     scan(item)
 
-        plans, _source = compile_symbolic(build(target))
-        for plan in plans.values():
-            scan(plan)
+        model = build(target)
+        compiled = compiled_for(model)
+        for instr in model.instructions:
+            scan(compiled.plan(instr))
+            scan(compiled.probed_plan(instr))
 
 
 class TestCache:
@@ -201,3 +206,69 @@ class TestCache:
         assert second is not first
         assert second.digest != first.digest
         assert cache_info() == {"entries": 2}
+
+    def test_edit_between_build_and_first_compile(self, tmp_path,
+                                                  monkeypatch):
+        """build() digests the bytes it parsed.  Editing the spec after
+        build must neither file the built model's code under the new
+        digest nor let a fresh build reuse the old code."""
+        import hashlib
+
+        import repro.adl as adl
+        from repro.core import Engine
+        from repro.isa import assemble
+        from repro.runstore.provenance import spec_digest
+
+        spec_file = tmp_path / "rv32.adl"
+        shutil.copy(adl.builtin_spec_path("rv32"), spec_file)
+        monkeypatch.setattr(adl, "builtin_spec_path",
+                            lambda name: str(spec_file))
+        original = spec_file.read_bytes()
+        program = "\n".join([
+            ".org 0x1000", ".entry start", "start:",
+            "    addi x1, x0, 5", "    addi x2, x0, 3",
+            "    add x3, x1, x2", "    outb x3", "    halt 0", ""])
+
+        def output_of(model):
+            engine = Engine(model)
+            engine.load_image(assemble(model, program))
+            result = engine.explore()
+            (path,) = result.paths
+            return [term.value for term in path.state.output]
+
+        clear_cache()
+        try:
+            old = build("rv32", fresh=True)
+            spec_file.write_text(original.decode().replace(
+                "x[rd] = x[rs1] + x[rs2];", "x[rd] = x[rs1] - x[rs2];", 1))
+            assert spec_digest(old) == \
+                "sha256:" + hashlib.sha256(original).hexdigest()
+            assert output_of(old) == [8]
+            new = build("rv32", fresh=True)
+            assert spec_digest(new) != spec_digest(old)
+            assert compiled_for(new) is not compiled_for(old)
+            assert output_of(new) == [2]
+        finally:
+            clear_cache()
+
+    def test_in_memory_specs_do_not_share_code(self):
+        """Without a spec file the digest covers each rule's IR, so two
+        same-named specs that differ in one expression compile apart."""
+        from repro.adl import builtin_spec_path
+        from repro.runstore.provenance import spec_digest
+
+        with open(builtin_spec_path("rv32")) as handle:
+            text = handle.read()
+        edited = text.replace("x[rd] = x[rs1] + x[rs2];",
+                              "x[rd] = x[rs1] - x[rs2];", 1)
+        assert edited != text
+        first = ArchModel(analyze(parse_spec(text)))
+        second = ArchModel(analyze(parse_spec(edited)))
+        clear_cache()
+        try:
+            assert spec_digest(first) != spec_digest(second)
+            assert compiled_for(first) is not compiled_for(second)
+            assert spec_digest(ArchModel(analyze(parse_spec(text)))) \
+                == spec_digest(first)
+        finally:
+            clear_cache()

@@ -1,78 +1,196 @@
-"""Differential harness: compiled transfer functions vs IR interpretation.
+"""Differential harness: the engine against pinned fingerprints, and the
+concrete simulator's compiled transfer functions against IR
+interpretation.
 
-The specializer's contract (`repro.compile`) is bit-for-bit
-observational equivalence, not just equal final values: exploring with
-``compiled_semantics=True`` must produce *identical* tree, leaf and
-defect fingerprints — the same hashes the run store uses for replay
-verification.  This harness enforces that on every shipped ISA, over
-the exerciser kernel (touches every portable operation) and the whole
-defect suite (every checker: div-zero, OOB, uninit, taint, trap).
+The engine executes every rule through its compiled symbolic plan
+(:mod:`repro.compile.symbolic`); deep cost-attribution steps run the
+plan's probed twin.  Neither may change what a run computes, so every
+exploration below must reproduce the tree, leaf and defect fingerprints
+(the hashes the run store verifies on replay) pinned in
+``pinned_fingerprints.json`` — with attribution off, sampled every 3rd
+step, and full.  The pins were recorded with the engine's former
+interpreted IR walk; running this module as a script prints them
+again from the code at hand::
 
-The concrete twin is held to the same standard: full machine-state
-equality (registers, memory, I/O, instruction count) after complete
-simulator runs.
+    PYTHONPATH=src python -m tests.compile.test_differential
+
+The pin file also holds the ``calls`` of full-mode attribution blocks —
+per rule and IR kind on the exerciser, per IR kind on each defect-suite
+run: the probed twins must count exactly the nodes the interpreted
+walk's probe counted.
+
+The concrete simulator keeps both evaluators, so its compiled twin is
+held to full machine-state equality (registers, memory, I/O,
+instruction count) after complete runs.
 """
+
+import json
+import os
+import sys
 
 import pytest
 
 from repro.core import Engine, EngineConfig
 from repro.obs import Obs
+from repro.obs.attr import AttrConfig
 from repro.obs.sinks import RingBufferSink
 from repro.programs import all_cases, build_kernel, run_case
-from repro.programs.suite import CODE_BASE
 from repro.runstore.fingerprint import (defects_fingerprint,
                                         leaves_fingerprint,
                                         tree_fingerprint)
 
 ALL_TARGETS = ["rv32", "mips32", "armlite", "pred32", "vlx"]
 
+PINS_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                         "pinned_fingerprints.json")
 
-def _config(compiled, **kwargs):
+#: Attribution settings every pinned exploration is repeated under.
+ATTR_MODES = {
+    "off": None,
+    "sampled-3": lambda: AttrConfig(mode="sampled", sample_every=3),
+    "full": lambda: AttrConfig(mode="full"),
+}
+
+
+def _config(attr=None, **kwargs):
     ring = RingBufferSink(capacity=200000)
     obs = Obs(metrics=True)
     obs.add_sink(ring)
     config = EngineConfig(collect_coverage=True, obs=obs,
-                          compiled_semantics=compiled, **kwargs)
+                          attr=attr() if attr else None, **kwargs)
     return config, ring
 
 
 def _fingerprints(ring, result):
     serialized = result.to_dict()
-    return (tree_fingerprint(ring.events()),
+    return [tree_fingerprint(ring.events()),
             leaves_fingerprint(serialized["paths"]),
-            defects_fingerprint(serialized["defects"]))
+            defects_fingerprint(serialized["defects"])]
 
 
-def _explore_kernel(target, kernel, compiled):
-    model, image = build_kernel(kernel, target)
-    config, ring = _config(compiled)
+def _explore_exerciser(target, attr=None):
+    """``(fingerprints, result)`` of the exerciser kernel on ``target``."""
+    model, image = build_kernel("exerciser", target)
+    config, ring = _config(attr)
     engine = Engine(model, config=config)
     engine.load_image(image)
     result = engine.explore()
-    return _fingerprints(ring, result)
+    return _fingerprints(ring, result), result
+
+
+def _explore_case(case, target, variant, attr=None):
+    """``(pinned outcome, result)`` of one defect-suite run, as
+    ``run_case`` runs it."""
+    config, ring = _config(attr, max_steps_per_path=4096)
+    detected, result, _image = run_case(case, target, variant,
+                                        config=config)
+    return ([detected, result.stop_reason] + _fingerprints(ring, result),
+            result)
+
+
+def _ir_calls(result):
+    """rule -> IR kind -> calls, from a result's attribution block."""
+    rules = result.telemetry["attr"]["rules"]
+    return {rule: {kind: cost["calls"]
+                   for kind, cost in entry.get("ir", {}).items()}
+            for rule, entry in rules.items() if entry.get("ir")}
+
+
+def _ir_kind_calls(result):
+    """IR kind -> calls over all rules, from the attribution block."""
+    return {kind: cost["calls"]
+            for kind, cost in result.telemetry["attr"]["ir"].items()}
+
+
+def collect_pins():
+    """Every pinned value, computed by the code at hand."""
+    pins = {"exerciser": {}, "defect_suite": {}, "attr_ir_calls": {},
+            "defect_suite_ir_calls": {}}
+    for target in ALL_TARGETS:
+        pins["exerciser"][target], _ = _explore_exerciser(target)
+        _, result = _explore_exerciser(target, ATTR_MODES["full"])
+        pins["attr_ir_calls"][target] = _ir_calls(result)
+        for case in all_cases():
+            for variant in ("bad", "good"):
+                key = "%s/%s/%s" % (target, case.name, variant)
+                pins["defect_suite"][key], _ = _explore_case(
+                    case, target, variant)
+                _, result = _explore_case(case, target, variant,
+                                          ATTR_MODES["full"])
+                pins["defect_suite_ir_calls"][key] = _ir_kind_calls(result)
+    return pins
+
+
+@pytest.fixture(scope="module")
+def pins():
+    with open(PINS_PATH) as handle:
+        return json.load(handle)
 
 
 @pytest.mark.parametrize("target", ALL_TARGETS)
-def test_exerciser_fingerprints_identical(target):
-    interpreted = _explore_kernel(target, "exerciser", compiled=False)
-    compiled = _explore_kernel(target, "exerciser", compiled=True)
-    assert interpreted == compiled
+def test_exerciser_fingerprints_identical(pins, target):
+    for mode, attr in ATTR_MODES.items():
+        found, _result = _explore_exerciser(target, attr)
+        assert found == pins["exerciser"][target], (target, mode)
+
+
+def test_deep_attr_step_falls_back_without_changing_fingerprints(pins):
+    """Deep cost-attribution steps fall back from the plain plan to its
+    probed twin; attribution being observe-only, fingerprints must not
+    move.  Sampled mode is the risky interleaving: plain steps alternate
+    with probed deep steps inside one exploration."""
+    pinned = pins["exerciser"]["rv32"]
+    found, full = _explore_exerciser("rv32", ATTR_MODES["full"])
+    assert found == pinned
+    full_attr = full.telemetry["attr"]
+    assert full_attr["deep_steps"] == full_attr["steps"] > 0
+    full_calls = sum(cost["calls"] for cost in full_attr["ir"].values())
+
+    found, sampled = _explore_exerciser("rv32", ATTR_MODES["sampled-3"])
+    assert found == pinned
+    sampled_attr = sampled.telemetry["attr"]
+    # Both kinds of step ran, and the per-IR-kind rows prove the deep
+    # ones went through the probed twin.
+    assert 0 < sampled_attr["deep_steps"] < sampled_attr["steps"]
+    sampled_calls = sum(cost["calls"]
+                        for cost in sampled_attr["ir"].values())
+    assert 0 < sampled_calls < full_calls
 
 
 @pytest.mark.parametrize("target", ALL_TARGETS)
-def test_defect_suite_fingerprints_identical(target):
+def test_defect_suite_fingerprints_identical(pins, target):
+    """Also pins each run's full-mode per-kind attribution calls, so the
+    probed twins of every rule the suite executes count as the
+    interpreted walk counted."""
+    cases = 0
     for case in all_cases():
         for variant in ("bad", "good"):
-            per_mode = {}
-            for compiled in (False, True):
-                config, ring = _config(compiled,
-                                       max_steps_per_path=4096)
-                detected, result, _image = run_case(case, target, variant,
-                                                    config=config)
-                per_mode[compiled] = (detected, result.stop_reason,
-                                      _fingerprints(ring, result))
-            assert per_mode[False] == per_mode[True], (
-                "%s/%s/%s diverged" % (target, case.name, variant))
+            key = "%s/%s/%s" % (target, case.name, variant)
+            for mode, attr in ATTR_MODES.items():
+                found, result = _explore_case(case, target, variant, attr)
+                assert found == pins["defect_suite"][key], (key, mode)
+                if mode == "full":
+                    assert _ir_kind_calls(result) \
+                        == pins["defect_suite_ir_calls"][key], key
+            cases += 1
+    assert cases == 16
+
+
+def test_every_pin_is_checked(pins):
+    """The pin file covers exactly the runs the tests here make."""
+    assert sorted(pins["exerciser"]) == sorted(ALL_TARGETS)
+    assert sorted(pins["attr_ir_calls"]) == sorted(ALL_TARGETS)
+    assert len(pins["defect_suite"]) == len(ALL_TARGETS) * 16
+    assert sorted(pins["defect_suite_ir_calls"]) \
+        == sorted(pins["defect_suite"])
+
+
+@pytest.mark.parametrize("target", ALL_TARGETS)
+def test_probed_twins_count_every_ir_node(pins, target):
+    """Full-mode attribution charges the same per-rule, per-kind calls
+    the interpreted walk's probe charged."""
+    _, result = _explore_exerciser(target, ATTR_MODES["full"])
+    assert _ir_calls(result) == pins["attr_ir_calls"][target]
 
 
 @pytest.mark.parametrize("target", ALL_TARGETS)
@@ -104,62 +222,6 @@ def test_concrete_simulator_state_identical(target):
             == compiled_sim.instruction_count, context
 
 
-def test_compiled_flag_does_not_change_run_identity():
-    """``compiled_semantics`` must be invisible to the run store: it is
-    not serialized, so a compiled submission hits the cache entry an
-    interpreted run recorded (and vice versa)."""
-    config = EngineConfig(compiled_semantics=True)
-    assert "compiled_semantics" not in config.to_dict()
-    assert "compiled_semantics" not in EngineConfig._SERIALIZED_FIELDS
-    rebuilt = EngineConfig.from_dict(config.to_dict())
-    assert rebuilt.compiled_semantics is False
-
-
-def test_store_hit_across_modes(tmp_path):
-    """Record interpreted, resubmit compiled: must be a store *hit* with
-    the recorded fingerprints verifying against the compiled re-run."""
-    from repro.runstore import RunStore
-    from repro.runstore.store import cached_explore
-
-    model, image = build_kernel("exerciser", "rv32")
-    store = RunStore(str(tmp_path / "store"))
-    _result, first, hit = cached_explore(
-        store, model, image,
-        EngineConfig(collect_coverage=True, compiled_semantics=False),
-        "dfs", 0, ())
-    assert not hit
-    _result, second, hit = cached_explore(
-        store, model, image,
-        EngineConfig(collect_coverage=True, compiled_semantics=True),
-        "dfs", 0, ())
-    assert hit
-    assert second.run_id == first.run_id
-
-
-def test_deep_attr_step_falls_back_without_changing_fingerprints():
-    """Cost attribution's deep steps run interpreted (the per-IR-kind
-    probes need the recursive walk); fingerprints must still match a
-    fully interpreted exploration, attr being observe-only."""
-    from repro.obs.attr import AttrConfig
-
-    model, image = build_kernel("exerciser", "rv32")
-    baseline = _explore_kernel("rv32", "exerciser", compiled=False)
-    config, ring = _config(True)
-    config.attr = AttrConfig(mode="full")
-    engine = Engine(model, config=config)
-    engine.load_image(image)
-    result = engine.explore()
-    assert _fingerprints(ring, result) == baseline
-    # The attribution profile still carries per-IR-kind rows, proving
-    # the deep-step fallback actually engaged the interpreted walk.
-    attr_block = (result.telemetry or {}).get("attr")
-    assert attr_block, "attr telemetry missing"
-
-    # Sampled mode is the risky interleaving: compiled steps alternate
-    # with interpreted deep steps inside one exploration.
-    config, ring = _config(True)
-    config.attr = AttrConfig(mode="sampled", sample_every=3)
-    engine = Engine(model, config=config)
-    engine.load_image(image)
-    result = engine.explore()
-    assert _fingerprints(ring, result) == baseline
+if __name__ == "__main__":
+    json.dump(collect_pins(), sys.stdout, indent=1, sort_keys=True)
+    sys.stdout.write("\n")

@@ -1,0 +1,110 @@
+"""Compilation follows use.
+
+``compiled_for`` hands out an empty entry; each rule's code is
+generated the first time it is looked up.  So constructing an engine
+generates nothing, an exploration generates exactly the plans of the
+rules it executes (probed twins only on deep attribution steps), and a
+cache entry never keeps a model alive.
+"""
+
+import gc
+import weakref
+
+import pytest
+
+import repro.compile as compile_mod
+from repro.compile import concrete, symbolic
+from repro.core import Engine, EngineConfig
+from repro.isa import build
+from repro.obs import Obs
+from repro.obs.attr import AttrConfig
+from repro.obs.sinks import RingBufferSink
+from repro.programs import build_kernel
+
+ALL_TARGETS = ["rv32", "mips32", "armlite", "pred32", "vlx"]
+
+
+@pytest.fixture
+def generations(monkeypatch):
+    """Every call of the code generators, as (kind, rule) pairs."""
+    calls = []
+    rule_plan, rule_function = symbolic.rule_plan, concrete.rule_function
+
+    def counting_plan(isa, instr, probe=False):
+        calls.append(("probed" if probe else "plan", instr.name))
+        return rule_plan(isa, instr, probe)
+
+    def counting_function(isa, instr):
+        calls.append(("concrete", instr.name))
+        return rule_function(isa, instr)
+
+    monkeypatch.setattr(symbolic, "rule_plan", counting_plan)
+    monkeypatch.setattr(concrete, "rule_function", counting_function)
+    compile_mod.clear_cache()
+    yield calls
+    compile_mod.clear_cache()
+
+
+def _explore(target, attr=None):
+    """Explore the exerciser; returns (engine, executed rule names)."""
+    model, image = build_kernel("exerciser", target)
+    ring = RingBufferSink(capacity=200000)
+    obs = Obs(metrics=True)
+    obs.add_sink(ring)
+    engine = Engine(model, config=EngineConfig(obs=obs, attr=attr))
+    engine.load_image(image)
+    engine.explore()
+    executed = {event.data["instr"] for event in ring.events()
+                if event.kind == "step"}
+    return engine, executed
+
+
+def test_engine_construction_generates_no_code(generations):
+    for target in ALL_TARGETS:
+        compiled = Engine(build(target, fresh=True))._compiled
+        for table in (compiled.concrete, compiled.plan,
+                      compiled.probed_plan):
+            assert table.generated() == []
+    assert generations == []
+
+
+@pytest.mark.parametrize("target", ALL_TARGETS)
+def test_exploring_generates_only_executed_rules(generations, target):
+    engine, executed = _explore(target)
+    assert executed
+    assert sorted(engine._compiled.plan.generated()) == sorted(executed)
+    assert sorted(generations) == sorted(("plan", name)
+                                         for name in executed)
+    # A second exploration finds every plan already generated.
+    del generations[:]
+    _explore(target)
+    assert generations == []
+
+
+def test_deep_steps_generate_probed_twins_on_first_use(generations):
+    engine, executed = _explore("rv32", AttrConfig(mode="full"))
+    compiled = engine._compiled
+    assert sorted(compiled.probed_plan.generated()) == sorted(executed)
+    # Every step was deep, so no plain plan was ever needed.
+    assert compiled.plan.generated() == []
+    assert compiled.concrete.generated() == []
+
+
+def test_cache_entry_holds_no_model():
+    compile_mod.clear_cache()
+    try:
+        _cached_model, image = build_kernel("exerciser", "rv32")
+        model = build("rv32", fresh=True)
+        engine = Engine(model)
+        engine.load_image(image)
+        engine.explore()
+        compiled = engine._compiled
+        assert compiled.plan.generated()
+        alive = weakref.ref(model)
+        del model, engine
+        gc.collect()
+        assert alive() is None
+        assert compile_mod.cache_info() == {"entries": 1}
+    finally:
+        compile_mod.clear_cache()
+

@@ -105,7 +105,7 @@ def test_compiled_step_matches_interpreted_step(target, data):
     interp_outcome = interp.exec_block(instr.semantics, reference,
                                        decoded_fields)
     compiled_outcome = interp.ExecOutcome()
-    table[instr.name](specialized, decoded_fields, compiled_outcome)
+    table(instr)(specialized, decoded_fields, compiled_outcome)
 
     _assert_outcomes_equal(interp_outcome, compiled_outcome, context)
     _assert_machines_equal(reference, specialized, context)

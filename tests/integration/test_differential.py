@@ -128,6 +128,7 @@ def test_every_instruction_symbolic_matches_concrete(target):
                 instruction = instr
                 address = 0x1000
                 length = instr.length
+            _FakeDecoded.word = word
             _FakeDecoded.fields = decoded_fields
 
             finished = engine._exec_block(state, _FakeDecoded)

@@ -183,6 +183,56 @@ class TestUnitCharging:
         assert block["rules"] == {}
         assert block["sites"] == {}
 
+    def test_frames_left_open_are_closed_and_counted(self):
+        """A path that ends mid-expression never exits its frames;
+        ir_unwind (and end_step) close and count them."""
+        attr = CostAttribution(AttrConfig("full"))
+        attr.begin_step("lw", 0x1000)
+        attr.ir_enter("ReadReg")
+        attr.ir_enter("Load")
+        attr.ir_unwind()
+        attr.ir_enter("Field")
+        attr.end_step(0.001)
+        ir = attr.rules["lw"].ir
+        assert {kind: cost.calls for kind, cost in ir.items()} == {
+            "ReadReg": 1, "Load": 1, "Field": 1}
+        assert ir["Load"].total <= ir["ReadReg"].total
+
+    def test_fork_closes_frames_of_a_branch_that_dies(self):
+        """The engine's plan driver: a forked branch that dies inside a
+        probed expression must not leave its frames open around the
+        sibling branch."""
+        from repro.compile.symbolic import S_IF, S_LOCAL
+        from repro.core.executor import _Outcome, _PathEnd
+        from repro.smt import terms as T
+
+        model, image = build_kernel("exerciser", "rv32")
+        engine = Engine(model, config=EngineConfig(
+            attr=AttrConfig("full")))
+        engine.load_image(image)
+        state = engine.initial_state()
+        depths = []
+
+        def cond(E, S, FT, L, D):
+            return T.eq(T.var("in_0", 8), T.bv(0, 8))
+
+        def dies(E, S, FT, L, D):
+            E.attr.ir_enter("Load")
+            raise _PathEnd("oob-load")
+
+        def survives(E, S, FT, L, D):
+            depths.append(len(E.attr._ir_stack))
+            return T.bv(0, 8)
+
+        plan = ((S_IF, cond, ((S_LOCAL, "x", dies),),
+                 ((S_LOCAL, "x", survives),)),)
+        engine.attr.begin_step("lw", state.pc)
+        finished = engine._run(state, [(plan, 0)], {}, _Outcome(), {},
+                               None)
+        assert len(finished) == 1
+        assert depths == [0]
+        assert engine.attr.rules["lw"].ir["Load"].calls == 1
+
     def test_ir_kind_labels(self):
         from repro.ir import nodes as N
         const = N.Const(1, 8)

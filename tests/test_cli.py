@@ -141,6 +141,19 @@ class TestExplore:
         assert main(["explore", "rv32", str(path), "--taint"]) == 2
         assert "tainted-control-flow" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command", ["explore", "record"])
+    def test_compiled_flag_is_gone(self, clean_file, command, capsys):
+        """The engine has one evaluator, so there is nothing to select."""
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "rv32", clean_file, "--compiled"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --compiled" \
+            in capsys.readouterr().err
+
+    def test_run_keeps_compiled_flag(self, clean_file, capsys):
+        assert main(["run", "rv32", clean_file, "--compiled"]) == 0
+        assert "output: b'A'" in capsys.readouterr().out
+
 
 class TestCfg:
     def test_cfg_prints_blocks(self, demo_file, capsys):

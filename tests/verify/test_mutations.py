@@ -19,7 +19,8 @@ import re
 
 import pytest
 
-from repro.compile import compiled_for
+from repro.compile import clear_cache, compiled_for
+from repro.compile import concrete as concrete_mod
 from repro.compile.concrete import _HELPERS
 from repro.isa import build
 from repro.isa.simulator import run_image
@@ -69,7 +70,7 @@ def _compile_source(source):
                          MUTATIONS, ids=[m[1] for m in MUTATIONS])
 def test_mutation_caught_with_counterexample(rule, label, mutate):
     model = build("rv32")
-    source = compiled_for(model).concrete[rule].generated_source
+    source = compiled_for(model).concrete.source(model.by_name[rule])
     mutated = mutate(source)
     assert mutated != source
     results = {r.rule: r
@@ -90,22 +91,27 @@ def test_mutation_caught_with_counterexample(rule, label, mutate):
 
 def test_clean_sources_not_flagged():
     model = build("rv32")
-    source = compiled_for(model).concrete["add"].generated_source
+    source = compiled_for(model).concrete.source(model.by_name["add"])
     results = verify_model(model, "concrete",
                            source_overrides={"add": source})
     assert all(r.status == "proved" for r in results)
 
 
-def test_validator_catches_what_dynamic_harness_misses():
+def test_validator_catches_what_dynamic_harness_misses(monkeypatch):
     """A flipped register-index mask corrupts behavior only for
     operand values the exerciser kernel never produces: the dynamic
     differential run is bit-for-bit identical (the harness misses the
     bug), while the static proof still finds a counterexample."""
     model, image = build_kernel("exerciser", "rv32")
-    table = compiled_for(model).concrete
     rule = "xor"
-    source = table[rule].generated_source
+    source = compiled_for(model).concrete.source(model.by_name[rule])
     mutated = seeded_mutation(source)
+    generate = concrete_mod.rule_function
+
+    def mutant_generator(isa, instr):
+        if instr.name == rule:
+            return _compile_source(mutated), mutated
+        return generate(isa, instr)
 
     def final_state(compiled):
         sim = run_image(model, image,
@@ -116,12 +122,15 @@ def test_validator_catches_what_dynamic_harness_misses():
                 sim.state.memory, sim.instruction_count)
 
     baseline = final_state(compiled=False)
-    original = table[rule]
-    table[rule] = _compile_source(mutated)
+    # The mutant goes in through the lazy table: a fresh cache entry
+    # generates each rule from the (patched) generator on first use.
+    clear_cache()
+    monkeypatch.setattr(concrete_mod, "rule_function", mutant_generator)
     try:
         dynamic_missed = final_state(compiled=True) == baseline
     finally:
-        table[rule] = original
+        monkeypatch.undo()
+        clear_cache()
     assert dynamic_missed, (
         "exerciser differential unexpectedly detected the mutation — "
         "pick a different rule for the miss demonstration")
@@ -130,3 +139,29 @@ def test_validator_catches_what_dynamic_harness_misses():
                                      source_overrides={rule: mutated})}
     assert results[rule].status == COUNTEREXAMPLE
     assert results[rule].counterexamples[0].word is not None
+
+
+def test_probed_twin_mutation_caught():
+    """transval-symbolic proves each plan's probed twin as well: a bug
+    present only in the twin (the code deep attribution steps run) is
+    a counterexample labelled as the twin's."""
+    from repro.smt.solver import Solver
+    from repro.verify import planeval, verify_rule
+
+    model = build("rv32")
+    instr = model.by_name["add"]
+    compiled = compiled_for(model)
+    source = compiled.symbolic_source(model)
+    twin = compiled.probed_plan.source(instr)
+    mutated = source.replace(twin, twin.replace("T.add(", "T.sub(", 1))
+    assert mutated != source
+    plans, probed = planeval.load_plans(mutated, model.name)
+    result = verify_rule(model, instr, "symbolic", Solver(),
+                         lambda solver, extra: solver.check(extra),
+                         plans=(plans["add"], probed["add"]))
+    assert result.status == COUNTEREXAMPLE
+    assert result.counterexamples[0].label.startswith("probed twin: ")
+    clean = verify_rule(model, instr, "symbolic", Solver(),
+                        lambda solver, extra: solver.check(extra),
+                        plans=(plans["add"], plans["add"]))
+    assert clean.status == "proved"
