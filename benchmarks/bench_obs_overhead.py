@@ -13,6 +13,11 @@ Usage::
 
 Exit status 1 when the budget is exceeded.
 
+Every repeat runs each configuration once, in turn, and each
+configuration reads its best time over the repeats: a busy stretch of a
+shared host then slows every configuration alike instead of landing on
+the one whose repeats happened to run back to back.
+
 (Not a pytest module on purpose: single-shot wall-clock assertions are
 too noisy for the unit suite; best-of-N in a dedicated CI job is the
 right home.)
@@ -20,6 +25,7 @@ right home.)
 
 import sys
 import time
+from typing import List
 
 from repro.bench import Sample, benchmark
 from repro.core import Engine, EngineConfig
@@ -28,7 +34,7 @@ from repro.programs import build_kernel
 
 MAX_OVERHEAD = 0.15     # counters (and +health) must cost < 15% vs. disabled
 MAX_ATTR_OVERHEAD = 0.20  # sampled cost attribution must cost < 20%
-REPEATS = 5             # best-of to suppress scheduler noise
+REPEATS = 5             # best-of, round-robin, to suppress host noise
 WORKLOAD = ("maze", {"depth": 6, "solution": 0b101100})
 
 
@@ -56,21 +62,26 @@ def run_once(obs_factory, health_factory=None, attr_factory=None) -> float:
     return elapsed
 
 
-def best_of(obs_factory, health_factory=None, attr_factory=None,
-            repeats: int = REPEATS) -> float:
-    return min(run_once(obs_factory, health_factory, attr_factory)
-               for _ in range(repeats))
+def best_of_each(configs, repeats: int = REPEATS) -> List[float]:
+    """Each ``(obs, health, attr)`` factory triple's best time over
+    ``repeats`` rounds that run every configuration once, in turn."""
+    best = [float("inf")] * len(configs)
+    for _ in range(repeats):
+        for index, factories in enumerate(configs):
+            best[index] = min(best[index], run_once(*factories))
+    return best
 
 
 @benchmark("obs.counters_overhead",
            title="telemetry: default-counters overhead vs disabled Obs",
            suite="full", isas=("rv32",), unit="ratio", direction="lower",
            expect_max=MAX_OVERHEAD, reps=1, warmup=0,
-           workload="maze(depth 6), best-of-%d per Obs config" % REPEATS)
+           workload="maze(depth 6), best-of-%d round-robin per Obs "
+                    "config" % REPEATS)
 def _observatory_sample():
     run_once(Obs.disabled)      # warm model/decoder caches
-    disabled = best_of(Obs.disabled)
-    counters = best_of(Obs.default)
+    disabled, counters = best_of_each([(Obs.disabled, None, None),
+                                       (Obs.default, None, None)])
     overhead = (counters - disabled) / disabled if disabled else 0.0
     return Sample(overhead, wall_s=disabled + counters)
 
@@ -79,24 +90,26 @@ def main(argv) -> int:
     report_only = "--report" in argv
     # Warm up model/decoder caches so the first config isn't penalized.
     run_once(Obs.disabled)
-    disabled = best_of(Obs.disabled)
-    counters = best_of(Obs.default)
-    profiled = best_of(lambda: Obs(metrics=True, profile=True))
-    recording = best_of(_recording)
     # Health monitor at its default cadence (sample every 256 steps):
     # guarded alongside the counters — a monitored run must stay cheap
-    # enough to leave on in CI.
-    monitored = best_of(Obs.default, HealthConfig)
-    # Sampled cost attribution at its default cadence (deep-probe every
-    # 16th step): guarded under its own, looser, budget — attribution
-    # adds two clock reads to every step by design.
-    attributed = best_of(Obs.default, attr_factory=AttrConfig)
+    # enough to leave on in CI.  Sampled cost attribution at its default
+    # cadence (deep-probe every 16th step): guarded under its own,
+    # looser, budget — attribution adds two clock reads to every step
+    # by design.
+    (disabled, counters, profiled, recording, monitored,
+     attributed) = best_of_each([
+         (Obs.disabled, None, None),
+         (Obs.default, None, None),
+         (lambda: Obs(metrics=True, profile=True), None, None),
+         (_recording, None, None),
+         (Obs.default, HealthConfig, None),
+         (Obs.default, None, AttrConfig)])
     overhead = (counters - disabled) / disabled if disabled else 0.0
     health_overhead = ((monitored - disabled) / disabled
                        if disabled else 0.0)
     attr_overhead = ((attributed - disabled) / disabled
                      if disabled else 0.0)
-    print("== telemetry overhead (best of %d, maze depth=%d) =="
+    print("== telemetry overhead (best of %d round-robin, maze depth=%d) =="
           % (REPEATS, WORKLOAD[1]["depth"]))
     print("disabled:          %8.4fs" % disabled)
     print("counters (default):%8.4fs  (%+.1f%%)" % (counters,

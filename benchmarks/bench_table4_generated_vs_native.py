@@ -7,7 +7,7 @@ the generated engine pays a small constant factor for running rules
 generated from the spec instead of native dispatch — and both engines
 must agree exactly on paths, instructions and findings.
 
-The **generated** column runs each rule's compiled term-building plan
+The **generated** column runs each rule's compiled mixed int/term plan
 (``repro.compile``), the engine's only evaluator; one untimed
 exploration first compiles the rules a kernel executes, so the row
 times exploration, not code generation.  The concrete simulator keeps

@@ -3,9 +3,10 @@
 This is what the paper's approach replaces: a symbolic execution engine
 written *directly against one ISA*, with a hand-coded decoder and a
 hand-coded symbolic transfer function per instruction.  It shares only the
-solver substrate with the generated engine, so the Table 4 comparison
-isolates the cost of generality (ADL -> IR -> interpretation) against
-native dispatch.
+solver substrate and the paged memory with the generated engine, so the
+Table 4 comparison isolates the cost of generality (ADL -> IR -> compiled
+plans) against native dispatch.  Unlike the generated engine it keeps
+every value a ``Term``: memory's concrete int bytes are lifted on load.
 
 Feature-wise it is deliberately the same shape as the generated engine on
 rv32 workloads: concrete pc, fork-on-branch, trap/halt handling, the
@@ -18,6 +19,7 @@ from __future__ import annotations
 import time
 from typing import Dict, List, Optional, Tuple
 
+from ..compile.ops import lift
 from ..core.memory import MemoryMap, Region, SymMemory
 from ..core.reporting import (
     DIV_BY_ZERO,
@@ -321,7 +323,9 @@ class Rv32NativeEngine:
     def _load(self, state, addr, funct3, result, pc) -> T.Term:
         concrete = self._concretize_addr(state, addr, result, pc)
         size = {0: 1, 1: 2, 2: 4, 4: 1, 5: 2}[funct3]
-        raw = state.memory.read(concrete, size, "little")
+        # The shared SymMemory keeps concrete bytes as ints; this engine
+        # stays all-Term, so it lifts them at its own boundary.
+        raw = lift(state.memory.read(concrete, size, "little"), 8 * size)
         if funct3 in (0, 1):
             return T.sext(raw, _WORD - raw.width)
         if funct3 in (4, 5):

@@ -1123,7 +1123,7 @@ def cmd_compile(args) -> int:
     """Dump the generated transfer-function modules for one ISA.
 
     What actually executes: the concrete per-instruction transfer
-    functions (``run --compiled``) and/or the symbolic term-building
+    functions (``run --compiled``) and/or the symbolic mixed int/term
     plans with their probed twins (``explore``), headed by the spec
     digest that keys the compilation cache.  Useful for eyeballing the
     specializer's output and as a CI artifact.

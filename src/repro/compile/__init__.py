@@ -2,9 +2,10 @@
 
 Instead of walking each rule's IR tree per executed instruction, every
 rule is lowered into generated Python — a concrete transfer function
-for the simulator (:mod:`repro.compile.concrete`) and a symbolic
-term-building plan for the engine (:mod:`repro.compile.symbolic`), the
-engine's only way to execute a rule.
+for the simulator (:mod:`repro.compile.concrete`) and a mixed int/term
+plan for the engine (:mod:`repro.compile.symbolic`, over the operator
+library :mod:`repro.compile.ops`), the engine's only way to execute a
+rule.
 
 Lazy compilation
 ----------------
@@ -48,10 +49,11 @@ __all__ = ["CODEGEN_VERSION", "CompiledSemantics", "CompileError",
 
 #: Version of the code generators themselves.  Bump whenever
 #: :mod:`repro.compile.concrete` or :mod:`repro.compile.symbolic`
-#: change the code they emit: it invalidates the in-process compilation
-#: cache and every translation-validation certificate keyed on the old
-#: generator's output.
-CODEGEN_VERSION = 3
+#: change the code they emit, or :mod:`repro.compile.ops` what it
+#: means: it invalidates the in-process compilation cache and every
+#: translation-validation certificate keyed on the old generator's
+#: output.
+CODEGEN_VERSION = 4
 
 
 class RuleTable:

@@ -1,4 +1,4 @@
-"""Symbolic codegen: IR blocks -> specialized term-building plans.
+"""Symbolic codegen: IR blocks -> specialized mixed int/term plans.
 
 The symbolic twin of :mod:`repro.compile.concrete`.  Each rule is
 lowered into a *plan*: a nested tuple tree of tagged statements whose
@@ -6,25 +6,27 @@ expression slots are generated Python functions
 
     def _s_add_0(E, S, FT, L, D): ...
 
-(``E`` engine, ``S`` state, ``FT`` per-decode field *terms*, ``L``
-locals dict, ``D`` decoded) returning a :class:`repro.smt.terms.Term`.
-The engine's plan driver (:meth:`repro.core.executor.Engine._run`)
-walks the statement tuples; the generated bodies build the terms:
+(``E`` engine, ``S`` state, ``FT`` the decoded operand fields, ``L``
+locals dict, ``D`` decoded) returning a value: an ``int`` while it is
+concrete, a :class:`repro.smt.terms.Term` once it is symbolic.  The
+engine's plan driver (:meth:`repro.core.executor.Engine._run`) walks
+the statement tuples; the generated bodies compute the values:
 
-* each IR node became a line of code, with no isinstance dispatch,
-* widths, masks and extension amounts are literals,
-* register-index fields are pre-resolved (``FT['rs1'].value``),
+* each IR node became one call into the operator library
+  :mod:`repro.compile.ops` with its widths as literals, so concrete
+  operands stay masked ints and symbolic ones build exactly the terms
+  the ``T`` constructors build, with no isinstance dispatch on IR nodes,
+* ``Const`` is an int literal, ``Field`` the decoded int itself
+  (``FT['rs1']``), ``Pc`` the state's pc masked to its width,
 * guard tuples for expression-``ite`` arms are threaded to the
   solver-visible callbacks (``_load``, ``_check_div``,
   ``_concrete_index``), which go back through the engine itself.
 
 Evaluation order is the IR's: operands left to right, a register
 write's value before its index, a division's operands before its
-div-zero check, and only the chosen arm of a constant-condition
-``ite``.  The engine's term *structure* feeds solver queries and
-fingerprints, so no constant folding happens beyond constant ``ite``
-conditions and constant register indices.  Translation validation
-(:mod:`repro.verify`) proves every plan equal to its rule's IR.
+div-zero check, and only the chosen arm of an ``ite`` whose condition
+is an int.  Translation validation (:mod:`repro.verify`) runs the
+emitted source unchanged and proves every plan equal to its rule's IR.
 
 **Probed twins.**  ``rule_plan(..., probe=True)`` emits the same plan
 with ``A.ir_enter(kind)`` / ``A.ir_exit()`` (``A = E.attr``) around
@@ -46,8 +48,8 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from ..ir import nodes as N
 from ..obs.attr import ir_kind
-from ..smt import terms as T
 from .errors import CompileError
+from .ops import OPS
 
 __all__ = ["rule_plan", "plan_name", "module_source",
            "S_LOCAL", "S_LOCAL_IN", "S_REG", "S_REG_IN", "S_PC",
@@ -67,13 +69,14 @@ S_IF = 9         # (tag, cond_fn, then_plan, else_plan)
 
 # index_spec forms for S_REG / S_REG_IN:
 #   None               single register (regfile is a plain register)
-#   ("f", field_name)  index comes from an encoding field: FT[name].value
+#   ("f", field_name)  index comes from an encoding field: FT[name]
 #   ("c", value)       constant index, resolved at generation time
 #   ("e", fn)          general expression: eval + engine._concrete_index
 # Probed twins use ("e", fn) for every index, so the index node is
 # probed like any other.
 
-_BUILDERS = {
+#: IR binary op -> its operator's name in :data:`repro.compile.ops.OPS`.
+_OP_NAMES = {
     "add": "add", "sub": "sub", "mul": "mul",
     "udiv": "udiv", "urem": "urem", "sdiv": "sdiv", "srem": "srem",
     "and": "and_", "or": "or_", "xor": "xor",
@@ -114,7 +117,7 @@ def _emits_statements(expr: N.Expr) -> bool:
 
 
 class _SymEmitter:
-    """Emits one generated term-building function's source."""
+    """Emits one generated expression function's source."""
 
     def __init__(self, name: str, probe: bool):
         self.probe = probe
@@ -158,13 +161,13 @@ class _SymEmitter:
 
     def _node(self, expr: N.Expr, guards: str) -> str:
         if isinstance(expr, N.Const):
-            return "T.bv(%d, %d)" % (expr.value, expr.width)
+            return str(expr.value)
         if isinstance(expr, N.Field):
             return "FT[%r]" % expr.name
         if isinstance(expr, N.Local):
             return "L[%r]" % expr.name
         if isinstance(expr, N.Pc):
-            return "T.bv(S.pc, %d)" % expr.width
+            return "pc(S.pc, %d)" % expr.width
         if isinstance(expr, N.InputByte):
             raise CompileError(
                 "in() may only be the entire right-hand side of an "
@@ -188,30 +191,33 @@ class _SymEmitter:
                 self.emit("if E.config.check_div_zero:")
                 self.emit("    E._check_div(S, %s, %s, D)"
                           % (right_t, guards))
-                return "T.%s(%s, %s)" % (_BUILDERS[expr.op], left_t,
-                                         right_t)
+                return "%s(%s, %s, %d)" % (_OP_NAMES[expr.op], left_t,
+                                           right_t, expr.left.width)
             left = self.expr(expr.left, guards)
             if _emits_statements(expr.right):
                 left_t = self.temp()
                 self.emit("%s = %s" % (left_t, left))
                 left = left_t
             right = self.expr(expr.right, guards)
-            return "T.%s(%s, %s)" % (_BUILDERS[expr.op], left, right)
+            return "%s(%s, %s, %d)" % (_OP_NAMES[expr.op], left, right,
+                                       expr.left.width)
         if isinstance(expr, N.UnOp):
             operand = self.expr(expr.operand, guards)
             if expr.op in ("not", "boolnot"):
-                return "T.not_(%s)" % operand
+                return "not_(%s, %d)" % (operand, expr.operand.width)
             if expr.op == "neg":
-                return "T.neg(%s)" % operand
+                return "neg(%s, %d)" % (operand, expr.operand.width)
             raise CompileError("unknown unary op %r" % expr.op)
         if isinstance(expr, N.Ext):
             operand = self.expr(expr.operand, guards)
             extra = expr.width - expr.operand.width
             kind = "zext" if expr.kind == "zext" else "sext"
-            return "T.%s(%s, %d)" % (kind, operand, extra)
+            return "%s(%s, %d, %d)" % (kind, operand, expr.operand.width,
+                                       extra)
         if isinstance(expr, N.ExtractBits):
-            return "T.extract(%s, %d, %d)" % (
-                self.expr(expr.operand, guards), expr.hi, expr.lo)
+            return "extract(%s, %d, %d, %d)" % (
+                self.expr(expr.operand, guards), expr.operand.width,
+                expr.hi, expr.lo)
         if isinstance(expr, N.ConcatBits):
             hi = self.expr(expr.hi_part, guards)
             if _emits_statements(expr.lo_part):
@@ -219,7 +225,8 @@ class _SymEmitter:
                 self.emit("%s = %s" % (hi_t, hi))
                 hi = hi_t
             lo = self.expr(expr.lo_part, guards)
-            return "T.concat(%s, %s)" % (hi, lo)
+            return "concat(%s, %s, %d, %d)" % (
+                hi, lo, expr.hi_part.width, expr.lo_part.width)
         if isinstance(expr, N.IteExpr):
             return self._ite(expr, guards)
         raise CompileError("unknown IR expression %r" % (expr,))
@@ -228,10 +235,10 @@ class _SymEmitter:
         if index is None:
             return "None"
         if isinstance(index, N.Field):
-            # A field term is constant; _concrete_index would return
-            # its value, which is FT[name].value.
+            # A field is the decoded int; _concrete_index would return
+            # it unchanged.
             self._probe_leaf(index)
-            return "FT[%r].value" % index.name
+            return "FT[%r]" % index.name
         if isinstance(index, N.Const):
             self._probe_leaf(index)
             return str(index.value)
@@ -243,11 +250,11 @@ class _SymEmitter:
         cond = self.temp()
         self.emit("%s = %s" % (cond, self.expr(expr.cond, guards)))
         result = self.temp()
-        self.emit("if %s.is_const():" % cond)
+        self.emit("if type(%s) is int:" % cond)
         self.indent += 1
-        # Const condition: evaluate only the chosen arm, under the
+        # Concrete condition: evaluate only the chosen arm, under the
         # *unchanged* guards.
-        self.emit("if %s.value == 1:" % cond)
+        self.emit("if %s == 1:" % cond)
         self.indent += 1
         self.emit("%s = %s" % (result, self.expr(expr.then, guards)))
         self.indent -= 1
@@ -262,10 +269,11 @@ class _SymEmitter:
         then = self.temp()
         self.emit("%s = %s" % (then, self.expr(expr.then, then_guards)))
         else_guards = self.guard_name()
-        self.emit("%s = %s + (T.not_(%s),)" % (else_guards, guards, cond))
+        self.emit("%s = %s + (not_(%s, 1),)" % (else_guards, guards, cond))
         other = self.temp()
         self.emit("%s = %s" % (other, self.expr(expr.other, else_guards)))
-        self.emit("%s = T.ite(%s, %s, %s)" % (result, cond, then, other))
+        self.emit("%s = ite(%s, %s, %s, %d)" % (result, cond, then, other,
+                                                expr.width))
         self.indent -= 1
         return result
 
@@ -363,7 +371,7 @@ def rule_plan(isa: str, instr, probe: bool = False) -> Tuple[tuple, str]:
     name = plan_name(instr.name, probe)
     source = "\n\n".join(builder.functions
                          + ["%s = %s" % (name, plan)]) + "\n"
-    namespace: Dict[str, Any] = {"T": T}
+    namespace: Dict[str, Any] = dict(OPS)
     exec(compile(source, "<repro.compile:%s:%s>" % (isa, prefix), "exec"),
          namespace)
     return namespace[name], source

@@ -2,17 +2,22 @@
 
 This is the paper's contribution: a single engine that symbolically
 executes *any* ADL-described ISA by running each rule's semantics, compiled
-from the generated IR (:mod:`repro.compile`), over solver terms.  Nothing
-in this module is ISA-specific — the ISA enters only through the
+from the generated IR (:mod:`repro.compile`), over values that are plain
+ints while concrete and solver terms once symbolic.  Nothing in this module
+is ISA-specific — the ISA enters only through the
 :class:`~repro.isa.model.ArchModel` passed to :class:`Engine`.
 
 Execution model
 ---------------
 * Each instruction runs its rule's compiled *plan*: statement tuples
   walked by :meth:`Engine._run`, whose expression slots are generated
-  term-building functions.  A rule is compiled the first time it
-  executes; deep cost-attribution steps run the plan's probed twin.
-  Fork, assume and solver-query order all live in this module.
+  functions over the operator library :mod:`repro.compile.ops` (masked
+  int arithmetic on concrete operands, the ``T`` constructors once one
+  is symbolic).  A rule is compiled the first time it executes; deep
+  cost-attribution steps run the plan's probed twin.  Fork, assume and
+  solver-query order all live in this module.
+* Fetch goes through a per-pc site cache of decoded instructions, valid
+  while a state has not written the instruction's image bytes.
 * The program counter is concrete; conditional branches (IR ``IfStmt`` with
   a symbolic condition) fork the state, indirect jumps (symbolic ``SetPc``)
   are concretized by solver enumeration (up to ``max_fork_targets``).
@@ -36,6 +41,7 @@ from __future__ import annotations
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..compile.ops import Value, lift, norm
 from ..compile.symbolic import (S_HALT, S_IF, S_LOCAL, S_LOCAL_IN, S_OUT,
                                S_PC, S_REG, S_REG_IN, S_STORE, S_TRAP)
 from ..isa.decoder import DecodeError
@@ -181,11 +187,11 @@ class _Outcome:
     __slots__ = ("next_pc", "halted", "exit_code", "trapped", "trap_code")
 
     def __init__(self):
-        self.next_pc: Optional[T.Term] = None
+        self.next_pc: Optional[Value] = None
         self.halted = False
-        self.exit_code: Optional[T.Term] = None
+        self.exit_code: Optional[Value] = None
         self.trapped = False
-        self.trap_code: Optional[T.Term] = None
+        self.trap_code: Optional[Value] = None
 
 
 class _PathEnd(Exception):
@@ -233,6 +239,7 @@ class Engine:
         self._c_paths = metrics.counter("engine.paths")
         self._c_defects = metrics.counter("engine.defects")
         self._c_pruned = metrics.counter("engine.pruned")
+        self._c_decode_hit = metrics.counter("decode.cache_hit")
         self.strategy: Strategy = make_strategy(strategy, seed)
         self._coverage_feedback = (self.strategy
                                    if isinstance(self.strategy,
@@ -265,18 +272,18 @@ class Engine:
         self._result: Optional[R.ExplorationResult] = None
         self._defect_sites: set = set()
         self._endian = model.endian
-        self._addr_width = model.pc_width
+        self._pc_mask = T.mask(model.pc_width)
         # The rules' compiled plans (repro.compile), shared per (isa,
         # spec digest) and generated rule by rule on first execution, so
         # construction compiles nothing.  compiled_for is looked up in
-        # repro.compile at call time.  Field terms are cached per
-        # decoded word because term identity may matter to the solver's
-        # structural caches — per-engine only, never across
-        # terms.configure() (the engine lifetime is within one pool
-        # configuration).
+        # repro.compile at call time.
         from ..compile import compiled_for
         self._compiled = compiled_for(model)
-        self._field_term_cache: Dict = {}
+        # Fetch site cache: pc -> (Decoded, SymMemory.image_site token).
+        # Sound because decoding is shortest-first, so the result depends
+        # only on the instruction's own bytes; a site is reused only by a
+        # state that still reads those image bytes unchanged.
+        self._sites: Dict[int, tuple] = {}
 
     # -- setup -------------------------------------------------------------------
 
@@ -285,6 +292,7 @@ class Engine:
         self._base_memory.load_image(image.base, bytes(image.data),
                                      name="image", writable=writable)
         self._entry = image.entry
+        self._sites.clear()         # the image may overlay cached sites
 
     def add_region(self, start: int, size: int, name: str = "region",
                    writable: bool = True, track_uninit: bool = False) -> Region:
@@ -511,8 +519,7 @@ class Engine:
                 except _PathEnd as dead:
                     self._dead_end(state, dead.reason)
                     return []
-                state.pc = (state.pc + decoded.length) \
-                    & T.mask(self._addr_width)
+                state.pc = (state.pc + decoded.length) & self._pc_mask
                 return [state]
             return list(successors)
         try:
@@ -563,8 +570,17 @@ class Engine:
             if sub_state.steps >= self.config.max_steps_per_path:
                 self._end_path(sub_state, "depth-limit", result)
                 continue
-            successors.extend(
-                self._advance_pc(sub_state, outcome, decoded, result))
+            target = outcome.next_pc
+            if target is None:
+                sub_state.pc = (sub_state.pc + decoded.length) \
+                    & self._pc_mask
+                successors.append(sub_state)
+            elif type(target) is int:
+                sub_state.pc = target
+                successors.append(sub_state)
+            else:
+                successors.extend(
+                    self._indirect_jump(sub_state, target, decoded, result))
         if len(finished) > 1:
             forked = len(finished) - 1
             result.states_forked += forked
@@ -611,38 +627,61 @@ class Engine:
                               pc=state.pc, **data)
 
     def _fetch(self, state: SymState):
-        decoder = self.model.decoder
         if self._profile_on:
             with self._profiler.phase("decode"):
-                decoded = self._fetch_inner(state, decoder)
+                decoded, hit = self._fetch_inner(state)
         else:
-            decoded = self._fetch_inner(state, decoder)
+            decoded, hit = self._fetch_inner(state)
         if self._tracer.enabled:
             self._tracer.emit("decode_cache", state_id=state.state_id,
-                              pc=state.pc, hit=decoder.last_cache_hit,
+                              pc=state.pc, hit=hit,
                               instr=decoded.instruction.name)
         return decoded
 
-    def _fetch_inner(self, state: SymState, decoder):
-        window = state.memory.concrete_window(
-            state.pc, decoder.max_length)
+    def _fetch_inner(self, state: SymState):
+        """``(decoded, cache hit)``: a site hit, else read and decode
+        the bytes (the decoder's own cache may still hit)."""
+        pc = state.pc
+        memory = state.memory
+        site = self._sites.get(pc)
+        if site is not None and memory.holds_site(site[1]):
+            self._c_decode_hit.inc()
+            return site[0], True
+        decoder = self.model.decoder
+        check_oob = self.config.check_oob
+        if check_oob and not self.memory_map.is_mapped(pc):
+            self._unmapped_fetch(state, pc)
+        window = memory.concrete_window(pc, decoder.max_length)
         if window is None:
             self._report(state, R.INVALID_INSTRUCTION, None,
                          "symbolic bytes in instruction stream")
             raise _PathEnd("symbolic-code")
         try:
-            return decoder.decode_bytes(window, state.pc)
+            decoded = decoder.decode_bytes(window, pc)
         except DecodeError:
             self._report(state, R.INVALID_INSTRUCTION, None,
                          "undecodable instruction")
             raise _PathEnd("decode-error")
+        hit = decoder.last_cache_hit
+        if check_oob:
+            for addr in range(pc + 1, pc + decoded.length):
+                if not self.memory_map.is_mapped(addr):
+                    self._unmapped_fetch(state, addr)
+        token = memory.image_site(pc, decoded.length)
+        if token is not None:
+            self._sites[pc] = (decoded, token)
+        return decoded, hit
+
+    def _unmapped_fetch(self, state: SymState, addr: int) -> None:
+        self._report(state, R.OOB_ACCESS, None,
+                     "instruction fetch from unmapped address %#x" % addr)
+        raise _PathEnd("oob-fetch")
 
     def _finish_path(self, state: SymState, outcome: _Outcome,
                      result: R.ExplorationResult) -> None:
-        exit_code = None
-        if outcome.exit_code is not None and outcome.exit_code.is_const():
-            exit_code = outcome.exit_code.value
-        self._end_path(state, "halted", result, exit_code)
+        exit_code = outcome.exit_code
+        self._end_path(state, "halted", result,
+                       exit_code if type(exit_code) is int else None)
 
     def _end_path(self, state: SymState, status: str,
                   result: R.ExplorationResult,
@@ -669,15 +708,9 @@ class Engine:
             return b""
         return state.input_bytes_from_model(self.solver.model())
 
-    def _advance_pc(self, state: SymState, outcome: _Outcome, decoded,
-                    result: R.ExplorationResult) -> List[SymState]:
-        if outcome.next_pc is None:
-            state.pc = (state.pc + decoded.length) & T.mask(self._addr_width)
-            return [state]
-        target = outcome.next_pc
-        if target.is_const():
-            state.pc = target.value
-            return [state]
+    def _indirect_jump(self, state: SymState, target: T.Term, decoded,
+                       result: R.ExplorationResult) -> List[SymState]:
+        """Successors of a jump to a symbolic target."""
         if self.config.check_tainted_control and any(
                 name.startswith("in_") for name in T.variables(target)):
             self._report(state, R.TAINTED_CONTROL, decoded,
@@ -721,30 +754,7 @@ class Engine:
         else:
             plan = self._compiled.plan(decoded.instruction)
         return self._run(state, [(plan, 0)], {}, _Outcome(),
-                         self._field_terms(decoded), decoded)
-
-    def _field_terms(self, decoded) -> Dict[str, T.Term]:
-        """Field-name -> term dict for one decoded word, cached.
-
-        Keyed on ``(address, word)`` — :class:`Decoded` is slotted and
-        the decoder's own cache can be cleared underneath us, so object
-        identity is not a safe key.  Holding Term objects here is safe
-        only because the cache dies with the engine, which lives inside
-        a single term-pool configuration.
-        """
-        key = (decoded.address, decoded.word)
-        fields = self._field_term_cache.get(key)
-        if fields is None:
-            fields = {name: T.bv(value, self._field_width(decoded, name))
-                      for name, value in decoded.fields.items()}
-            self._field_term_cache[key] = fields
-        return fields
-
-    def _field_width(self, decoded, name: str) -> int:
-        operand = decoded.instruction.operands.get(name)
-        if operand is not None:
-            return operand.width
-        return decoded.instruction.encoding.field(name).width
+                         decoded.fields, decoded)
 
     def _resolve_index(self, state: SymState, spec, FT, L,
                        D) -> Optional[int]:
@@ -752,7 +762,7 @@ class Engine:
             return None
         kind = spec[0]
         if kind == "f":
-            return FT[spec[1]].value
+            return FT[spec[1]]
         if kind == "c":
             return spec[1]
         return self._concrete_index(state, spec[1](self, state, FT, L, D),
@@ -771,8 +781,8 @@ class Engine:
             tag = st[0]
             if tag == S_IF:
                 cond = st[1](self, state, FT, L, D)
-                if cond.is_const():
-                    body = st[2] if cond.value == 1 else st[3]
+                if type(cond) is int:
+                    body = st[2] if cond == 1 else st[3]
                     if body:
                         frames.append((body, 0))
                     continue
@@ -905,12 +915,16 @@ class Engine:
 
     # -- checkers --------------------------------------------------------------------
 
-    def _check_div(self, state: SymState, divisor: T.Term, guards,
+    def _check_div(self, state: SymState, divisor: Value, guards,
                    decoded) -> None:
-        zero = T.bv(0, divisor.width)
-        cond = T.eq(divisor, zero)
-        if T.is_false(cond):
-            return
+        if type(divisor) is int:
+            if divisor:
+                return
+            cond = T.TRUE
+        else:
+            cond = T.eq(divisor, T.bv(0, divisor.width))
+            if T.is_false(cond):
+                return
         site = (R.DIV_BY_ZERO, state.pc)
         if self.config.dedup_defects and site in self._defect_sites:
             return
@@ -922,26 +936,26 @@ class Engine:
                          "divisor can be zero",
                          model=self.solver.model())
 
-    def _check_mapped(self, state: SymState, addr: T.Term, guards,
+    def _check_mapped(self, state: SymState, addr: Value, guards,
                       decoded, writing: bool) -> bool:
         """OOB / write-protect checks; False ends the path."""
         if not self.config.check_oob:
             return True
-        inside = self.memory_map.membership_term(addr)
-        outside = T.not_(inside)
-        if addr.is_const():
-            region = self.memory_map.region_for(addr.value)
+        if type(addr) is int:
+            region = self.memory_map.region_for(addr)
             if region is None:
                 self._report(state, R.OOB_ACCESS, decoded,
-                             "access to unmapped address %#x" % addr.value)
+                             "access to unmapped address %#x" % addr)
                 return False
             if writing and not region.writable and \
                     self.config.check_write_protect:
                 self._report(state, R.WRITE_TO_CODE, decoded,
                              "write to read-only region %r at %#x"
-                             % (region.name, addr.value))
+                             % (region.name, addr))
                 return False
             return True
+        inside = self.memory_map.membership_term(addr)
+        outside = T.not_(inside)
         site = (R.OOB_ACCESS, state.pc)
         skip_report = self.config.dedup_defects and site in self._defect_sites
         if not skip_report and self.solver.check(
@@ -982,34 +996,35 @@ class Engine:
 
     # -- memory access with concretization ----------------------------------------------
 
-    def _load(self, state: SymState, addr: T.Term, size: int, guards,
-              decoded) -> T.Term:
+    def _load(self, state: SymState, addr: Value, size: int, guards,
+              decoded) -> Value:
         if self._profile_on:
             with self._profiler.phase("memory"):
                 return self._load_inner(state, addr, size, guards, decoded)
         return self._load_inner(state, addr, size, guards, decoded)
 
-    def _load_inner(self, state: SymState, addr: T.Term, size: int, guards,
-                    decoded) -> T.Term:
+    def _load_inner(self, state: SymState, addr: Value, size: int, guards,
+                    decoded) -> Value:
         if not self._check_mapped(state, addr, guards, decoded,
                                   writing=False):
             raise _PathEnd("oob-load")
-        if addr.is_const():
-            self._check_uninit(state, addr.value, size, decoded)
-            return state.memory.read(addr.value, size, self._endian)
+        if type(addr) is int:
+            self._check_uninit(state, addr, size, decoded)
+            return state.memory.read(addr, size, self._endian)
         values = self._resolve_address(state, addr, guards)
         if not values:
             raise _PathEnd("no-feasible-address")
         result = state.memory.read(values[-1], size, self._endian)
         for value in reversed(values[:-1]):
             result = T.ite(T.eq(addr, T.bv(value, addr.width)),
-                           state.memory.read(value, size, self._endian),
-                           result)
+                           lift(state.memory.read(value, size,
+                                                  self._endian), 8 * size),
+                           lift(result, 8 * size))
         state.assume(T.disjoin(T.eq(addr, T.bv(v, addr.width))
                                for v in values))
-        return result
+        return norm(result)
 
-    def _store(self, state: SymState, addr: T.Term, value: T.Term,
+    def _store(self, state: SymState, addr: Value, value: Value,
                size: int, decoded) -> None:
         if self._profile_on:
             with self._profiler.phase("memory"):
@@ -1017,12 +1032,12 @@ class Engine:
             return
         self._store_inner(state, addr, value, size, decoded)
 
-    def _store_inner(self, state: SymState, addr: T.Term, value: T.Term,
+    def _store_inner(self, state: SymState, addr: Value, value: Value,
                      size: int, decoded) -> None:
         if not self._check_mapped(state, addr, (), decoded, writing=True):
             raise _PathEnd("oob-store")
-        if addr.is_const():
-            state.memory.write(addr.value, value, size, self._endian)
+        if type(addr) is int:
+            state.memory.write(addr, value, size, self._endian)
             return
         values = self._resolve_address(state, addr, ())
         if not values:
@@ -1039,8 +1054,9 @@ class Engine:
         for candidate in values:
             hit = T.eq(addr, T.bv(candidate, addr.width))
             old = state.memory.read(candidate, size, self._endian)
-            state.memory.write(candidate, T.ite(hit, value, old), size,
-                               self._endian)
+            state.memory.write(candidate, T.ite(hit, lift(value, 8 * size),
+                                                lift(old, 8 * size)),
+                               size, self._endian)
 
     def _check_uninit(self, state: SymState, addr: int, size: int,
                       decoded) -> None:
@@ -1083,10 +1099,10 @@ class Engine:
 
     # -- register index concretization ----------------------------------------------------
 
-    def _concrete_index(self, state: SymState, index_term: T.Term,
+    def _concrete_index(self, state: SymState, index_term: Value,
                         decoded) -> int:
-        if index_term.is_const():
-            return index_term.value
+        if type(index_term) is int:
+            return index_term
         # Register indices come from encoding fields in every built-in ISA,
         # so a symbolic index indicates exotic semantics; concretize to the
         # first feasible value and constrain.

@@ -1,9 +1,13 @@
 """Symbolic memory: byte-addressed, copy-on-write, backed by a memory map.
 
-Memory is organized in pages of symbolic bytes over a concrete backing
+Memory is organized in pages of written bytes over a concrete backing
 store (the loaded program image).  Forking a path shares pages until one
 side writes (copy-on-write) — the design choice ablated in Table 5
 (``cow=False`` deep-copies on fork instead).
+
+A byte is an ``int`` while it is concrete and a solver term only once it
+is symbolic: image bytes are never wrapped in terms, writes store a
+constant term as its int, and a word read is an int when every byte is.
 
 Address *terms* are resolved to concrete addresses by the executor (which
 owns the solver); this module works with concrete addresses and symbolic
@@ -14,11 +18,26 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
+from ..compile.ops import Value, lift
 from ..smt import terms as T
 
-__all__ = ["Region", "MemoryMap", "SymMemory", "PAGE_SIZE"]
+__all__ = ["Region", "MemoryMap", "SymMemory", "PAGE_SIZE", "check_value"]
 
 PAGE_SIZE = 256
+
+
+def check_value(value: Value, width: int, what: str, name) -> Value:
+    """``value`` checked to be ``width`` bits wide (an int must fit);
+    a constant term comes back as its int."""
+    if type(value) is int:
+        if value >> width:
+            raise T.WidthError("%s %r takes %d bits, got %#x"
+                               % (what, name, width, value))
+        return value
+    if value.width != width:
+        raise T.WidthError("%s %r takes %d bits, got %d"
+                           % (what, name, width, value.width))
+    return value.value if value.op == T.CONST else value
 
 
 class Region:
@@ -78,7 +97,7 @@ class MemoryMap:
 class SymMemory:
     """Copy-on-write paged symbolic memory.
 
-    A byte is, in priority order: a symbolic page entry (written during
+    A byte is, in priority order: a page entry (written during
     execution), a concrete image byte, or zero.
     """
 
@@ -86,7 +105,7 @@ class SymMemory:
         self.map = memory_map
         self.cow = cow
         self._image: Dict[int, int] = {}
-        self._pages: Dict[int, Dict[int, T.Term]] = {}
+        self._pages: Dict[int, Dict[int, Value]] = {}
         self._owned: set = set()
 
     # -- image loading -----------------------------------------------------------
@@ -120,18 +139,17 @@ class SymMemory:
 
     # -- byte access --------------------------------------------------------------------
 
-    def read_byte(self, addr: int) -> T.Term:
+    def read_byte(self, addr: int) -> Value:
         page_index, offset = divmod(addr, PAGE_SIZE)
         page = self._pages.get(page_index)
         if page is not None:
             entry = page.get(offset)
             if entry is not None:
                 return entry
-        return T.bv(self._image.get(addr, 0), 8)
+        return self._image.get(addr, 0)
 
-    def write_byte(self, addr: int, value: T.Term) -> None:
-        if value.width != 8:
-            raise T.WidthError("memory bytes are 8 bits, got %d" % value.width)
+    def write_byte(self, addr: int, value: Value) -> None:
+        value = check_value(value, 8, "memory byte at", addr)
         page_index, offset = divmod(addr, PAGE_SIZE)
         page = self._pages.get(page_index)
         if page is None:
@@ -154,19 +172,26 @@ class SymMemory:
 
     # -- word access (executor-facing) ------------------------------------------------------
 
-    def read(self, addr: int, size: int, endian: str) -> T.Term:
-        """Read ``size`` bytes as one term in the given endianness."""
-        byte_terms = [self.read_byte(addr + i) for i in range(size)]
+    def read(self, addr: int, size: int, endian: str) -> Value:
+        """Read ``size`` bytes as one value in the given endianness: an
+        int when every byte is, else their concatenation term."""
+        data = [self.read_byte(addr + i) for i in range(size)]
         if endian == "little":
-            byte_terms.reverse()            # concat wants MSB first
-        return T.concat_many(byte_terms)
+            data.reverse()                  # most significant first
+        word = 0
+        for byte in data:
+            if type(byte) is not int:
+                return T.concat_many([lift(part, 8) for part in data])
+            word = (word << 8) | byte
+        return word
 
-    def write(self, addr: int, value: T.Term, size: int, endian: str) -> None:
-        if value.width != 8 * size:
-            raise T.WidthError("write of %d-bit value with size %d"
-                               % (value.width, size))
+    def write(self, addr: int, value: Value, size: int, endian: str) -> None:
+        value = check_value(value, 8 * size, "write of size", size)
         for i in range(size):
-            byte = T.extract(value, 8 * i + 7, 8 * i)
+            if type(value) is int:
+                byte = (value >> (8 * i)) & 0xff
+            else:
+                byte = T.extract(value, 8 * i + 7, 8 * i)
             if endian == "little":
                 self.write_byte(addr + i, byte)
             else:
@@ -176,11 +201,42 @@ class SymMemory:
         """The bytes at ``addr`` if they are all concrete (fetch path)."""
         out = bytearray()
         for i in range(size):
-            term = self.read_byte(addr + i)
-            if not term.is_const():
+            byte = self.read_byte(addr + i)
+            if type(byte) is not int:
                 return None
-            out.append(term.value)
+            out.append(byte)
         return bytes(out)
+
+    # -- fetch sites (Engine._fetch) -------------------------------------------
+
+    def image_site(self, addr: int, size: int) -> Optional[tuple]:
+        """A token for ``size`` image bytes at ``addr`` that this memory
+        has not written, or None if any is written or not in the image.
+        :meth:`holds_site` tells whether a memory still reads them."""
+        offsets: Dict[int, List[int]] = {}
+        for byte_addr in range(addr, addr + size):
+            if byte_addr not in self._image or self.is_written(byte_addr):
+                return None
+            page_index, offset = divmod(byte_addr, PAGE_SIZE)
+            offsets.setdefault(page_index, []).append(offset)
+        return self._image, tuple((page_index, tuple(page_offsets))
+                                  for page_index, page_offsets
+                                  in offsets.items())
+
+    def holds_site(self, site: tuple) -> bool:
+        """Whether this memory reads a :meth:`image_site` token's bytes
+        unchanged: it shares the image and has written none of them."""
+        image, spans = site
+        if image is not self._image:
+            return False
+        pages = self._pages
+        for page_index, offsets in spans:
+            page = pages.get(page_index)
+            if page is not None:
+                for offset in offsets:
+                    if offset in page:
+                        return False
+        return True
 
     @property
     def pages_touched(self) -> int:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
+from ..compile.ops import lift, norm
 from ..smt import terms as T
 from .state import SymState
 from .strategy import Strategy
@@ -64,15 +65,26 @@ def try_merge(a: SymState, b: SymState) -> Optional[SymState]:
     for name, regs_a in a.regfiles.items():
         regs_b = b.regfiles[name]
         merged_regs = merged.regfiles[name]
+        width = a.model.regfiles[name].width
         for index, (ra, rb) in enumerate(zip(regs_a, regs_b)):
-            if ra is not rb:
-                merged_regs[index] = T.ite(select_a, ra, rb)
+            if not _same(ra, rb):
+                merged_regs[index] = _select(select_a, ra, rb, width)
     for name, ra in a.registers.items():
         rb = b.registers[name]
-        if ra is not rb:
-            merged.registers[name] = T.ite(select_a, ra, rb)
+        if not _same(ra, rb):
+            merged.registers[name] = _select(
+                select_a, ra, rb, a.model.registers[name])
     merged.steps = max(a.steps, b.steps)
     return merged
+
+
+def _same(a, b) -> bool:
+    """Ints compare by value, terms by (hash-consed) identity."""
+    return a is b or (type(a) is int and a == b)
+
+
+def _select(cond: T.Term, a, b, width: int):
+    return norm(T.ite(cond, lift(a, width), lift(b, width)))
 
 
 def _same_memory(mem_a, mem_b) -> bool:

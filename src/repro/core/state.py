@@ -2,8 +2,10 @@
 
 One :class:`SymState` is one execution path prefix.  The program counter is
 kept *concrete* (the classic binary-symbolic-execution design: branches fork
-states, indirect jumps are concretized), while register and memory contents
-are solver terms.
+states, indirect jumps are concretized).  A register or memory byte holds a
+plain ``int`` while its value is concrete and a solver term only once it is
+symbolic (:data:`repro.compile.ops.Value`); writes normalize a constant term
+to its int, so no state ever holds a constant ``Term``.
 """
 
 from __future__ import annotations
@@ -11,8 +13,9 @@ from __future__ import annotations
 import itertools
 from typing import Dict, List, Optional, Tuple
 
+from ..compile.ops import Value
 from ..smt import terms as T
-from .memory import SymMemory
+from .memory import SymMemory, check_value
 
 __all__ = ["SymState"]
 
@@ -26,17 +29,17 @@ class SymState:
         self.model = model
         self.memory = memory
         self.pc: int = 0
-        self.regfiles: Dict[str, List[T.Term]] = {
-            name: [T.bv(0, info.width)] * info.count
+        self.regfiles: Dict[str, List[Value]] = {
+            name: [0] * info.count
             for name, info in model.regfiles.items()}
-        self.registers: Dict[str, T.Term] = {
-            name: T.bv(0, width) for name, width in model.registers.items()}
+        self.registers: Dict[str, Value] = {
+            name: 0 for name in model.registers}
         self.path_condition: List[T.Term] = []
         self.input_vars: List[T.Term] = []
-        self.output: List[T.Term] = []
+        self.output: List[Value] = []
         self.steps = 0
         self.halted = False
-        self.exit_code: Optional[T.Term] = None
+        self.exit_code: Optional[Value] = None
         self.state_id = next(_state_ids)
         self.parent_id: Optional[int] = None
         # Cumulative priority hint for coverage-guided search.
@@ -89,7 +92,7 @@ class SymState:
 
     # -- registers ------------------------------------------------------------------------
 
-    def read_reg(self, regfile: str, index: Optional[int]) -> T.Term:
+    def read_reg(self, regfile: str, index: Optional[int]) -> Value:
         if index is None:
             return self.registers[regfile]
         info = self.model.regfiles[regfile]
@@ -97,16 +100,16 @@ class SymState:
             raise IndexError("register index %d out of range for %r"
                              % (index, regfile))
         if info.zero_index is not None and index == info.zero_index:
-            return T.bv(0, info.width)
+            return 0
         return self.regfiles[regfile][index]
 
     def write_reg(self, regfile: str, index: Optional[int],
-                  value: T.Term) -> None:
+                  value: Value) -> None:
+        """Write an int or a term; a constant term is stored as its int."""
         if index is None:
-            expected = self.model.registers[regfile]
-            if value.width != expected:
-                raise T.WidthError("register %r takes %d bits, got %d"
-                                   % (regfile, expected, value.width))
+            width = self.model.registers[regfile]
+            if type(value) is not int or value >> width:
+                value = check_value(value, width, "register", regfile)
             self.registers[regfile] = value
             return
         info = self.model.regfiles[regfile]
@@ -115,9 +118,8 @@ class SymState:
                              % (index, regfile))
         if info.zero_index is not None and index == info.zero_index:
             return
-        if value.width != info.width:
-            raise T.WidthError("regfile %r takes %d bits, got %d"
-                               % (regfile, info.width, value.width))
+        if type(value) is not int or value >> info.width:
+            value = check_value(value, info.width, "regfile", regfile)
         self.regfiles[regfile][index] = value
 
     # -- input stream ------------------------------------------------------------------------

@@ -66,6 +66,9 @@ class DfsStrategy(Strategy):
     def __len__(self):
         return len(self._stack)
 
+    def __bool__(self):
+        return bool(self._stack)
+
 
 class BfsStrategy(Strategy):
     """Breadth-first: advance all paths in lockstep."""

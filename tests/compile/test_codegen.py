@@ -234,7 +234,7 @@ class TestCache:
             engine.load_image(assemble(model, program))
             result = engine.explore()
             (path,) = result.paths
-            return [term.value for term in path.state.output]
+            return list(path.state.output)
 
         clear_cache()
         try:

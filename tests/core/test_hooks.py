@@ -142,7 +142,7 @@ class TestCustomCheckers:
 
         def forbid_0x2000(eng, state, decoded):
             value = state.read_reg("x", 2)
-            if value.is_const() and value.value == 0x2000:
+            if value == 0x2000:
                 eng.report(state, "forbidden-value",
                            "x2 hit the forbidden constant", decoded)
 

@@ -41,19 +41,19 @@ class TestRegions:
 class TestByteAccess:
     def test_unwritten_reads_zero(self):
         memory = make_memory()
-        assert memory.read_byte(0x42).value == 0
+        assert memory.read_byte(0x42) == 0
 
     def test_image_backing(self):
         memory = make_memory()
         memory.load_image(0x100, b"\xaa\xbb")
-        assert memory.read_byte(0x100).value == 0xaa
-        assert memory.read_byte(0x101).value == 0xbb
+        assert memory.read_byte(0x100) == 0xaa
+        assert memory.read_byte(0x101) == 0xbb
 
     def test_write_overrides_image(self):
         memory = make_memory()
         memory.load_image(0x100, b"\xaa")
         memory.write_byte(0x100, T.bv(0x55, 8))
-        assert memory.read_byte(0x100).value == 0x55
+        assert memory.read_byte(0x100) == 0x55
 
     def test_write_width_checked(self):
         memory = make_memory()
@@ -71,19 +71,19 @@ class TestWordAccess:
     def test_little_endian_roundtrip(self):
         memory = make_memory()
         memory.write(0x100, T.bv(0x11223344, 32), 4, "little")
-        assert memory.read(0x100, 4, "little").value == 0x11223344
-        assert memory.read_byte(0x100).value == 0x44
+        assert memory.read(0x100, 4, "little") == 0x11223344
+        assert memory.read_byte(0x100) == 0x44
 
     def test_big_endian_roundtrip(self):
         memory = make_memory()
         memory.write(0x100, T.bv(0x11223344, 32), 4, "big")
-        assert memory.read(0x100, 4, "big").value == 0x11223344
-        assert memory.read_byte(0x100).value == 0x11
+        assert memory.read(0x100, 4, "big") == 0x11223344
+        assert memory.read_byte(0x100) == 0x11
 
     def test_cross_endian_mismatch(self):
         memory = make_memory()
         memory.write(0x100, T.bv(0x1122, 16), 2, "little")
-        assert memory.read(0x100, 2, "big").value == 0x2211
+        assert memory.read(0x100, 2, "big") == 0x2211
 
     def test_write_width_must_match_size(self):
         memory = make_memory()
@@ -106,22 +106,22 @@ class TestCopyOnWrite:
         memory = make_memory()
         memory.write_byte(0x10, T.bv(1, 8))
         child = memory.fork()
-        assert child.read_byte(0x10).value == 1
+        assert child.read_byte(0x10) == 1
 
     def test_child_write_invisible_to_parent(self):
         memory = make_memory()
         memory.write_byte(0x10, T.bv(1, 8))
         child = memory.fork()
         child.write_byte(0x10, T.bv(2, 8))
-        assert memory.read_byte(0x10).value == 1
-        assert child.read_byte(0x10).value == 2
+        assert memory.read_byte(0x10) == 1
+        assert child.read_byte(0x10) == 2
 
     def test_parent_write_after_fork_invisible_to_child(self):
         memory = make_memory()
         memory.write_byte(0x10, T.bv(1, 8))
         child = memory.fork()
         memory.write_byte(0x10, T.bv(3, 8))
-        assert child.read_byte(0x10).value == 1
+        assert child.read_byte(0x10) == 1
 
     def test_sibling_isolation(self):
         memory = make_memory()
@@ -129,23 +129,23 @@ class TestCopyOnWrite:
         second = memory.fork()
         first.write_byte(0, T.bv(1, 8))
         second.write_byte(0, T.bv(2, 8))
-        assert first.read_byte(0).value == 1
-        assert second.read_byte(0).value == 2
+        assert first.read_byte(0) == 1
+        assert second.read_byte(0) == 2
 
     def test_same_page_different_offsets_after_fork(self):
         memory = make_memory()
         memory.write_byte(0, T.bv(1, 8))
         child = memory.fork()
         child.write_byte(1, T.bv(2, 8))       # same page as offset 0
-        assert memory.read_byte(1).value == 0
-        assert child.read_byte(0).value == 1
+        assert memory.read_byte(1) == 0
+        assert child.read_byte(0) == 1
 
     def test_flat_mode_fork_is_deep_copy(self):
         memory = make_memory(cow=False)
         memory.write_byte(0x10, T.bv(1, 8))
         child = memory.fork()
         child.write_byte(0x10, T.bv(2, 8))
-        assert memory.read_byte(0x10).value == 1
+        assert memory.read_byte(0x10) == 1
 
     def test_written_and_initialized(self):
         memory = make_memory()

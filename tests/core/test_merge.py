@@ -43,6 +43,23 @@ class TestTryMerge:
         assert T.evaluate(reg, {"mg_in": 0}) == 1
         assert T.evaluate(reg, {"mg_in": 7}) == 2
 
+    def test_equal_ints_merge_by_value(self):
+        """Registers that agree keep their int, even when the two ints
+        are distinct objects and the pool does not hash-cons (where an
+        ``ite`` over two equal constants would not fold)."""
+        previous = T.set_pool(T.TermPool(hash_consing=False))
+        try:
+            left, right, _ = sibling_pair()
+            left.write_reg("x", 6, int("123456789"))
+            right.write_reg("x", 6, int("123456789"))
+            assert left.read_reg("x", 6) is not right.read_reg("x", 6)
+            merged = try_merge(left, right)
+            assert merged.read_reg("x", 6) == 123456789
+            assert type(merged.read_reg("x", 6)) is int
+            assert isinstance(merged.read_reg("x", 5), T.Term)
+        finally:
+            T.set_pool(previous)
+
     def test_merged_path_condition_is_disjunction(self):
         left, right, _ = sibling_pair()
         merged = try_merge(left, right)

@@ -24,17 +24,17 @@ def make_state(target="rv32"):
 class TestSymState:
     def test_registers_start_zero(self):
         state = make_state()
-        assert state.read_reg("x", 5).value == 0
+        assert state.read_reg("x", 5) == 0
 
     def test_zero_register(self):
         state = make_state()
         state.write_reg("x", 0, T.bv(99, 32))
-        assert state.read_reg("x", 0).value == 0
+        assert state.read_reg("x", 0) == 0
 
     def test_write_read(self):
         state = make_state()
         state.write_reg("x", 3, T.bv(7, 32))
-        assert state.read_reg("x", 3).value == 7
+        assert state.read_reg("x", 3) == 7
 
     def test_width_checked(self):
         state = make_state()
@@ -51,14 +51,14 @@ class TestSymState:
     def test_single_registers(self):
         state = make_state("armlite")
         state.write_reg("Z", None, T.bv(1, 1))
-        assert state.read_reg("Z", None).value == 1
+        assert state.read_reg("Z", None) == 1
 
     def test_fork_isolates_registers(self):
         state = make_state()
         state.write_reg("x", 1, T.bv(1, 32))
         child = state.fork()
         child.write_reg("x", 1, T.bv(2, 32))
-        assert state.read_reg("x", 1).value == 1
+        assert state.read_reg("x", 1) == 1
         assert child.parent_id == state.state_id
 
     def test_fork_isolates_path_condition(self):

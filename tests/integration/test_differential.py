@@ -79,10 +79,15 @@ def _mirror_state(model, machine, input_bytes):
             value = machine.regfiles[name][index]
             if info.zero_index is not None and index == info.zero_index:
                 value = 0
-            state.regfiles[name][index] = T.bv(value, info.width)
-    for name, width in model.registers.items():
-        state.registers[name] = T.bv(machine.registers[name], width)
+            state.regfiles[name][index] = value
+    for name in model.registers:
+        state.registers[name] = machine.registers[name]
     return state
+
+
+def _evaluate(value, env):
+    """A state value under ``env``: ints are concrete already."""
+    return value if type(value) is int else T.evaluate(value, env)
 
 
 def _engine(model):
@@ -97,11 +102,11 @@ def _assert_states_agree(model, machine, state, env, context):
     for name, info in model.regfiles.items():
         for index in range(info.count):
             sym = state.read_reg(name, index)
-            assert T.evaluate(sym, env) == machine.read_reg(name, index), (
+            assert _evaluate(sym, env) == machine.read_reg(name, index), (
                 context, name, index)
     for name in model.registers:
         sym = state.read_reg(name, None)
-        assert T.evaluate(sym, env) == machine.read_reg(name, None), (
+        assert _evaluate(sym, env) == machine.read_reg(name, None), (
             context, name)
 
 
@@ -144,17 +149,17 @@ def test_every_instruction_symbolic_matches_concrete(target):
             assert outcome.halted == concrete.halted, context
             assert outcome.trapped == concrete.trapped, context
             if concrete.halted:
-                assert T.evaluate(outcome.exit_code, env) \
+                assert _evaluate(outcome.exit_code, env) \
                     == concrete.exit_code, context
             if concrete.trapped:
-                assert T.evaluate(outcome.trap_code, env) \
+                assert _evaluate(outcome.trap_code, env) \
                     == concrete.trap_code, context
             if concrete.next_pc is None:
                 assert outcome.next_pc is None, context
             else:
                 assert outcome.next_pc is not None, context
                 mask = (1 << model.pc_width) - 1
-                assert T.evaluate(outcome.next_pc, env) & mask \
+                assert _evaluate(outcome.next_pc, env) & mask \
                     == concrete.next_pc & mask, context
 
             _assert_states_agree(model, machine, sym_state, env, context)
@@ -162,13 +167,13 @@ def test_every_instruction_symbolic_matches_concrete(target):
             # Memory written concretely must match symbolically.
             for addr, value in machine.memory.items():
                 sym_byte = sym_state.memory.read_byte(addr)
-                assert T.evaluate(sym_byte, env) == value, (
+                assert _evaluate(sym_byte, env) == value, (
                     context, hex(addr))
 
             # Output and input-consumption agreement.
             assert len(sym_state.output) == len(machine.output), context
             for sym_byte, conc_byte in zip(sym_state.output, machine.output):
-                assert T.evaluate(sym_byte, env) == conc_byte, context
+                assert _evaluate(sym_byte, env) == conc_byte, context
             assert len(sym_state.input_vars) == machine.input_cursor, context
 
 

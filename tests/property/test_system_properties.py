@@ -55,11 +55,11 @@ class TestMemoryAgainstDictModel:
             elif op == "fork":
                 snapshots.append((memory.fork(), dict(reference)))
             else:
-                assert memory.read_byte(addr).value == reference.get(addr, 0)
+                assert memory.read_byte(addr) == reference.get(addr, 0)
         # Forked snapshots must still reflect their point-in-time contents.
         for snapshot, expected in snapshots:
             for addr, value in expected.items():
-                assert snapshot.read_byte(addr).value == value
+                assert snapshot.read_byte(addr) == value
 
     @given(st.integers(0, 4000), st.integers(0, 2**32 - 1),
            st.sampled_from(["little", "big"]))
@@ -67,7 +67,7 @@ class TestMemoryAgainstDictModel:
     def test_word_roundtrip(self, addr, value, endian):
         memory = SymMemory(MemoryMap([Region(0, 8192)]))
         memory.write(addr, T.bv(value, 32), 4, endian)
-        assert memory.read(addr, 4, endian).value == value
+        assert memory.read(addr, 4, endian) == value
 
 
 class TestAssemblerEncodeDecodeProperty:

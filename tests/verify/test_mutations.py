@@ -153,7 +153,7 @@ def test_probed_twin_mutation_caught():
     compiled = compiled_for(model)
     source = compiled.symbolic_source(model)
     twin = compiled.probed_plan.source(instr)
-    mutated = source.replace(twin, twin.replace("T.add(", "T.sub(", 1))
+    mutated = source.replace(twin, twin.replace(" = add(", " = sub(", 1))
     assert mutated != source
     plans, probed = planeval.load_plans(mutated, model.name)
     result = verify_rule(model, instr, "symbolic", Solver(),
@@ -165,3 +165,29 @@ def test_probed_twin_mutation_caught():
                         lambda solver, extra: solver.check(extra),
                         plans=(plans["add"], plans["add"]))
     assert clean.status == "proved"
+
+
+def test_wrong_width_literal_caught():
+    """Only a plan's int path reads its width literals, so the harness
+    runs the emitted source with operators that reject a literal
+    disagreeing with a term operand: a width bug the term path alone
+    would hide fails the proof, in the plan and in its twin."""
+    from repro.smt.solver import Solver
+    from repro.verify import UNSUPPORTED, planeval, verify_rule
+
+    model = build("rv32")
+    instr = model.by_name["add"]
+    compiled = compiled_for(model)
+    source = compiled.symbolic_source(model)
+    for table in (compiled.plan, compiled.probed_plan):
+        text = table.source(instr)
+        assert text.count(", 32)") == 1
+        mutated = source.replace(text, text.replace(", 32)", ", 31)"))
+        assert mutated != source
+        plans, probed = planeval.load_plans(mutated, model.name)
+        result = verify_rule(model, instr, "symbolic", Solver(),
+                             lambda solver, extra: solver.check(extra),
+                             plans=(plans["add"], probed["add"]))
+        assert result.status == UNSUPPORTED
+        assert "width literal 31 disagrees with a 32-bit operand" \
+            in result.detail
