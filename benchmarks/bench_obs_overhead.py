@@ -1,7 +1,9 @@
 """Telemetry overhead guard.
 
 Runs the quickstart-shaped workload (maze kernel: forks, solver checks,
-memory traffic) with three Obs configurations and asserts that the
+memory traffic; depth 8, about 0.35 s per exploration, long enough that
+a scheduling hiccup on a shared host is a small share of one run) with
+several Obs configurations and asserts that the
 engine default — **enabled counters, no event sink, no profiler** —
 stays within ``MAX_OVERHEAD`` of a fully disabled Obs.  CI runs this on
 every push so instrumentation creep is caught before it lands.
@@ -13,19 +15,26 @@ Usage::
 
 Exit status 1 when the budget is exceeded.
 
-Every repeat runs each configuration once, in turn, and each
-configuration reads its best time over the repeats: a busy stretch of a
-shared host then slows every configuration alike instead of landing on
-the one whose repeats happened to run back to back.
+Every round runs the configurations in turn (round-robin) with the
+disabled configuration before each of them and once more at the end, so
+each run sits between two disabled runs; its ratio is its time over the
+mean of those two, and a configuration's overhead is the median of its
+ratios over the rounds.  A shared host's speed drifts by tens of percent
+between stretches of a few seconds; neighbouring runs see the same
+drift, so the bracketed ratio cancels it, where comparing each
+configuration's best time across all rounds does not (one lucky fast
+run sets a minimum: two identical configurations read up to ±30% apart
+that way).
 
 (Not a pytest module on purpose: single-shot wall-clock assertions are
-too noisy for the unit suite; best-of-N in a dedicated CI job is the
-right home.)
+too noisy for the unit suite; repeated rounds in a dedicated CI job are
+the right home.)
 """
 
+import statistics
 import sys
 import time
-from typing import List
+from typing import List, Tuple
 
 from repro.bench import Sample, benchmark
 from repro.core import Engine, EngineConfig
@@ -34,8 +43,8 @@ from repro.programs import build_kernel
 
 MAX_OVERHEAD = 0.15     # counters (and +health) must cost < 15% vs. disabled
 MAX_ATTR_OVERHEAD = 0.20  # sampled cost attribution must cost < 20%
-REPEATS = 5             # best-of, round-robin, to suppress host noise
-WORKLOAD = ("maze", {"depth": 6, "solution": 0b101100})
+REPEATS = 7             # round-robin rounds; overheads are medians
+WORKLOAD = ("maze", {"depth": 8, "solution": 0b10110010})
 
 
 def _recording() -> Obs:
@@ -62,28 +71,40 @@ def run_once(obs_factory, health_factory=None, attr_factory=None) -> float:
     return elapsed
 
 
-def best_of_each(configs, repeats: int = REPEATS) -> List[float]:
-    """Each ``(obs, health, attr)`` factory triple's best time over
-    ``repeats`` rounds that run every configuration once, in turn."""
-    best = [float("inf")] * len(configs)
+def round_robin(configs, repeats: int = REPEATS
+                ) -> Tuple[List[float], List[List[float]]]:
+    """``(overheads, times)`` for ``(obs, health, attr)`` factory
+    triples: each configuration after the first (the baseline) gets its
+    median ratio over ``repeats`` rounds, minus one; ``times`` holds
+    every configuration's run times, the baseline's first."""
+    baseline, others = configs[0], configs[1:]
+    times: List[List[float]] = [[] for _ in configs]
+    ratios: List[List[float]] = [[] for _ in others]
     for _ in range(repeats):
-        for index, factories in enumerate(configs):
-            best[index] = min(best[index], run_once(*factories))
-    return best
+        before = run_once(*baseline)
+        times[0].append(before)
+        for index, factories in enumerate(others):
+            elapsed = run_once(*factories)
+            after = run_once(*baseline)
+            times[index + 1].append(elapsed)
+            times[0].append(after)
+            ratios[index].append(2 * elapsed / (before + after))
+            before = after
+    return [statistics.median(runs) - 1.0 for runs in ratios], times
 
 
 @benchmark("obs.counters_overhead",
            title="telemetry: default-counters overhead vs disabled Obs",
            suite="full", isas=("rv32",), unit="ratio", direction="lower",
            expect_max=MAX_OVERHEAD, reps=1, warmup=0,
-           workload="maze(depth 6), best-of-%d round-robin per Obs "
-                    "config" % REPEATS)
+           workload="maze(depth %d), %d round-robin rounds, median "
+                    "ratio to the bracketing disabled runs"
+                    % (WORKLOAD[1]["depth"], REPEATS))
 def _observatory_sample():
     run_once(Obs.disabled)      # warm model/decoder caches
-    disabled, counters = best_of_each([(Obs.disabled, None, None),
-                                       (Obs.default, None, None)])
-    overhead = (counters - disabled) / disabled if disabled else 0.0
-    return Sample(overhead, wall_s=disabled + counters)
+    (counters_overhead,), times = round_robin([(Obs.disabled, None, None),
+                                               (Obs.default, None, None)])
+    return Sample(counters_overhead, wall_s=sum(map(sum, times)))
 
 
 def main(argv) -> int:
@@ -96,38 +117,37 @@ def main(argv) -> int:
     # cadence (deep-probe every 16th step): guarded under its own,
     # looser, budget — attribution adds two clock reads to every step
     # by design.
-    (disabled, counters, profiled, recording, monitored,
-     attributed) = best_of_each([
-         (Obs.disabled, None, None),
-         (Obs.default, None, None),
-         (lambda: Obs(metrics=True, profile=True), None, None),
-         (_recording, None, None),
-         (Obs.default, HealthConfig, None),
-         (Obs.default, None, AttrConfig)])
-    overhead = (counters - disabled) / disabled if disabled else 0.0
-    health_overhead = ((monitored - disabled) / disabled
-                       if disabled else 0.0)
-    attr_overhead = ((attributed - disabled) / disabled
-                     if disabled else 0.0)
-    print("== telemetry overhead (best of %d round-robin, maze depth=%d) =="
+    overheads, times = round_robin([
+        (Obs.disabled, None, None),
+        (Obs.default, None, None),
+        (lambda: Obs(metrics=True, profile=True), None, None),
+        (_recording, None, None),
+        (Obs.default, HealthConfig, None),
+        (Obs.default, None, AttrConfig)])
+    (counters_overhead, profiled_overhead, recording_overhead,
+     health_overhead, attr_overhead) = overheads
+    disabled, counters, profiled, recording, monitored, attributed = [
+        statistics.median(config) for config in times]
+    print("== telemetry overhead (%d round-robin rounds, median ratio to "
+          "the bracketing disabled runs, maze depth=%d) =="
           % (REPEATS, WORKLOAD[1]["depth"]))
     print("disabled:          %8.4fs" % disabled)
-    print("counters (default):%8.4fs  (%+.1f%%)" % (counters,
-                                                    100 * overhead))
+    print("counters (default):%8.4fs  (%+.1f%%)"
+          % (counters, 100 * counters_overhead))
     print("counters+health:   %8.4fs  (%+.1f%%)"
           % (monitored, 100 * health_overhead))
     print("counters+profiler: %8.4fs  (%+.1f%%)"
-          % (profiled, 100 * (profiled - disabled) / disabled))
+          % (profiled, 100 * profiled_overhead))
     print("counters+attr:     %8.4fs  (%+.1f%%)"
           % (attributed, 100 * attr_overhead))
     print("counters+recorder: %8.4fs  (%+.1f%%)  [opt-in, not guarded]"
-          % (recording, 100 * (recording - disabled) / disabled))
+          % (recording, 100 * recording_overhead))
     if report_only:
         return 0
     failed = False
-    if overhead >= MAX_OVERHEAD:
+    if counters_overhead >= MAX_OVERHEAD:
         print("FAIL: default telemetry overhead %.1f%% >= %.0f%% budget"
-              % (100 * overhead, 100 * MAX_OVERHEAD))
+              % (100 * counters_overhead, 100 * MAX_OVERHEAD))
         failed = True
     if health_overhead >= MAX_OVERHEAD:
         print("FAIL: health monitor overhead %.1f%% >= %.0f%% budget"
@@ -141,7 +161,7 @@ def main(argv) -> int:
         return 1
     print("OK: default telemetry %.1f%%, health monitor %.1f%% "
           "< %.0f%% budget; sampled attribution %.1f%% < %.0f%% budget"
-          % (100 * overhead, 100 * health_overhead,
+          % (100 * counters_overhead, 100 * health_overhead,
              100 * MAX_OVERHEAD, 100 * attr_overhead,
              100 * MAX_ATTR_OVERHEAD))
     return 0

@@ -74,17 +74,19 @@ def run_workload(kernel, params, use_cache, explorations=1):
 
 
 def measure(workloads, explorations):
-    """Rows of (kernel, on_wall, off_wall, on_result, on_engine)."""
+    """Rows of (kernel, on_wall, off_wall, on_result, on_engine,
+    off_engine)."""
     rows = []
     for kernel, params in workloads:
         on_wall, on_result, on_engine = run_workload(
             kernel, params, True, explorations)
-        off_wall, off_result, _ = run_workload(
+        off_wall, off_result, off_engine = run_workload(
             kernel, params, False, explorations)
         # Soundness spot check, mirroring the differential harness.
         assert len(on_result.paths) == len(off_result.paths), kernel
         assert len(on_result.defects) == len(off_result.defects), kernel
-        rows.append((kernel, on_wall, off_wall, on_result, on_engine))
+        rows.append((kernel, on_wall, off_wall, on_result, on_engine,
+                     off_engine))
     return rows
 
 
@@ -99,7 +101,7 @@ def _cache_cells(engine):
 def table_rows():
     rows = []
     for mode, explorations in (("single", 1), ("repeated", 2)):
-        for kernel, on_wall, off_wall, result, engine in measure(
+        for kernel, on_wall, off_wall, result, engine, _ in measure(
                 GUARD_WORKLOADS + EXTRA_WORKLOADS, explorations):
             hits, model_reuse, subsumed, frame = _cache_cells(engine)
             rows.append([
@@ -133,8 +135,11 @@ def guard_speedup(explorations=2):
                     "per engine, cache on vs --no-solver-cache")
 def _observatory_sample():
     rows, on_total, off_total = _guard_totals()
-    solver_s = sum(row[3].solver_stats.get("solve_time", 0.0)
-                   for row in rows)
+    # Solver time over the explorations wall_s covers: every
+    # exploration of both engines, cache on and off.  (A result's
+    # solver_stats cover its own exploration only.)
+    solver_s = sum(engine.solver.stats.solve_time
+                   for row in rows for engine in row[4:6])
     return Sample(off_total / on_total, wall_s=on_total + off_total,
                   solver_time_s=solver_s)
 

@@ -1120,23 +1120,19 @@ def cmd_bench(args) -> int:
 
 
 def cmd_compile(args) -> int:
-    """Dump the generated transfer-function modules for one ISA.
+    """Dump the generated plan module for one ISA.
 
-    What actually executes: the concrete per-instruction transfer
-    functions (``run --compiled``) and/or the symbolic mixed int/term
-    plans with their probed twins (``explore``), headed by the spec
-    digest that keys the compilation cache.  Useful for eyeballing the
-    specializer's output and as a CI artifact.
+    What actually executes: the mixed int/term plans with their probed
+    twins, which ``explore`` and ``run --compiled`` both run through the
+    one plan driver, headed by the spec digest that keys the
+    compilation cache.  Useful for eyeballing the specializer's output
+    and as a CI artifact.
     """
     from .compile import compiled_for
     model = build(args.isa)
     compiled = compiled_for(model)
-    parts = ["# %s @ %s" % (compiled.isa, compiled.digest)]
-    if args.which in ("concrete", "both"):
-        parts.append(compiled.concrete_source(model))
-    if args.which in ("symbolic", "both"):
-        parts.append(compiled.symbolic_source(model))
-    text = "\n\n".join(parts)
+    text = "# %s @ %s\n\n%s" % (compiled.isa, compiled.digest,
+                                compiled.symbolic_source(model))
     if args.out:
         with open(args.out, "w") as handle:
             handle.write(text + "\n")
@@ -1276,10 +1272,10 @@ def main(argv=None) -> int:
         _add_common(sub)
         if name == "run":
             sub.add_argument("--compiled", action="store_true",
-                             help="execute compiled transfer functions "
-                                  "(repro.compile) instead of "
-                                  "interpreting IR; bit-for-bit "
-                                  "identical, just faster")
+                             help="run the rules' compiled plans "
+                                  "(repro.compile, the engine's own) "
+                                  "instead of interpreting IR; "
+                                  "bit-for-bit identical, just faster")
 
     explore = commands.add_parser(
         "explore", help="symbolic execution (paths + defects + coverage)")
@@ -1649,13 +1645,10 @@ def main(argv=None) -> int:
 
     compile_cmd = commands.add_parser(
         "compile",
-        help="dump the generated transfer-function modules for an ISA "
+        help="dump the generated plan module for an ISA "
              "(what run --compiled and explore execute; CI artifact)")
     compile_cmd.add_argument("isa",
                              help="built-in ISA name (see 'isas')")
-    compile_cmd.add_argument("--which", default="both",
-                             choices=["concrete", "symbolic", "both"],
-                             help="which generated module to print")
     compile_cmd.add_argument("--out", metavar="FILE",
                              help="write to FILE instead of stdout")
 

@@ -1,11 +1,13 @@
 """Specialized transfer functions compiled from ADL semantics.
 
 Instead of walking each rule's IR tree per executed instruction, every
-rule is lowered into generated Python — a concrete transfer function
-for the simulator (:mod:`repro.compile.concrete`) and a mixed int/term
-plan for the engine (:mod:`repro.compile.symbolic`, over the operator
-library :mod:`repro.compile.ops`), the engine's only way to execute a
-rule.
+rule is lowered into one generated artifact: a mixed int/term *plan*
+(:mod:`repro.compile.symbolic`, over the operator library
+:mod:`repro.compile.ops`), walked by the one plan driver
+(:mod:`repro.compile.driver`).  The engine runs it over symbolic
+states, the translation validator over a fully symbolic pre-state, and
+the concrete simulator (``Simulator(compiled=True)``) over an all-int
+state, where a plan is a concrete transfer function.
 
 Lazy compilation
 ----------------
@@ -13,10 +15,10 @@ Lazy compilation
 generated the first time it is looked up (``compiled.plan(instr)``), so
 constructing an engine generates nothing and a program compiles only
 the rules it executes.  The entry compiles from the instruction the
-caller passes in and never holds a model.  The module texts
-(:meth:`CompiledSemantics.symbolic_source`, ``concrete_source``) are
-assembled from the per-rule texts that were executed, so translation
-validation proves exactly the code that runs.
+caller passes in and never holds a model.  The module text
+(:meth:`CompiledSemantics.symbolic_source`) is assembled from the
+per-rule texts that were executed, so translation validation proves
+exactly the code that runs.
 
 Cache discipline
 ----------------
@@ -37,23 +39,20 @@ across ``terms.configure()``.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from . import concrete, symbolic
-from .concrete import compile_block  # noqa: F401
+from . import symbolic
 from .errors import CompileError  # noqa: F401
 
 __all__ = ["CODEGEN_VERSION", "CompiledSemantics", "CompileError",
-           "RuleTable", "compiled_for", "compile_block", "clear_cache",
-           "cache_info"]
+           "RuleTable", "compiled_for", "clear_cache", "cache_info"]
 
-#: Version of the code generators themselves.  Bump whenever
-#: :mod:`repro.compile.concrete` or :mod:`repro.compile.symbolic`
-#: change the code they emit, or :mod:`repro.compile.ops` what it
-#: means: it invalidates the in-process compilation cache and every
-#: translation-validation certificate keyed on the old generator's
-#: output.
-CODEGEN_VERSION = 4
+#: Version of the code generator itself.  Bump whenever
+#: :mod:`repro.compile.symbolic` changes the code it emits, or
+#: :mod:`repro.compile.ops` what it means: it invalidates the
+#: in-process compilation cache and every translation-validation
+#: certificate keyed on the old generator's output.
+CODEGEN_VERSION = 5
 
 
 class RuleTable:
@@ -89,13 +88,11 @@ class RuleTable:
 class CompiledSemantics:
     """One ISA's compiled transfer functions, keyed by spec digest.
 
-    ``concrete(instr)`` is the simulator's transfer function
-    ``fn(ctx, fields, outcome)``; ``plan(instr)`` the engine's plan;
-    ``probed_plan(instr)`` that plan's probed twin.
+    ``plan(instr)`` is the rule's plan; ``probed_plan(instr)`` its
+    probed twin, which deep cost-attribution steps run.
     """
 
-    __slots__ = ("isa", "digest", "codegen_version", "concrete", "plan",
-                 "probed_plan")
+    __slots__ = ("isa", "digest", "codegen_version", "plan", "probed_plan")
 
     def __init__(self, isa: str, digest: str):
         self.isa = isa
@@ -103,25 +100,20 @@ class CompiledSemantics:
         self.codegen_version = CODEGEN_VERSION
         # The generators are looked up at call time, so a patched
         # module function reaches tables that already exist.
-        self.concrete = RuleTable(
-            lambda instr: concrete.rule_function(isa, instr))
         self.plan = RuleTable(
             lambda instr: symbolic.rule_plan(isa, instr))
         self.probed_plan = RuleTable(
             lambda instr: symbolic.rule_plan(isa, instr, probe=True))
 
-    def concrete_source(self, model) -> str:
-        """The generated concrete module for every rule of ``model``."""
-        return concrete.module_source(self.isa, [
-            (instr.name, self.concrete.source(instr))
-            for instr in model.instructions])
-
-    def symbolic_source(self, model) -> str:
+    def symbolic_source(self, model,
+                        overrides: Optional[Dict[str, str]] = None) -> str:
         """The generated plans and probed twins for every rule of
-        ``model``, as one module with ``PLANS``/``PROBED`` tables."""
+        ``model``, as one module with ``PLANS``/``PROBED`` tables;
+        ``overrides`` replaces a rule's plan source by name."""
+        overrides = overrides or {}
         return symbolic.module_source(self.isa, [
-            (instr.name, self.plan.source(instr),
-             self.probed_plan.source(instr))
+            (instr.name, overrides.get(instr.name)
+             or self.plan.source(instr), self.probed_plan.source(instr))
             for instr in model.instructions])
 
     def __repr__(self):

@@ -1,16 +1,16 @@
-"""Symbolic codegen: IR blocks -> specialized mixed int/term plans.
+"""Plan codegen: IR blocks -> specialized mixed int/term plans.
 
-The symbolic twin of :mod:`repro.compile.concrete`.  Each rule is
-lowered into a *plan*: a nested tuple tree of tagged statements whose
-expression slots are generated Python functions
+Each rule is lowered into a *plan*: a nested tuple tree of tagged
+statements whose expression slots are generated Python functions
 
     def _s_add_0(E, S, FT, L, D): ...
 
-(``E`` engine, ``S`` state, ``FT`` the decoded operand fields, ``L``
-locals dict, ``D`` decoded) returning a value: an ``int`` while it is
-concrete, a :class:`repro.smt.terms.Term` once it is symbolic.  The
-engine's plan driver (:meth:`repro.core.executor.Engine._run`) walks
-the statement tuples; the generated bodies compute the values:
+(``E`` the machine's policy, ``S`` its state, ``FT`` the decoded
+operand fields, ``L`` locals dict, ``D`` decoded) returning a value: an
+``int`` while it is concrete, a :class:`repro.smt.terms.Term` once it is
+symbolic.  One plan driver (:func:`repro.compile.driver.drive`) walks the
+statement tuples for the engine, the translation validator and the
+concrete simulator alike; the generated bodies compute the values:
 
 * each IR node became one call into the operator library
   :mod:`repro.compile.ops` with its widths as literals, so concrete
@@ -19,14 +19,17 @@ the statement tuples; the generated bodies compute the values:
 * ``Const`` is an int literal, ``Field`` the decoded int itself
   (``FT['rs1']``), ``Pc`` the state's pc masked to its width,
 * guard tuples for expression-``ite`` arms are threaded to the
-  solver-visible callbacks (``_load``, ``_check_div``,
-  ``_concrete_index``), which go back through the engine itself.
+  machine's callbacks (``E._load``, ``E._check_div``,
+  ``E._concrete_index``).
 
-Evaluation order is the IR's: operands left to right, a register
-write's value before its index, a division's operands before its
-div-zero check, and only the chosen arm of an ``ite`` whose condition
-is an int.  Translation validation (:mod:`repro.verify`) runs the
-emitted source unchanged and proves every plan equal to its rule's IR.
+Evaluation order is the IR's, as :mod:`repro.ir.interp` and
+:mod:`repro.ir.symexec` have it: operands left to right, a register
+write's index before its value (the driver resolves the index), a
+division's operands before its div-zero check, and only the chosen arm
+of an ``ite`` whose condition is an int.  On an all-int state a plan is
+therefore a concrete transfer function.  Translation validation
+(:mod:`repro.verify`) runs the emitted source unchanged, through the
+same driver, and proves every plan equal to its rule's IR.
 
 **Probed twins.**  ``rule_plan(..., probe=True)`` emits the same plan
 with ``A.ir_enter(kind)`` / ``A.ir_exit()`` (``A = E.attr``) around
@@ -52,26 +55,25 @@ from .errors import CompileError
 from .ops import OPS
 
 __all__ = ["rule_plan", "plan_name", "module_source",
-           "S_LOCAL", "S_LOCAL_IN", "S_REG", "S_REG_IN", "S_PC",
-           "S_STORE", "S_OUT", "S_HALT", "S_TRAP", "S_IF"]
+           "S_LOCAL", "S_REG", "S_PC", "S_STORE", "S_OUT", "S_HALT",
+           "S_TRAP", "S_IF"]
 
-# Plan statement tags (first tuple element).
+# Plan statement tags (first tuple element).  A ``None`` value function
+# reads the next input byte: ``in()`` is always a whole right-hand side.
 S_LOCAL = 0      # (tag, name, fn)
-S_LOCAL_IN = 1   # (tag, name)
-S_REG = 2        # (tag, regfile, index_spec, fn)
-S_REG_IN = 3     # (tag, regfile, index_spec)
-S_PC = 4         # (tag, fn)
-S_STORE = 5      # (tag, addr_fn, value_fn, size)
-S_OUT = 6        # (tag, fn)
-S_HALT = 7       # (tag, fn)
-S_TRAP = 8       # (tag, fn)
-S_IF = 9         # (tag, cond_fn, then_plan, else_plan)
+S_REG = 1        # (tag, regfile, index_spec, fn)
+S_PC = 2         # (tag, fn)
+S_STORE = 3      # (tag, addr_fn, value_fn, size)
+S_OUT = 4        # (tag, fn)
+S_HALT = 5       # (tag, fn)
+S_TRAP = 6       # (tag, fn)
+S_IF = 7         # (tag, cond_fn, then_plan, else_plan)
 
-# index_spec forms for S_REG / S_REG_IN:
+# index_spec forms for S_REG:
 #   None               single register (regfile is a plain register)
 #   ("f", field_name)  index comes from an encoding field: FT[name]
 #   ("c", value)       constant index, resolved at generation time
-#   ("e", fn)          general expression: eval + engine._concrete_index
+#   ("e", fn)          general expression: eval + E._concrete_index
 # Probed twins use ("e", fn) for every index, so the index node is
 # probed like any other.
 
@@ -298,6 +300,10 @@ class _PlanBuilder:
         self.functions.append(emitter.source(result))
         return name
 
+    def value_fn(self, value: N.Expr) -> str:
+        """An assignment's value function; ``None`` reads input."""
+        return "None" if isinstance(value, N.InputByte) else self.fn(value)
+
     def index_spec(self, index: Optional[N.Expr]) -> str:
         if index is None:
             return "None"
@@ -312,21 +318,13 @@ class _PlanBuilder:
         rows = []
         for stmt in stmts:
             if isinstance(stmt, N.SetLocal):
-                if isinstance(stmt.value, N.InputByte):
-                    rows.append("(%d, %r)" % (S_LOCAL_IN, stmt.name))
-                else:
-                    rows.append("(%d, %r, %s)" % (
-                        S_LOCAL, stmt.name, self.fn(stmt.value)))
+                rows.append("(%d, %r, %s)" % (
+                    S_LOCAL, stmt.name, self.value_fn(stmt.value)))
             elif isinstance(stmt, N.SetReg):
-                if isinstance(stmt.value, N.InputByte):
-                    rows.append("(%d, %r, %s)" % (
-                        S_REG_IN, stmt.regfile,
-                        self.index_spec(stmt.index)))
-                else:
-                    value = self.fn(stmt.value)
-                    rows.append("(%d, %r, %s, %s)" % (
-                        S_REG, stmt.regfile, self.index_spec(stmt.index),
-                        value))
+                index = self.index_spec(stmt.index)
+                rows.append("(%d, %r, %s, %s)" % (
+                    S_REG, stmt.regfile, index,
+                    self.value_fn(stmt.value)))
             elif isinstance(stmt, N.SetPc):
                 rows.append("(%d, %s)" % (S_PC, self.fn(stmt.value)))
             elif isinstance(stmt, N.Store):
@@ -380,7 +378,7 @@ def rule_plan(isa: str, instr, probe: bool = False) -> Tuple[tuple, str]:
 def module_source(isa: str, rows: List[Tuple[str, str, str]]) -> str:
     """One module from per-rule ``(name, plan source, probed source)``
     rows, with ``PLANS`` and ``PROBED`` tables (rule name -> plan)."""
-    chunks = ["# generated by repro.compile — symbolic plans for %r" % isa]
+    chunks = ["# generated by repro.compile — plans and probed twins for %r" % isa]
     for name, source, probed in rows:
         chunks.extend(["# rule %r" % name, source.rstrip("\n"),
                        "# rule %r, probed twin" % name,

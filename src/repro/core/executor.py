@@ -10,12 +10,15 @@ is ISA-specific — the ISA enters only through the
 Execution model
 ---------------
 * Each instruction runs its rule's compiled *plan*: statement tuples
-  walked by :meth:`Engine._run`, whose expression slots are generated
-  functions over the operator library :mod:`repro.compile.ops` (masked
-  int arithmetic on concrete operands, the ``T`` constructors once one
-  is symbolic).  A rule is compiled the first time it executes; deep
-  cost-attribution steps run the plan's probed twin.  Fork, assume and
-  solver-query order all live in this module.
+  walked by the one plan driver (:func:`repro.compile.driver.drive`, the
+  walk translation validation proves), whose expression slots are
+  generated functions over the operator library :mod:`repro.compile.ops`
+  (masked int arithmetic on concrete operands, the ``T`` constructors
+  once one is symbolic).  A rule is compiled the first time it
+  executes; deep cost-attribution steps run the plan's probed twin.
+  The engine is the driver's machine: it answers each fork arm's
+  feasibility (solver and frame model), loads, stores and register-index
+  concretization; solver-query order lives in this module.
 * Fetch goes through a per-pc site cache of decoded instructions, valid
   while a state has not written the instruction's image bytes.
 * The program counter is concrete; conditional branches (IR ``IfStmt`` with
@@ -41,9 +44,8 @@ from __future__ import annotations
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..compile.driver import Outcome, PathEnd, drive
 from ..compile.ops import Value, lift, norm
-from ..compile.symbolic import (S_HALT, S_IF, S_LOCAL, S_LOCAL_IN, S_OUT,
-                               S_PC, S_REG, S_REG_IN, S_STORE, S_TRAP)
 from ..isa.decoder import DecodeError
 from ..obs import Obs
 from ..smt import SAT, Solver
@@ -179,27 +181,6 @@ class EngineConfig:
         known = {key: value for key, value in payload.items()
                  if key in cls._SERIALIZED_FIELDS}
         return cls(**known)
-
-
-class _Outcome:
-    """Control effects accumulated while executing one IR block."""
-
-    __slots__ = ("next_pc", "halted", "exit_code", "trapped", "trap_code")
-
-    def __init__(self):
-        self.next_pc: Optional[Value] = None
-        self.halted = False
-        self.exit_code: Optional[Value] = None
-        self.trapped = False
-        self.trap_code: Optional[Value] = None
-
-
-class _PathEnd(Exception):
-    """Internal: the current path cannot continue (defect or dead end)."""
-
-    def __init__(self, reason: str):
-        self.reason = reason
-        super().__init__(reason)
 
 
 class Engine:
@@ -516,7 +497,7 @@ class Engine:
             if successors is None:
                 try:
                     decoded = self._fetch(state)
-                except _PathEnd as dead:
+                except PathEnd as dead:
                     self._dead_end(state, dead.reason)
                     return []
                 state.pc = (state.pc + decoded.length) & self._pc_mask
@@ -524,7 +505,7 @@ class Engine:
             return list(successors)
         try:
             decoded = self._fetch(state)
-        except _PathEnd as dead:
+        except PathEnd as dead:
             self._dead_end(state, dead.reason)
             return []
         for checker in self._checkers:
@@ -550,7 +531,7 @@ class Engine:
                     finished = self._exec_block(state, decoded)
             else:
                 finished = self._exec_block(state, decoded)
-        except _PathEnd as dead:
+        except PathEnd as dead:
             self._dead_end(state, dead.reason)
             return []
         finally:
@@ -616,9 +597,9 @@ class Engine:
 
         Emits a ``prune`` event so the flight recorder can close the
         node instead of leaving it dangling as live.  Carries the fork
-        parent when known: a branch that dies inside ``_fork`` never
-        appears in a ``fork`` event (only survivors do), so this is the
-        recorder's only chance to attach it to the tree."""
+        parent when known: a fork arm that dies inside the plan driver
+        never appears in a ``fork`` event (only survivors do), so this
+        is the recorder's only chance to attach it to the tree."""
         if self._tracer.enabled:
             data = {"reason": reason}
             if state.parent_id is not None:
@@ -655,13 +636,13 @@ class Engine:
         if window is None:
             self._report(state, R.INVALID_INSTRUCTION, None,
                          "symbolic bytes in instruction stream")
-            raise _PathEnd("symbolic-code")
+            raise PathEnd("symbolic-code")
         try:
             decoded = decoder.decode_bytes(window, pc)
         except DecodeError:
             self._report(state, R.INVALID_INSTRUCTION, None,
                          "undecodable instruction")
-            raise _PathEnd("decode-error")
+            raise PathEnd("decode-error")
         hit = decoder.last_cache_hit
         if check_oob:
             for addr in range(pc + 1, pc + decoded.length):
@@ -675,9 +656,9 @@ class Engine:
     def _unmapped_fetch(self, state: SymState, addr: int) -> None:
         self._report(state, R.OOB_ACCESS, None,
                      "instruction fetch from unmapped address %#x" % addr)
-        raise _PathEnd("oob-fetch")
+        raise PathEnd("oob-fetch")
 
-    def _finish_path(self, state: SymState, outcome: _Outcome,
+    def _finish_path(self, state: SymState, outcome: Outcome,
                      result: R.ExplorationResult) -> None:
         exit_code = outcome.exit_code
         self._end_path(state, "halted", result,
@@ -745,7 +726,7 @@ class Engine:
     # -- block execution: the rule's compiled plan -----------------------------------
 
     def _exec_block(self, state: SymState,
-                    decoded) -> List[Tuple[SymState, _Outcome]]:
+                    decoded) -> List[Tuple[SymState, Outcome]]:
         """Run one instruction's compiled plan — its probed twin on a
         deep attribution step; one ``(state, outcome)`` per survivor."""
         attr = self.attr
@@ -753,74 +734,49 @@ class Engine:
             plan = self._compiled.probed_plan(decoded.instruction)
         else:
             plan = self._compiled.plan(decoded.instruction)
-        return self._run(state, [(plan, 0)], {}, _Outcome(),
-                         decoded.fields, decoded)
+        return drive(self, state, plan, decoded.fields, decoded, Outcome())
 
-    def _resolve_index(self, state: SymState, spec, FT, L,
-                       D) -> Optional[int]:
-        if spec is None:
-            return None
-        kind = spec[0]
-        if kind == "f":
-            return FT[spec[1]]
-        if kind == "c":
-            return spec[1]
-        return self._concrete_index(state, spec[1](self, state, FT, L, D),
-                                    D)
+    # -- the plan driver's fork policy -------------------------------------------
 
-    def _run(self, state: SymState, frames, L, outcome: _Outcome, FT,
-             D) -> List[Tuple[SymState, _Outcome]]:
-        """Execute a continuation stack of ``(plan, index)`` frames."""
-        while frames:
-            stmts, index = frames[-1]
-            if index >= len(stmts):
-                frames.pop()
-                continue
-            frames[-1] = (stmts, index + 1)
-            st = stmts[index]
-            tag = st[0]
-            if tag == S_IF:
-                cond = st[1](self, state, FT, L, D)
-                if type(cond) is int:
-                    body = st[2] if cond == 1 else st[3]
-                    if body:
-                        frames.append((body, 0))
-                    continue
-                return self._fork(state, st, cond, frames, L, outcome, FT,
-                                  D)
-            if tag == S_REG:
-                value = st[3](self, state, FT, L, D)
-                state.write_reg(
-                    st[1], self._resolve_index(state, st[2], FT, L, D),
-                    value)
-            elif tag == S_LOCAL:
-                L[st[1]] = st[2](self, state, FT, L, D)
-            elif tag == S_LOCAL_IN:
-                L[st[1]] = state.next_input()
-            elif tag == S_REG_IN:
-                value = state.next_input()
-                state.write_reg(
-                    st[1], self._resolve_index(state, st[2], FT, L, D),
-                    value)
-            elif tag == S_PC:
-                outcome.next_pc = st[1](self, state, FT, L, D)
-            elif tag == S_STORE:
-                addr = st[1](self, state, FT, L, D)
-                value = st[2](self, state, FT, L, D)
-                self._store(state, addr, value, st[3], D)
-            elif tag == S_OUT:
-                state.output.append(st[1](self, state, FT, L, D))
-            elif tag == S_HALT:
-                outcome.halted = True
-                outcome.exit_code = st[1](self, state, FT, L, D)
-                return [(state, outcome)]
-            elif tag == S_TRAP:
-                outcome.trapped = True
-                outcome.trap_code = st[1](self, state, FT, L, D)
-                return [(state, outcome)]
-            else:  # pragma: no cover - plans are generated, tags are total
-                raise EngineError("unknown plan tag %r" % (tag,))
-        return [(state, outcome)]
+    def _feasible_arms(self, state: SymState, guards) -> list:
+        """One verdict per fork arm: ``None`` when the arm's guard is
+        infeasible, else the ``(model, memo)`` witness (model ``None``
+        without frame reuse) that seeds the arm's frame.
+
+        On a deep attribution step the feasibility probes run under a
+        synthetic IfStmt frame, so their solver time shows up as
+        isa;rule;IfStmt;solver in the flamegraph (branch blame)."""
+        attr = self.attr
+        probe = attr is not None and attr.deep
+        if probe:
+            attr.ir_enter("IfStmt")
+        try:
+            verdicts = []
+            for guard in guards:
+                verdict, model, memo = self._branch_feasible(state, guard)
+                verdicts.append((model, memo) if verdict == SAT else None)
+        finally:
+            if probe:
+                attr.ir_exit()
+        return verdicts
+
+    def _enter_arm(self, state: SymState, witness) -> None:
+        """Seed an arm's frame with the witness that proved it: it
+        satisfies the extended path condition, so the arm's next branch
+        check starts validated."""
+        model, memo = witness
+        if model is not None:
+            state.frame_model = model
+            state.frame_memo = memo if memo is not None else {}
+            state.frame_checked = len(state.path_condition)
+
+    def _arm_ended(self, state: SymState, reason: str) -> None:
+        """A fork arm died; a twin's probe frames still open belong to
+        it."""
+        attr = self.attr
+        if attr is not None and attr.deep:
+            attr.ir_unwind()
+        self._dead_end(state, reason)
 
     def _branch_feasible(self, state: SymState, branch_cond: T.Term):
         """Feasibility of ``state.path_condition ∧ branch_cond``.
@@ -861,57 +817,6 @@ class Engine:
         if verdict != SAT:
             return verdict, None, None
         return SAT, (self.solver.model() if self._frame_reuse else None), None
-
-    def _fork(self, state: SymState, st, cond: T.Term, frames, L,
-              outcome: _Outcome, FT, D) -> List[Tuple[SymState, _Outcome]]:
-        results: List[Tuple[SymState, _Outcome]] = []
-        branches = ((cond, st[2]), (T.not_(cond), st[3]))
-        feasible = []
-        # On a deep attribution step the feasibility probes run under a
-        # synthetic IfStmt frame, so their solver time shows up as
-        # isa;rule;IfStmt;solver in the flamegraph (branch blame).
-        attr = self.attr
-        probe = attr is not None and attr.deep
-        if probe:
-            attr.ir_enter("IfStmt")
-        try:
-            for branch_cond, body in branches:
-                verdict, model, memo = self._branch_feasible(state,
-                                                             branch_cond)
-                if verdict == SAT:
-                    feasible.append((branch_cond, body, model, memo))
-        finally:
-            if probe:
-                attr.ir_exit()
-        for position, (branch_cond, body, model, memo) in enumerate(feasible):
-            last = position == len(feasible) - 1
-            branch_state = state if last else state.fork()
-            branch_state.assume(branch_cond)
-            if model is not None:
-                # Seed the child's frame with the witness that proved
-                # this branch: it satisfies the extended path condition,
-                # so the child's next branch check starts validated.
-                branch_state.frame_model = model
-                branch_state.frame_memo = memo if memo is not None else {}
-                branch_state.frame_checked = \
-                    len(branch_state.path_condition)
-            branch_frames = list(frames)
-            if body:
-                branch_frames.append((body, 0))
-            branch_outcome = _Outcome()
-            for slot in _Outcome.__slots__:
-                setattr(branch_outcome, slot, getattr(outcome, slot))
-            try:
-                results.extend(self._run(branch_state, branch_frames,
-                                         dict(L), branch_outcome, FT, D))
-            except _PathEnd as dead:
-                # This branch died (e.g. OOB store); siblings continue.
-                # A twin's probe frames still open belong to it.
-                if probe:
-                    attr.ir_unwind()
-                self._dead_end(branch_state, dead.reason)
-                continue
-        return results
 
     # -- checkers --------------------------------------------------------------------
 
@@ -1007,13 +912,13 @@ class Engine:
                     decoded) -> Value:
         if not self._check_mapped(state, addr, guards, decoded,
                                   writing=False):
-            raise _PathEnd("oob-load")
+            raise PathEnd("oob-load")
         if type(addr) is int:
             self._check_uninit(state, addr, size, decoded)
             return state.memory.read(addr, size, self._endian)
         values = self._resolve_address(state, addr, guards)
         if not values:
-            raise _PathEnd("no-feasible-address")
+            raise PathEnd("no-feasible-address")
         result = state.memory.read(values[-1], size, self._endian)
         for value in reversed(values[:-1]):
             result = T.ite(T.eq(addr, T.bv(value, addr.width)),
@@ -1035,13 +940,13 @@ class Engine:
     def _store_inner(self, state: SymState, addr: Value, value: Value,
                      size: int, decoded) -> None:
         if not self._check_mapped(state, addr, (), decoded, writing=True):
-            raise _PathEnd("oob-store")
+            raise PathEnd("oob-store")
         if type(addr) is int:
             state.memory.write(addr, value, size, self._endian)
             return
         values = self._resolve_address(state, addr, ())
         if not values:
-            raise _PathEnd("no-feasible-address")
+            raise PathEnd("no-feasible-address")
         # Concretize the store: constrain the address to one value (the
         # common single-value case is exact; multi-value is weakened by
         # ite-merging the old contents).
@@ -1108,6 +1013,6 @@ class Engine:
         # first feasible value and constrain.
         values = self._enumerate(state, index_term, (), 1)
         if not values:
-            raise _PathEnd("no-feasible-register-index")
+            raise PathEnd("no-feasible-register-index")
         state.assume(T.eq(index_term, T.bv(values[0], index_term.width)))
         return values[0]

@@ -124,7 +124,7 @@ class SymState:
 
     # -- input stream ------------------------------------------------------------------------
 
-    def next_input(self) -> T.Term:
+    def input_byte(self) -> T.Term:
         """Fresh symbolic byte for the next input read.
 
         Input position k is named ``in_k`` on every path, so a model's
@@ -133,6 +133,9 @@ class SymState:
         var = T.var("in_%d" % len(self.input_vars), 8)
         self.input_vars.append(var)
         return var
+
+    def output_byte(self, value: Value) -> None:
+        self.output.append(value)
 
     def input_bytes_from_model(self, model: Dict[str, int]) -> bytes:
         """Concrete input realizing this path, given a solver model."""

@@ -1,15 +1,22 @@
 """Concrete ISA simulator.
 
-Interprets the generated IR over plain integers.  This is the reference
-semantics the symbolic executor is differentially tested against, the
-replay vehicle for solver-found inputs (Figure 3), and the concrete half of
-concolic execution.
+Interprets the generated IR over plain integers (:mod:`repro.ir.interp`,
+the default).  This is the reference semantics the symbolic executor is
+differentially tested against, the replay vehicle for solver-found inputs
+(Figure 3), and the concrete half of concolic execution.
+
+``Simulator(compiled=True)`` runs each rule's compiled plan instead — the
+engine's own plans, walked by the same driver
+(:func:`repro.compile.driver.drive`).  On an all-int state every value and
+condition is an int, so a plan is a concrete transfer function; it is
+held to the interpreter by ``tests/compile``.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
+from ..compile.driver import CONCRETE, drive
 from ..ir import interp
 from .assembler import Image
 from .decoder import DecodeError
@@ -130,13 +137,12 @@ class Simulator:
         self.exit_code: Optional[int] = None
         self.trapped = False
         self.trap_code: Optional[int] = None
-        # Specialized transfer functions (repro.compile): one generated
-        # Python function per rule instead of an IR walk per step.
+        # Compiled plans (repro.compile) instead of an IR walk per step.
         # Bit-for-bit equivalent to the interpreter by the differential
         # harness (tests/compile), so this flag only changes speed.
-        self._compiled_fns = None
+        self._plans = None
         self._pc_mask = (1 << model.pc_width) - 1
-        # Fused decode->dispatch sites: pc -> (byte pairs, decoded, fn).
+        # Fused decode->dispatch sites: pc -> (byte pairs, decoded, plan).
         # Each hit revalidates the instruction's own bytes, so
         # self-modifying code falls back to a fresh decode.  Sound
         # because decoding is shortest-first over length groups: the
@@ -144,7 +150,7 @@ class Simulator:
         self._sites: Dict[int, tuple] = {}
         if compiled:
             from ..compile import compiled_for
-            self._compiled_fns = compiled_for(model).concrete
+            self._plans = compiled_for(model).plan
 
     def _fetch_window(self) -> bytes:
         max_len = self.model.decoder.max_length
@@ -156,7 +162,7 @@ class Simulator:
     def step(self) -> StepResult:
         if self.halted or self.trapped:
             raise SimError("machine is stopped")
-        if self._compiled_fns is not None:
+        if self._plans is not None:
             return self._step_compiled()
         window = self._fetch_window()
         decoded = self.model.decoder.decode_bytes(window, self.state.pc)
@@ -170,7 +176,7 @@ class Simulator:
         pc = state.pc
         site = self._sites.get(pc)
         if site is not None:
-            pairs, decoded, fn = site
+            pairs, decoded, plan = site
             for addr, byte in pairs:
                 if memory.get(addr, 0) != byte:
                     site = None   # code changed under us: re-decode
@@ -178,12 +184,15 @@ class Simulator:
         if site is None:
             window = self._fetch_window()
             decoded = self.model.decoder.decode_bytes(window, pc)
-            fn = self._compiled_fns(decoded.instruction)
+            plan = self._plans(decoded.instruction)
             pairs = tuple(((pc + i) & self._pc_mask, window[i])
                           for i in range(decoded.length))
-            self._sites[pc] = (pairs, decoded, fn)
-        outcome = interp.ExecOutcome()
-        fn(state, decoded.fields, outcome)
+            self._sites[pc] = (pairs, decoded, plan)
+        # The interpreter's outcome, so a step reports the same exit and
+        # trap codes in both modes (an int state never forks, so the
+        # driver never copies it).
+        ((_, outcome),) = drive(CONCRETE, state, plan, decoded.fields,
+                                decoded, interp.ExecOutcome())
         return self._retire(decoded, outcome)
 
     def _retire(self, decoded, outcome) -> StepResult:

@@ -1,13 +1,12 @@
-"""``transval-*`` passes: translation validation as lint findings.
+"""``transval-symbolic``: translation validation as lint findings.
 
-The heavy lifting lives in :mod:`repro.verify`; these passes adapt it
-to the lint pipeline.  For each spec they statically prove every
-compiled transfer function — the generated concrete Python
-(``transval-concrete``) and the symbolic plan (``transval-symbolic``)
-— equivalent to the reference IR semantics over *all* decodable
-operand values and machine pre-states, and report (the symbolic pass
-proves each plan's probed twin too — the engine runs it on deep
-cost-attribution steps):
+The heavy lifting lives in :mod:`repro.verify`; this pass adapts it to
+the lint pipeline.  For each spec it statically proves every rule's
+compiled plan — the one generated artifact, which the engine and the
+concrete simulator both run through the one plan driver — and the
+plan's probed twin (the engine runs it on deep cost-attribution steps)
+equivalent to the reference IR semantics over *all* decodable operand
+values and machine pre-states, and reports:
 
 * one ``error`` finding per proven inequivalence, carrying a concrete
   witness (encoding word + operand fields + machine pre-state) and a
@@ -21,8 +20,8 @@ Clean verdicts are cached as certificates in the run store
 (:mod:`repro.runstore.certs`), keyed on the spec digest, the codegen
 version and the validator version; a cache hit skips the proofs and
 says so in the summary finding.  ``REPRO_TRANSVAL_SEED_BUG=<isa>:<rule>``
-injects a canned codegen bug (first mask literal corrupted) into the
-concrete pass for that rule — the CI gate-efficacy fixture; seeded runs
+injects a canned codegen bug (the first ``add(`` of the rule's plan
+source becomes ``sub(``) — the CI gate-efficacy fixture; seeded runs
 neither read nor write certificates.
 """
 
@@ -35,18 +34,18 @@ from typing import Dict, Iterable, Optional
 from .base import TRANSVAL, LintContext, LintPass, register
 from .findings import ERROR, INFO, WARN, Finding
 
-__all__ = ["TransvalConcretePass", "TransvalSymbolicPass"]
+__all__ = ["TransvalSymbolicPass"]
 
 SEED_BUG_ENV = "REPRO_TRANSVAL_SEED_BUG"
 
 
-def _seed_bug_override(model, mode: str) -> Optional[Dict[str, str]]:
-    """The ``{rule: mutated source}`` override requested via the
+def _seed_bug_override(model) -> Optional[Dict[str, str]]:
+    """The ``{rule: mutated plan source}`` override requested via the
     environment, or None.  Unknown rule names raise: a CI fixture that
     silently seeds nothing would "prove" the gate works when it can't.
     """
     spec = os.environ.get(SEED_BUG_ENV, "").strip()
-    if not spec or mode != "concrete":
+    if not spec:
         return None
     isa, _, rule = spec.partition(":")
     if isa != model.name or not rule:
@@ -57,15 +56,17 @@ def _seed_bug_override(model, mode: str) -> Optional[Dict[str, str]]:
     if instr is None:
         raise ValueError("%s=%s: %s has no rule %r"
                          % (SEED_BUG_ENV, spec, isa, rule))
-    return {rule: seeded_mutation(compiled_for(model).concrete.source(instr))}
+    return {rule: seeded_mutation(compiled_for(model).plan.source(instr))}
 
 
-class _TransvalPass(LintPass):
-    """Shared driver; subclasses pick the compiled artifact to verify."""
-
+@register
+class TransvalSymbolicPass(LintPass):
+    id = "transval-symbolic"
+    title = ("prove the compiled plans and their probed twins "
+             "equivalent to the reference IR (all operands, all "
+             "pre-states)")
     family = TRANSVAL
     default_severity = ERROR
-    mode = ""
 
     def run(self, ctx: LintContext) -> Iterable[Finding]:
         from ..compile import CODEGEN_VERSION
@@ -85,7 +86,7 @@ class _TransvalPass(LintPass):
                 "machine model (%s)" % error, severity=WARN)
             return
         digest = spec_digest(model)
-        overrides = _seed_bug_override(model, self.mode)
+        overrides = _seed_bug_override(model)
         if overrides is None:
             cert = load_certificate(digest, CODEGEN_VERSION,
                                     VALIDATOR_VERSION, self.id)
@@ -93,16 +94,16 @@ class _TransvalPass(LintPass):
                 summary = cert.get("summary", {})
                 yield self.finding(
                     ctx, "translation validated (cached certificate): "
-                    "%s/%s rules proved equivalent [%s]"
+                    "%s/%s rules proved equivalent"
                     % (summary.get("proved", "?"),
-                       summary.get("rules", "?"), self.mode),
+                       summary.get("rules", "?")),
                     severity=INFO,
                     details={"cached": True, "certificate": cert["key"],
                              "summary": summary})
                 return
 
         start = time.perf_counter()
-        results = verify_model(model, self.mode,
+        results = verify_model(model,
                                solver_factory=ctx.new_solver,
                                check=ctx.check,
                                source_overrides=overrides)
@@ -118,9 +119,8 @@ class _TransvalPass(LintPass):
             elif result.status == COUNTEREXAMPLE:
                 for ce in result.counterexamples:
                     yield self.finding(
-                        ctx, "compiled %s semantics diverge from the "
-                        "reference IR — %s"
-                        % (self.mode, ce.describe()),
+                        ctx, "compiled semantics diverge from the "
+                        "reference IR — %s" % ce.describe(),
                         line=line, instruction=result.rule,
                         severity=ERROR, witness=ce.word,
                         details={
@@ -130,18 +130,16 @@ class _TransvalPass(LintPass):
                             "prestate": dict(ce.prestate),
                             "reference": ce.ref_value,
                             "compiled": ce.cand_value,
-                            "repro": _repro_snippet(model.name, self.mode,
+                            "repro": _repro_snippet(model.name,
                                                     result.rule),
                         })
             else:  # UNSUPPORTED — explicit gap, never a silent skip
                 assert result.status == UNSUPPORTED
                 yield self.finding(
-                    ctx, "rule not verified (%s mode): %s"
-                    % (self.mode, result.detail),
+                    ctx, "rule not verified: %s" % result.detail,
                     line=line, instruction=result.rule, severity=WARN)
         summary = {
             "isa": model.name,
-            "mode": self.mode,
             "rules": len(results),
             "proved": proved,
             "tiers": tiers,
@@ -149,8 +147,8 @@ class _TransvalPass(LintPass):
         }
         yield self.finding(
             ctx, "translation validated: %d/%d rules proved equivalent "
-            "[%s] (discharged: %s)"
-            % (proved, len(results), self.mode,
+            "(discharged: %s)"
+            % (proved, len(results),
                ", ".join("%s=%d" % (key, tiers[key])
                          for key in TIERS if tiers[key])),
             severity=INFO, details=dict(summary, cached=False))
@@ -159,25 +157,8 @@ class _TransvalPass(LintPass):
                              self.id, summary)
 
 
-def _repro_snippet(isa: str, mode: str, rule: str) -> str:
+def _repro_snippet(isa: str, rule: str) -> str:
     return ("PYTHONPATH=src python -c \"from repro.isa import build; "
             "from repro.verify import verify_model; "
-            "[print(r.to_dict()) for r in verify_model(build(%r), %r) "
-            "if r.rule == %r]\"" % (isa, mode, rule))
-
-
-@register
-class TransvalConcretePass(_TransvalPass):
-    id = "transval-concrete"
-    title = ("prove the generated concrete transfer functions "
-             "equivalent to the reference IR (all operands, all "
-             "pre-states)")
-    mode = "concrete"
-
-
-@register
-class TransvalSymbolicPass(_TransvalPass):
-    id = "transval-symbolic"
-    title = ("prove the compiled symbolic plans equivalent to the "
-             "reference IR (all operands, all pre-states)")
-    mode = "symbolic"
+            "[print(r.to_dict()) for r in verify_model(build(%r)) "
+            "if r.rule == %r]\"" % (isa, rule))

@@ -12,7 +12,8 @@ input that could change the verdict is in the key —
 * editing the spec changes :func:`~repro.runstore.provenance.spec_digest`,
 * changing the code generator bumps
   :data:`repro.compile.CODEGEN_VERSION`,
-* changing the validator bumps
+* changing the validator, or the plan driver
+  (:mod:`repro.compile.driver`) it walks plans with, bumps
   :data:`repro.verify.VALIDATOR_VERSION`,
 
 — so a stale "verified" can never be replayed against artifacts it

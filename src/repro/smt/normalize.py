@@ -1,12 +1,13 @@
 """Width normalization: push truncation through low-bit-preserving ops.
 
 The translation validator compares terms built by two different code
-paths: the reference IR evaluation builds ``add(a, b)`` at 32 bits,
-while the evaluator for the generated *concrete* Python models the
-unbounded Python ints the code computes with — ``(a + b) &
-0xffffffff`` becomes a 33-bit add under a 33-bit mask.  Semantically
-identical, structurally different, and a naive bit-blast of the
-inequality would hand the SAT solver a miter for every obligation.
+paths, which may meet at different widths: the reference IR evaluation
+builds every value at its IR width, while a compiled plan's int results
+reach the validator's machine as minimal-width constants, and a value
+written to a location is viewed at the location's declared width
+(zero-extended or truncated).  Semantically identical, structurally
+different, and a naive bit-blast of the inequality would hand the SAT
+solver a miter for every obligation.
 
 :func:`lower` rewrites ``extract(term, w-1, 0)`` by pushing the
 truncation through every operator whose low ``w`` bits depend only on
@@ -143,8 +144,8 @@ _IDENTITY_SKIP = {
 
 
 def _local_binop(op: str, left: T.Term, right: T.Term) -> T.Term:
-    """Build ``op`` via the simplifying constructor, plus the masking
-    identities the generated concrete code introduces."""
+    """Build ``op`` via the simplifying constructor, plus the identities
+    (``x & mask``, ``x op 0``) that truncation leaves behind."""
     width = left.width
     if op == T.AND:
         full = T.mask(width)

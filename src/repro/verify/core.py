@@ -4,11 +4,10 @@ For one rule, :func:`verify_rule` runs three artifacts over one shared
 symbolic pre-state (:class:`~repro.verify.state.PreState`):
 
 * the reference IR block via :mod:`repro.ir.symexec`,
-* either the generated *concrete* Python source via
-  :mod:`repro.verify.pyeval` (mode ``"concrete"``) or the generated
-  *symbolic* plan and its probed twin via :mod:`repro.verify.planeval`
-  (mode ``"symbolic"``; the engine runs the twin on deep attribution
-  steps, so it is proved like the plan),
+* the generated plan and its probed twin via
+  :mod:`repro.verify.planeval`, walked by the plan driver the engine and
+  the concrete simulator run (the engine runs the twin on deep
+  attribution steps, so it is proved like the plan),
 
 and discharges the resulting per-destination equivalence obligations
 through :mod:`repro.verify.obligations`.  Operand fields are free
@@ -23,30 +22,31 @@ the validator cannot handle comes back ``status="unsupported"`` with
 the reason, which the lint pass escalates to a WARN finding.
 
 ``seeded_mutation`` is the canned codegen-bug injector behind the
-``REPRO_TRANSVAL_SEED_BUG`` CI fixture: it corrupts the first mask
-literal of a generated function, which a correct validator must catch
-with a concrete counterexample.
+``REPRO_TRANSVAL_SEED_BUG`` CI fixture: it turns the first ``add(``
+operator call of a generated plan into ``sub(``, which a correct
+validator must catch with a concrete counterexample.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from ..adl import ast as A
 from ..compile.errors import CompileError
 from ..ir import symexec
 from ..smt import terms as T
-from . import planeval, pyeval
+from . import planeval
 from .obligations import TIERS, ComparisonError, Mismatch, compare_paths
 from .state import MachineState, PreState
 
 __all__ = ["VALIDATOR_VERSION", "Counterexample", "RuleResult",
            "verify_rule", "verify_model", "seeded_mutation"]
 
-#: Bump when validator semantics change (part of the certificate key).
-VALIDATOR_VERSION = 1
+#: Bump when validator semantics change — the plan driver's walk
+#: included (part of the certificate key).
+VALIDATOR_VERSION = 2
 
 PROVED = "proved"
 COUNTEREXAMPLE = "counterexample"
@@ -210,33 +210,23 @@ def _render(instr, pre: PreState, field_terms: Dict[str, T.Term],
         mismatch.detail)
 
 
-def verify_rule(model, instr, mode: str, solver, check: Callable,
-                concrete_source: Optional[str] = None,
+def verify_rule(model, instr, solver, check: Callable,
                 plans: Sequence[tuple] = (),
                 max_pairs: int = 512) -> RuleResult:
-    """Prove one rule's compiled artifacts equivalent to its IR: the
-    concrete source, or (mode ``"symbolic"``) every plan in ``plans`` —
-    the plan, then its probed twin — against one reference run."""
+    """Prove every plan in ``plans`` — the rule's plan, then its probed
+    twin — equivalent to the rule's IR, against one reference run."""
     tiers = {key: 0 for key in TIERS}
     try:
         pre, reg_widths, fields, field_terms, assumptions = \
             _rule_environment(model, instr)
         ref_paths = symexec.exec_block(
             instr.semantics, MachineState(pre, reg_widths), fields)
-        if mode == "concrete":
-            if concrete_source is None:
-                raise pyeval.PyEvalError("no generated source for rule")
-            candidates = [("", pyeval.exec_function(
-                concrete_source, MachineState(pre, reg_widths), fields))]
-        elif mode == "symbolic":
-            if not plans:
-                raise symexec.SymExecError("no compiled plan for rule")
-            candidates = [
-                (_PLAN_LABELS[position], planeval.exec_plan(
-                    plan, MachineState(pre, reg_widths), fields))
-                for position, plan in enumerate(plans)]
-        else:
-            raise ValueError("unknown verification mode %r" % mode)
+        if not plans:
+            raise symexec.SymExecError("no compiled plan for rule")
+        candidates = [
+            (_PLAN_LABELS[position], planeval.exec_plan(
+                plan, MachineState(pre, reg_widths), fields))
+            for position, plan in enumerate(plans)]
         mismatches: List[Mismatch] = []
         for label, cand_paths in candidates:
             found = compare_paths(
@@ -247,8 +237,8 @@ def verify_rule(model, instr, mode: str, solver, check: Callable,
                 mismatch.label = label + mismatch.label
             mismatches.extend(found)
         cand_paths = candidates[0][1]
-    except (symexec.SymExecError, pyeval.PyEvalError, CompileError,
-            ComparisonError, T.SmtError) as error:
+    except (symexec.SymExecError, CompileError, ComparisonError,
+            T.SmtError) as error:
         return RuleResult(instr.name, UNSUPPORTED, tiers, [],
                           detail="%s: %s" % (type(error).__name__, error))
     if mismatches:
@@ -262,12 +252,15 @@ def verify_rule(model, instr, mode: str, solver, check: Callable,
                       cand_paths=len(cand_paths))
 
 
-def verify_model(model, mode: str, solver_factory: Optional[Callable] = None,
+def verify_model(model, solver_factory: Optional[Callable] = None,
                  check: Optional[Callable] = None,
                  source_overrides: Optional[Dict[str, str]] = None,
                  max_pairs: int = 512) -> List[RuleResult]:
     """Verify every rule of ``model``; one :class:`RuleResult` each, in
-    instruction order — nothing is skipped silently."""
+    instruction order — nothing is skipped silently.
+    ``source_overrides`` maps a rule name to plan source to prove in
+    place of the generated plan (mutation tests, the seeded-bug
+    fixture)."""
     from ..compile import compiled_for
 
     if check is None:
@@ -277,39 +270,28 @@ def verify_model(model, mode: str, solver_factory: Optional[Callable] = None,
     else:
         from ..smt.solver import Solver
         solver = Solver()
-    overrides = source_overrides or {}
-    compiled = compiled_for(model)
-    artifacts: Dict[str, Dict[str, Any]]
     try:
-        if mode == "symbolic":
-            plans, probed = planeval.load_plans(
-                compiled.symbolic_source(model), model.name)
-            artifacts = {name: {"plans": (plans[name], probed[name])}
-                         for name in plans}
-        else:
-            artifacts = {instr.name: {"concrete_source": overrides.get(
-                instr.name) or compiled.concrete.source(instr)}
-                for instr in model.instructions}
-    except CompileError as error:
+        plans, probed = planeval.load_plans(
+            compiled_for(model).symbolic_source(model, source_overrides),
+            model.name)
+    except (CompileError, symexec.SymExecError) as error:
         return [RuleResult(instr.name, UNSUPPORTED,
                            {key: 0 for key in TIERS}, [],
                            detail="codegen failed: %s" % error)
                 for instr in model.instructions]
-    return [verify_rule(model, instr, mode, solver, check,
-                        max_pairs=max_pairs, **artifacts[instr.name])
+    return [verify_rule(model, instr, solver, check,
+                        plans=(plans[instr.name], probed[instr.name]),
+                        max_pairs=max_pairs)
             for instr in model.instructions]
 
 
-_MASK_LITERAL = re.compile(r"& (0x[0-9a-fA-F]+)")
+_ADD_CALL = re.compile(r"\badd\(")
 
 
 def seeded_mutation(source: str) -> str:
-    """Corrupt the first mask literal of a generated function
-    (``& 0x1f`` -> ``& 0x1e``): the canned codegen bug for CI/tests."""
-    match = _MASK_LITERAL.search(source)
+    """Turn the first ``add(`` operator call of generated plan source
+    into ``sub(``: the canned codegen bug for CI/tests."""
+    match = _ADD_CALL.search(source)
     if match is None:
-        raise ValueError("no mask literal to mutate in generated source")
-    value = int(match.group(1), 16)
-    mutated = "& %#x" % (value - 1 if value else 1)
-    start, end = match.span()
-    return source[:start] + mutated + source[end:]
+        raise ValueError("no add( call to mutate in generated source")
+    return source[:match.start()] + "sub(" + source[match.end():]

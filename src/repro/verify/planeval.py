@@ -1,9 +1,14 @@
-"""Re-execute generated symbolic plans over a fully symbolic pre-state.
+"""Run generated plans over a fully symbolic pre-state, through the
+engine's own plan driver.
 
 The plans :mod:`repro.compile.symbolic` emits call the operator library
 :mod:`repro.compile.ops` and take decoded fields, the program counter,
-loads and register reads from the engine.  The validator runs the
-generated source *unchanged* with every one of those inputs symbolic:
+loads and register reads from their machine.  The validator runs the
+generated source *unchanged* with every one of those inputs symbolic,
+and walks it with the one plan driver (:func:`repro.compile.driver.drive`)
+the engine and the simulator run, so ``transval-symbolic`` proves the
+driver too — its statement order, register-index-before-value order,
+fork arm order and arm guards:
 
 * the module's globals are the same operators, each wrapped to reject
   a width literal that disagrees with a ``Term`` operand (or an int
@@ -11,19 +16,17 @@ generated source *unchanged* with every one of those inputs symbolic:
   so this is what makes a proof of the term path cover the int path —
   whose agreement with ``T``'s constant folding is checked operator by
   operator in ``tests/compile/test_ops.py``,
-* the engine surface (``_load``/``_concrete_index``/``_check_div``) is
-  a :class:`_HarnessEngine` that routes memory through the shared
-  :class:`~repro.verify.state.MachineState` and keeps symbolic indices
-  symbolic; its ``attr`` is a stub, so probed twins run the same way,
+* the driver's machine is a :class:`_Harness` (``E``) over a
+  :class:`_HarnessState` (``S``): memory goes through the shared
+  :class:`~repro.verify.state.MachineState`, symbolic indices stay
+  symbolic, every fork arm is feasible (the validator refutes
+  infeasible path pairs during obligation matching instead) and the
+  guard each arm assumes goes into the path's guard tuple — mirroring
+  :func:`repro.ir.symexec.exec_block` path for path.  ``E.attr`` is a
+  stub, so probed twins run the same way,
 * values cross the state boundary as the engine's do: fields, register
   reads and loads reach the plan as ints when constant, and ints the
-  plan produces are lifted to terms before the machine records them,
-* the plan driver below replaces the engine's ``Engine._run``: same tag
-  dispatch, same statement order, the same int test on an ``if``
-  condition, but a symbolic ``if`` always explores *both* arms (no
-  feasibility pruning — the validator refutes infeasible path pairs
-  during obligation matching instead), mirroring
-  :func:`repro.ir.symexec.exec_block` path for path.
+  plan produces are lifted to terms before the machine records them.
 
 The result is a second set of :data:`repro.ir.symexec.Path` values over
 the *same* pre-state variables as the reference evaluation — directly
@@ -34,7 +37,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Tuple
 
-from ..compile import symbolic as SP
+from ..compile.driver import Outcome, drive
 from ..compile.ops import OPS, Value, norm
 from ..smt import terms as T
 from ..ir.symexec import Path, SymExecError, SymOutcome
@@ -99,31 +102,66 @@ class _NullAttr:
         pass
 
 
-class _HarnessEngine:
-    config = _HarnessConfig()
-    attr = _NullAttr()
-
-    def _load(self, state: "_HarnessState", addr: Value, size: int,
-              guards, decoded) -> Value:
-        return norm(state.machine.load(_term(addr), size))
-
-    def _concrete_index(self, state: "_HarnessState", index: Value,
-                        decoded) -> Value:
-        return index
-
-    def _check_div(self, state, term, guards, decoded) -> None:
-        raise SymExecError("div-zero probe reached with checks disabled")
-
-
 class _HarnessState:
-    """The ``S`` the generated expression code sees."""
+    """The driver's ``S``: one path of the shared machine, plus the
+    guards its fork arms assumed."""
 
-    def __init__(self, machine: MachineState):
+    def __init__(self, machine: MachineState,
+                 guards: Tuple[T.Term, ...] = ()):
         self.machine = machine
+        self.guards = guards
         self.pc = machine.pc(machine.pre.pc_width)
 
     def read_reg(self, regfile: str, index: Optional[Value]) -> Value:
         return norm(self.machine.read_reg(regfile, _index(index)))
+
+    def write_reg(self, regfile: str, index: Optional[Value],
+                  value: Value) -> None:
+        self.machine.write_reg(regfile, _index(index), _term(value))
+
+    def input_byte(self) -> T.Term:
+        return self.machine.input_byte()
+
+    def output_byte(self, value: Value) -> None:
+        self.machine.output_byte(_term(value))
+
+    def fork(self) -> "_HarnessState":
+        return _HarnessState(self.machine.fork(), self.guards)
+
+    def assume(self, guard: T.Term) -> None:
+        self.guards = self.guards + (guard,)
+
+
+class _Harness:
+    """The driver's ``E``: no pruning, no concretization, and nothing
+    that ends a path (so no ``_arm_ended``)."""
+
+    config = _HarnessConfig()
+    attr = _NullAttr()
+
+    def _load(self, S: _HarnessState, addr: Value, size: int, guards,
+              D) -> Value:
+        return norm(S.machine.load(_term(addr), size))
+
+    def _store(self, S: _HarnessState, addr: Value, value: Value,
+               size: int, D) -> None:
+        S.machine.store(_term(addr), _term(value), size)
+
+    def _concrete_index(self, S: _HarnessState, index: Value,
+                        D) -> Value:
+        return index
+
+    def _check_div(self, S, divisor, guards, D) -> None:
+        raise SymExecError("div-zero probe reached with checks disabled")
+
+    def _feasible_arms(self, S: _HarnessState, guards) -> List[bool]:
+        return [True] * len(guards)
+
+    def _enter_arm(self, S: _HarnessState, verdict: bool) -> None:
+        pass
+
+
+_HARNESS = _Harness()
 
 
 def _term(value: Value) -> T.Term:
@@ -138,6 +176,16 @@ def _term(value: Value) -> T.Term:
 
 def _index(index: Optional[Value]) -> Optional[T.Term]:
     return None if index is None else _term(index)
+
+
+def _lifted(outcome: Outcome) -> SymOutcome:
+    lifted = SymOutcome()
+    lifted.halted = outcome.halted
+    lifted.trapped = outcome.trapped
+    for slot in ("next_pc", "exit_code", "trap_code"):
+        value = getattr(outcome, slot)
+        setattr(lifted, slot, None if value is None else _term(value))
+    return lifted
 
 
 def load_plans(symbolic_source: str,
@@ -156,100 +204,10 @@ def load_plans(symbolic_source: str,
 
 def exec_plan(plan: tuple, machine: MachineState,
               fields: Dict[str, T.Term]) -> List[Path]:
-    """Run one rule's plan; returns every path's
-    ``(machine, outcome, guards)`` — the reference evaluator's shape."""
-    engine = _HarnessEngine()
+    """Run one rule's plan through the plan driver; returns every
+    path's ``(machine, outcome, guards)`` — the reference evaluator's
+    shape."""
     values = {name: norm(term) for name, term in fields.items()}
-    return _run(engine, _HarnessState(machine), [(plan, 0)], {},
-                SymOutcome(), (), values)
-
-
-def _resolve_index(engine, state, spec, fields,
-                   local_values) -> Optional[Value]:
-    if spec is None:
-        return None
-    kind = spec[0]
-    if kind == "f":
-        return fields[spec[1]]
-    if kind == "c":
-        return spec[1]
-    return spec[1](engine, state, fields, local_values, None)
-
-
-def _run(engine, state: _HarnessState, frames, local_values,
-         outcome: SymOutcome, guards: Tuple[T.Term, ...],
-         fields: Dict[str, Value]) -> List[Path]:
-    machine = state.machine
-    while frames:
-        stmts, index = frames[-1]
-        if index >= len(stmts):
-            frames.pop()
-            continue
-        frames[-1] = (stmts, index + 1)
-        st = stmts[index]
-        tag = st[0]
-        if tag == SP.S_IF:
-            cond = st[1](engine, state, fields, local_values, None)
-            if type(cond) is int:
-                body = st[2] if cond == 1 else st[3]
-                if body:
-                    frames.append((body, 0))
-                continue
-            return _fork(engine, state, st, cond, frames, local_values,
-                         outcome, guards, fields)
-        if tag == SP.S_REG:
-            value = st[3](engine, state, fields, local_values, None)
-            machine.write_reg(
-                st[1], _index(_resolve_index(engine, state, st[2], fields,
-                                             local_values)), _term(value))
-        elif tag == SP.S_LOCAL:
-            local_values[st[1]] = st[2](engine, state, fields,
-                                        local_values, None)
-        elif tag == SP.S_LOCAL_IN:
-            local_values[st[1]] = machine.input_byte()
-        elif tag == SP.S_REG_IN:
-            value = machine.input_byte()
-            machine.write_reg(
-                st[1], _index(_resolve_index(engine, state, st[2], fields,
-                                             local_values)), value)
-        elif tag == SP.S_PC:
-            outcome.next_pc = _term(st[1](engine, state, fields,
-                                          local_values, None))
-        elif tag == SP.S_STORE:
-            addr = st[1](engine, state, fields, local_values, None)
-            value = st[2](engine, state, fields, local_values, None)
-            machine.store(_term(addr), _term(value), st[3])
-        elif tag == SP.S_OUT:
-            machine.output_byte(_term(st[1](engine, state, fields,
-                                            local_values, None)))
-        elif tag == SP.S_HALT:
-            outcome.halted = True
-            outcome.exit_code = _term(st[1](engine, state, fields,
-                                            local_values, None))
-            return [(machine, outcome, guards)]
-        elif tag == SP.S_TRAP:
-            outcome.trapped = True
-            outcome.trap_code = _term(st[1](engine, state, fields,
-                                            local_values, None))
-            return [(machine, outcome, guards)]
-        else:
-            raise SymExecError("unknown plan tag %r" % (tag,))
-    return [(machine, outcome, guards)]
-
-
-def _fork(engine, state: _HarnessState, st, cond: T.Term, frames,
-          local_values, outcome: SymOutcome, guards: Tuple[T.Term, ...],
-          fields: Dict[str, Value]) -> List[Path]:
-    results: List[Path] = []
-    branches = ((cond, st[2]), (T.not_(cond), st[3]))
-    for position, (branch_cond, body) in enumerate(branches):
-        last = position == len(branches) - 1
-        branch_machine = state.machine if last else state.machine.fork()
-        branch_state = state if last else _HarnessState(branch_machine)
-        branch_frames = [(stmts, idx) for stmts, idx in frames]
-        if body:
-            branch_frames.append((body, 0))
-        results.extend(_run(engine, branch_state, branch_frames,
-                            dict(local_values), outcome.copy(),
-                            guards + (branch_cond,), fields))
-    return results
+    return [(state.machine, _lifted(outcome), state.guards)
+            for state, outcome in drive(_HARNESS, _HarnessState(machine),
+                                        plan, values, None, Outcome())]

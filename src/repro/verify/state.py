@@ -1,10 +1,10 @@
 """Shared symbolic pre-state and effect-logging machine states.
 
-Translation validation compares three executions of one rule — the
-reference IR evaluation (:mod:`repro.ir.symexec`), the re-executed
-symbolic plan, and the AST-evaluated concrete Python — and the
-comparison is only meaningful if all three observe the *same* symbolic
-pre-state.  :class:`PreState` owns that sharing: every read of a
+Translation validation compares executions of one rule — the
+reference IR evaluation (:mod:`repro.ir.symexec`) and the compiled plan
+and its probed twin, each run through the plan driver — and the
+comparison is only meaningful if all of them observe the *same*
+symbolic pre-state.  :class:`PreState` owns that sharing: every read of a
 machine location resolves to a memoized variable keyed on the
 *canonicalized* location term (:func:`repro.smt.normalize.canon`), so
 "register ``x[rs1]``" is one variable no matter which evaluator asks,

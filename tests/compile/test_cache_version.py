@@ -3,7 +3,7 @@
 A generator change must not serve stale tables out of the in-process
 cache: the key is ``(isa, spec digest, CODEGEN_VERSION)``, so bumping
 the constant — the bump-on-change discipline for
-:mod:`repro.compile.concrete` / :mod:`repro.compile.symbolic` edits —
+:mod:`repro.compile.symbolic` / :mod:`repro.compile.ops` edits —
 transparently recompiles everything.
 """
 
@@ -51,8 +51,9 @@ def test_every_rule_carries_its_generated_source():
         model = build("mips32")
         compiled = compile_mod.compiled_for(model)
         for instr in model.instructions:
-            source = compiled.concrete.source(instr)
-            assert source.startswith("def _c_%s(" % instr.name)
-            assert "C" in source.split("(", 1)[1]
+            source = compiled.plan.source(instr)
+            assert source.startswith("def _s_%s_" % instr.name) \
+                or source.startswith("_plan_%s = " % instr.name)
+            assert "_plan_%s = " % instr.name in source
     finally:
         compile_mod.clear_cache()

@@ -1,14 +1,16 @@
-"""Unit tests for the specializer itself: generated source shape,
-generation-time constant folding, input discipline, and the
-spec-digest-keyed compilation cache."""
+"""Unit tests for the specializer itself: compiled blocks run by the plan
+driver, input discipline, generated tables, and the spec-digest-keyed
+compilation cache."""
 
 import shutil
+from types import SimpleNamespace
 
 import pytest
 
 from repro.adl import analyze, parse_spec
 from repro.compile import (CompileError, cache_info, clear_cache,
-                           compile_block, compiled_for)
+                           compiled_for, symbolic)
+from repro.compile.driver import CONCRETE, Outcome, drive
 from repro.ir import interp
 from repro.ir import nodes as N
 from repro.isa import build
@@ -63,10 +65,18 @@ def c32(value):
     return N.Const(value, 32)
 
 
+def compile_block(stmts):
+    """One block's plan, generated as a rule named ``test``."""
+    plan, _source = symbolic.rule_plan(
+        "test", SimpleNamespace(name="test", semantics=stmts))
+    return plan
+
+
 def run_compiled(stmts, machine=None, fields=None):
+    """Run a block's plan on an int machine through the plan driver."""
     machine = machine or FakeMachine()
-    outcome = interp.ExecOutcome()
-    compile_block("test", stmts)(machine, fields or {}, outcome)
+    ((_, outcome),) = drive(CONCRETE, machine, compile_block(stmts),
+                            fields or {}, None, Outcome())
     return machine, outcome
 
 
@@ -76,37 +86,6 @@ class TestCompileBlock:
             [N.SetReg("x", c32(3), N.BinOp("add", c32(40), c32(2), 32))])
         assert machine.regs[("x", 3)] == 42
         assert outcome.next_pc is None and not outcome.halted
-
-    def test_constants_folded_in_source(self):
-        # 40 + 2 is machine-independent: the generated body must carry
-        # the literal 42, not an add at run time.
-        fn = compile_block("test", [
-            N.SetReg("x", c32(3), N.BinOp("add", c32(40), c32(2), 32))])
-        assert "42" in fn.generated_source
-        assert "40" not in fn.generated_source
-
-    def test_field_extraction_hoisted_and_masked(self):
-        fn = compile_block("test", [
-            N.SetReg("x", c32(1), N.Field("imm", 4)),
-            N.SetReg("x", c32(2), N.Field("imm", 4))])
-        # One hoisted `_f0 = F['imm'] & 0xf`, reused by both writes.
-        assert fn.generated_source.count("F['imm']") == 1
-        machine, _ = run_compiled(
-            [N.SetReg("x", c32(1), N.Field("imm", 4))], fields={"imm": 0x1f})
-        assert machine.regs[("x", 1)] == 0xf
-
-    def test_constant_if_branch_eliminated(self):
-        fn = compile_block("test", [
-            N.IfStmt(N.BinOp("eq", c32(1), c32(1), 1),
-                     [N.SetReg("x", c32(1), c32(7))],
-                     [N.SetReg("x", c32(1), c32(9))])])
-        assert "if " not in fn.generated_source
-        assert "9" not in fn.generated_source
-        machine, _ = run_compiled([
-            N.IfStmt(N.BinOp("eq", c32(1), c32(1), 1),
-                     [N.SetReg("x", c32(1), c32(7))],
-                     [N.SetReg("x", c32(1), c32(9))])])
-        assert machine.regs[("x", 1)] == 7
 
     def test_input_byte_whole_rhs_ok(self):
         machine, _ = run_compiled(
@@ -121,7 +100,7 @@ class TestCompileBlock:
         nested = N.BinOp("add", N.Ext("zext", N.InputByte(), 32),
                          c32(1), 32)
         with pytest.raises(CompileError, match="right-hand side"):
-            compile_block("test", [N.SetReg("x", c32(1), nested)])
+            compile_block([N.SetReg("x", c32(1), nested)])
 
     def test_halt_trap_and_pc(self):
         _, outcome = run_compiled([N.SetPc(c32(0x2000)), N.Halt(c32(3))])
@@ -136,11 +115,9 @@ class TestTableCoverage:
     def test_every_rule_compiles(self, target):
         model = build(target)
         compiled = compiled_for(model)
-        source = (compiled.concrete_source(model)
-                  + compiled.symbolic_source(model))
+        source = compiled.symbolic_source(model)
         assert "generated by repro.compile" in source
-        for table in (compiled.concrete, compiled.plan,
-                      compiled.probed_plan):
+        for table in (compiled.plan, compiled.probed_plan):
             assert set(table.generated()) == set(model.by_name)
 
     @pytest.mark.parametrize("target", ALL_TARGETS)

@@ -1,6 +1,5 @@
 """Differential harness: the engine against pinned fingerprints, and the
-concrete simulator's compiled transfer functions against IR
-interpretation.
+concrete simulator's compiled plans against IR interpretation.
 
 The engine executes every rule through its compiled symbolic plan
 (:mod:`repro.compile.symbolic`); deep cost-attribution steps run the
@@ -19,9 +18,11 @@ per rule and IR kind on the exerciser, per IR kind on each defect-suite
 run: the probed twins must count exactly the nodes the interpreted
 walk's probe counted.
 
-The concrete simulator keeps both evaluators, so its compiled twin is
-held to full machine-state equality (registers, memory, I/O,
-instruction count) after complete runs.
+The concrete simulator keeps both evaluators — the IR interpreter (the
+default and the reference) and the engine's plans, run by the same
+plan driver over an all-int state — so its compiled mode is held to
+the same step results on every step and to full machine-state equality
+(registers, memory, I/O, instruction count) after complete runs.
 """
 
 import json
@@ -195,16 +196,31 @@ def test_probed_twins_count_every_ir_node(pins, target):
 
 @pytest.mark.parametrize("target", ALL_TARGETS)
 def test_concrete_simulator_state_identical(target):
-    from repro.isa.simulator import run_image
+    """Both simulator modes in lockstep: every ``step()`` reports the same
+    instruction and halt/exit/trap fields, and the final machines are
+    equal."""
+    from repro.isa.simulator import Simulator
 
     model, image = build_kernel("exerciser", target)
     for input_bytes in (b"", b"\x00" * 8,
                         b"\xff\x7f\x01\x02\x03\x04\x05\x06", b"abcdefgh"):
-        interp_sim = run_image(model, image, input_bytes=input_bytes,
-                               max_steps=20000)
-        compiled_sim = run_image(model, image, input_bytes=input_bytes,
-                                 max_steps=20000, compiled=True)
+        sims = []
+        for compiled in (False, True):
+            sim = Simulator(model, input_bytes=input_bytes,
+                            compiled=compiled)
+            sim.state.load_image(image)
+            sims.append(sim)
+        interp_sim, compiled_sim = sims
         context = (target, input_bytes)
+        while not (interp_sim.halted or interp_sim.trapped):
+            assert interp_sim.instruction_count < 20000, context
+            left, right = interp_sim.step(), compiled_sim.step()
+            step = context + (interp_sim.instruction_count,)
+            assert left.decoded.instruction is right.decoded.instruction, \
+                step
+            assert (left.halted, left.exit_code, left.trapped,
+                    left.trap_code) == (right.halted, right.exit_code,
+                                        right.trapped, right.trap_code), step
         assert interp_sim.output == compiled_sim.output, context
         assert interp_sim.halted == compiled_sim.halted, context
         assert interp_sim.exit_code == compiled_sim.exit_code, context
@@ -220,6 +236,49 @@ def test_concrete_simulator_state_identical(target):
             == compiled_sim.state.input_cursor, context
         assert interp_sim.instruction_count \
             == compiled_sim.instruction_count, context
+
+
+#: rv32: the loop's first instruction is overwritten on the first pass
+#: (``addi x1, x1, 1`` becomes ``addi x1, x1, 16``), so x1 ends at 17.
+SELF_MODIFYING = """
+.org 0x1000
+.entry start
+start:
+    addi x5, x0, 2
+    lui x3, 1
+    addi x3, x3, 20
+    lui x2, 0x1008
+    addi x2, x2, 0x93
+patch:
+    addi x1, x1, 1
+    sw x2, 0(x3)
+    addi x5, x5, -1
+    bne x5, x0, patch
+    outb x1
+    halt 0
+"""
+
+
+def test_compiled_simulator_redecodes_patched_code():
+    """The compiled simulator's site cache revalidates an instruction's
+    bytes on every hit: code stored over an instruction already run is
+    decoded afresh on its next visit, as the interpreter decodes it."""
+    from repro.isa import DecodeError, assemble, build
+    from repro.isa.simulator import run_image
+
+    model = build("rv32")
+    image = assemble(model, SELF_MODIFYING)
+    for compiled in (False, True):
+        sim = run_image(model, image, compiled=compiled)
+        assert sim.output == bytes([17]), compiled
+    # A site whose bytes are gone from memory reads zeros, which do not
+    # decode — in both modes.
+    for compiled in (False, True):
+        sim = run_image(model, image, max_steps=3, compiled=compiled)
+        sim.state.pc = 0x1000
+        sim.state.memory = {}
+        with pytest.raises(DecodeError):
+            sim.step()
 
 
 if __name__ == "__main__":

@@ -1,18 +1,22 @@
 """Input discipline and machine-visible effect order.
 
 ``in()`` is legal only as the entire right-hand side of an assignment —
-a discipline now enforced at every layer: the validator, the
-interpreter, the symbolic engine, and both code generators.  The second
-half pins the *order* of machine-visible effects (register reads,
-loads, stores, input, output) by recording an op log from a tracing
-machine and requiring the compiled function to replay the interpreter's
-log exactly.  Equal final state is not enough: input cursors and
-self-modifying stores make order observable.
+a discipline enforced at every layer: the validator, the interpreter,
+the plan generator and the plan driver.  The second half pins the
+*order* of machine-visible effects (register reads, loads, stores,
+input, output) by recording an op log from a tracing machine and
+requiring the compiled plan, run by the plan driver
+(:mod:`repro.compile.driver`), to replay the interpreter's log exactly.
+Equal final state is not enough: input cursors and self-modifying
+stores make order observable.
 """
+
+from types import SimpleNamespace
 
 import pytest
 
-from repro.compile import compile_block
+from repro.compile import symbolic
+from repro.compile.driver import CONCRETE, Outcome, drive
 from repro.ir import interp
 from repro.ir import nodes as N
 from repro.ir.validate import IrError, validate_block, validate_expr
@@ -24,6 +28,8 @@ def c32(value):
 
 class TracingMachine(interp.MachineContext):
     """Records every machine-visible operation in call order."""
+
+    pc = 0x1000
 
     def __init__(self, input_bytes=b""):
         self.regs = {}
@@ -64,12 +70,22 @@ class TracingMachine(interp.MachineContext):
         return 0x1000
 
 
+def run_compiled(stmts, machine, fields=None):
+    """Compile ``stmts`` into a plan and run it on ``machine`` through
+    the plan driver; returns the one path's outcome."""
+    plan, _source = symbolic.rule_plan(
+        "test", SimpleNamespace(name="test", semantics=stmts))
+    ((_, outcome),) = drive(CONCRETE, machine, plan, fields or {}, None,
+                            Outcome())
+    return outcome
+
+
 def logs_for(stmts, input_bytes=b"", fields=None):
     """(interpreter log, compiled log) for the same block."""
     reference = TracingMachine(input_bytes)
     interp.exec_block(stmts, reference, fields or {})
     traced = TracingMachine(input_bytes)
-    compile_block("test", stmts)(traced, fields or {}, interp.ExecOutcome())
+    run_compiled(stmts, traced, fields)
     return reference.log, traced.log
 
 
@@ -120,7 +136,7 @@ class TestEffectOrder:
 
     def test_setreg_index_evaluated_before_value(self):
         # The interpreter evaluates SetReg's index expression before the
-        # value expression; the generated call must replicate that.
+        # value expression; the plan driver must replicate that.
         stmts = [N.SetReg("x", N.ReadReg("x", c32(4), 32),
                           N.ReadReg("x", c32(5), 32))]
         interp_log, compiled_log = logs_for(stmts)
@@ -141,9 +157,8 @@ class TestEffectOrder:
                               reference, {})
             traced = TracingMachine()
             traced.regs[("x", 1)] = taken
-            compile_block("test", [N.SetReg("x", c32(2),
-                                            N.Ext("zext", picker, 32))])(
-                traced, {}, interp.ExecOutcome())
+            run_compiled([N.SetReg("x", c32(2),
+                                   N.Ext("zext", picker, 32))], traced)
             assert reference.log == traced.log
             loads = [op for op in traced.log if op[0] == "load"]
             assert len(loads) == 1
@@ -160,7 +175,7 @@ class TestEffectOrder:
             interp.exec_block(stmts, reference, {})
             traced = TracingMachine(b"\x55")
             traced.regs[("x", 1)] = taken
-            compile_block("test", stmts)(traced, {}, interp.ExecOutcome())
+            run_compiled(stmts, traced)
             assert reference.log == traced.log
 
     def test_signed_compare_and_shift_edge_order(self):
@@ -177,7 +192,7 @@ class TestEffectOrder:
         traced = TracingMachine()
         traced.regs.update({("x", 2): 0x80000000, ("x", 3): 1,
                             ("x", 5): 0x80000000, ("x", 6): 99})
-        compile_block("test", stmts)(traced, {}, interp.ExecOutcome())
+        run_compiled(stmts, traced)
         assert reference.log == traced.log
         assert traced.regs[("x", 1)] == 1           # -2^31 < 1 signed
         assert traced.regs[("x", 4)] == 0xffffffff  # ashr saturates

@@ -13,7 +13,7 @@ import weakref
 import pytest
 
 import repro.compile as compile_mod
-from repro.compile import concrete, symbolic
+from repro.compile import symbolic
 from repro.core import Engine, EngineConfig
 from repro.isa import build
 from repro.obs import Obs
@@ -28,18 +28,13 @@ ALL_TARGETS = ["rv32", "mips32", "armlite", "pred32", "vlx"]
 def generations(monkeypatch):
     """Every call of the code generators, as (kind, rule) pairs."""
     calls = []
-    rule_plan, rule_function = symbolic.rule_plan, concrete.rule_function
+    rule_plan = symbolic.rule_plan
 
     def counting_plan(isa, instr, probe=False):
         calls.append(("probed" if probe else "plan", instr.name))
         return rule_plan(isa, instr, probe)
 
-    def counting_function(isa, instr):
-        calls.append(("concrete", instr.name))
-        return rule_function(isa, instr)
-
     monkeypatch.setattr(symbolic, "rule_plan", counting_plan)
-    monkeypatch.setattr(concrete, "rule_function", counting_function)
     compile_mod.clear_cache()
     yield calls
     compile_mod.clear_cache()
@@ -62,8 +57,7 @@ def _explore(target, attr=None):
 def test_engine_construction_generates_no_code(generations):
     for target in ALL_TARGETS:
         compiled = Engine(build(target, fresh=True))._compiled
-        for table in (compiled.concrete, compiled.plan,
-                      compiled.probed_plan):
+        for table in (compiled.plan, compiled.probed_plan):
             assert table.generated() == []
     assert generations == []
 
@@ -87,7 +81,6 @@ def test_deep_steps_generate_probed_twins_on_first_use(generations):
     assert sorted(compiled.probed_plan.generated()) == sorted(executed)
     # Every step was deep, so no plain plan was ever needed.
     assert compiled.plan.generated() == []
-    assert compiled.concrete.generated() == []
 
 
 def test_cache_entry_holds_no_model():

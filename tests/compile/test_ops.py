@@ -6,8 +6,9 @@ concrete and call the ``T`` constructors otherwise
 path and checks the width literals; this file is what ties the int
 path to the term path: for every operator, the int result must equal
 the constant the ``T`` constructor folds the same operands to —
-exhaustively at widths 1–8, on edge and seeded-random values at 16 and
-32 bits.  It also pins the mixed path: a symbolic operand builds exactly
+exhaustively at widths 1–8, on edge and seeded-random values at 16, 32
+and 64 bits (the specs multiply at 64 bits and extend 32 -> 64 for
+``mulh``).  It also pins the mixed path: a symbolic operand builds exactly
 the term ``T`` builds, and a constant result comes back as an int.
 """
 
@@ -25,6 +26,7 @@ BINARY = ["add", "sub", "mul", "udiv", "urem", "sdiv", "srem",
           "slt", "sle", "sgt", "sge"]
 UNARY = ["not_", "neg"]
 SMALL_WIDTHS = range(1, 9)
+WIDE_WIDTHS = [16, 32, 64]
 
 
 @pytest.fixture(autouse=True)
@@ -86,7 +88,7 @@ def test_binary_exhaustive_small_widths(name):
         _check_binary(name, width, itertools.product(values, values))
 
 
-@pytest.mark.parametrize("width", [16, 32])
+@pytest.mark.parametrize("width", WIDE_WIDTHS)
 @pytest.mark.parametrize("name", BINARY)
 def test_binary_edges_and_random_wide(name, width):
     _check_binary(name, width, _wide_pairs(width, seed=width * 1009))
@@ -95,7 +97,7 @@ def test_binary_edges_and_random_wide(name, width):
 @pytest.mark.parametrize("name", UNARY)
 def test_unary(name):
     op, fold = ops.OPS[name], getattr(T, name)
-    for width in list(SMALL_WIDTHS) + [16, 32]:
+    for width in list(SMALL_WIDTHS) + WIDE_WIDTHS:
         values = range(1 << width) if width <= 8 else _edge_values(width)
         for a in values:
             assert op(a, width) == _folded(fold(T.bv(a, width))), \
@@ -103,9 +105,9 @@ def test_unary(name):
 
 
 def test_extensions():
-    for width in list(SMALL_WIDTHS) + [16, 32]:
+    for width in list(SMALL_WIDTHS) + WIDE_WIDTHS:
         values = range(1 << width) if width <= 8 else _edge_values(width)
-        for a, extra in itertools.product(values, (0, 1, 7, 8, 24)):
+        for a, extra in itertools.product(values, (0, 1, 7, 8, 24, 32)):
             term = T.bv(a, width)
             assert ops.zext(a, width, extra) == \
                 _folded(T.zext(term, extra)), (width, a, extra)
@@ -114,7 +116,7 @@ def test_extensions():
 
 
 def test_extract():
-    for width in list(SMALL_WIDTHS) + [16, 32]:
+    for width in list(SMALL_WIDTHS) + WIDE_WIDTHS:
         values = range(1 << width) if width <= 8 else _edge_values(width)
         for a in values:
             term = T.bv(a, width)
@@ -132,9 +134,11 @@ def test_concat():
                 want = T.concat(T.bv(hi, hi_width), T.bv(lo, lo_width))
                 assert ops.concat(hi, lo, hi_width, lo_width) == \
                     _folded(want), (hi_width, lo_width, hi, lo)
-    for hi, lo in itertools.product(_edge_values(16), _edge_values(16)):
-        assert ops.concat(hi, lo, 16, 16) == \
-            _folded(T.concat(T.bv(hi, 16), T.bv(lo, 16)))
+    for width in (16, 32):
+        for hi, lo in itertools.product(_edge_values(width),
+                                        _edge_values(width)):
+            assert ops.concat(hi, lo, width, width) == \
+                _folded(T.concat(T.bv(hi, width), T.bv(lo, width)))
 
 
 def test_ite_and_pc():

@@ -1,7 +1,8 @@
 """Property test: compiled concrete step == interpreted step, always.
 
 Hypothesis draws an instruction and random free-field values per ISA,
-runs one step through the generated transfer function and through
+runs one step through the rule's compiled plan (the plan driver over an
+all-int machine, as ``Simulator(compiled=True)`` runs it) and through
 :func:`repro.ir.interp.exec_block` on identical machines, and requires
 full machine-state equality.  Derandomized so CI is reproducible; the
 shared seed corpus still grows locally under ``.hypothesis``.
@@ -14,6 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.compile import compiled_for
+from repro.compile.driver import CONCRETE, drive
 from repro.ir import interp
 from repro.isa import build
 from repro.isa.simulator import MachineState
@@ -87,7 +89,7 @@ def _assert_outcomes_equal(left, right, context):
           suppress_health_check=[HealthCheck.too_slow])
 def test_compiled_step_matches_interpreted_step(target, data):
     model = build(target)
-    table = compiled_for(model).concrete
+    table = compiled_for(model).plan
     instr = data.draw(st.sampled_from(tuple(model.instructions)),
                       label="instruction")
     seed = data.draw(st.integers(min_value=0, max_value=2 ** 32 - 1),
@@ -104,8 +106,9 @@ def test_compiled_step_matches_interpreted_step(target, data):
 
     interp_outcome = interp.exec_block(instr.semantics, reference,
                                        decoded_fields)
-    compiled_outcome = interp.ExecOutcome()
-    table(instr)(specialized, decoded_fields, compiled_outcome)
+    ((_, compiled_outcome),) = drive(CONCRETE, specialized, table(instr),
+                                     decoded_fields, None,
+                                     interp.ExecOutcome())
 
     _assert_outcomes_equal(interp_outcome, compiled_outcome, context)
     _assert_machines_equal(reference, specialized, context)

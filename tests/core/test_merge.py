@@ -76,7 +76,7 @@ class TestTryMerge:
 
     def test_different_input_count_not_merged(self):
         left, right, _ = sibling_pair()
-        left.next_input()
+        left.input_byte()
         assert try_merge(left, right) is None
 
     def test_different_memory_not_merged(self):

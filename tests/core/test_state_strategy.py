@@ -75,18 +75,18 @@ class TestSymState:
 
     def test_input_naming_is_positional(self):
         state = make_state()
-        first = state.next_input()
+        first = state.input_byte()
         child = state.fork()
-        second_parent = state.next_input()
-        second_child = child.next_input()
+        second_parent = state.input_byte()
+        second_child = child.input_byte()
         assert first.name == "in_0"
         # Position 1 has the same name on both paths (same stream index).
         assert second_parent.name == second_child.name == "in_1"
 
     def test_input_bytes_from_model(self):
         state = make_state()
-        state.next_input()
-        state.next_input()
+        state.input_byte()
+        state.input_byte()
         assert state.input_bytes_from_model({"in_0": 0x41}) == b"A\x00"
 
 

@@ -79,8 +79,7 @@ class TestConfig:
     def test_family_restricts(self):
         config = LintConfig(families=[TRANSVAL])
         report = run_lint(fixture("clean"), config=config)
-        assert report.passes_run == ["transval-concrete",
-                                     "transval-symbolic"]
+        assert report.passes_run == ["transval-symbolic"]
         assert all(f.pass_id.startswith("transval-")
                    for f in report.findings)
 

@@ -199,11 +199,11 @@ class TestUnitCharging:
         assert ir["Load"].total <= ir["ReadReg"].total
 
     def test_fork_closes_frames_of_a_branch_that_dies(self):
-        """The engine's plan driver: a forked branch that dies inside a
-        probed expression must not leave its frames open around the
-        sibling branch."""
+        """The plan driver under the engine: a forked branch that dies
+        inside a probed expression must not leave its frames open around
+        the sibling branch."""
+        from repro.compile.driver import Outcome, PathEnd, drive
         from repro.compile.symbolic import S_IF, S_LOCAL
-        from repro.core.executor import _Outcome, _PathEnd
         from repro.smt import terms as T
 
         model, image = build_kernel("exerciser", "rv32")
@@ -218,7 +218,7 @@ class TestUnitCharging:
 
         def dies(E, S, FT, L, D):
             E.attr.ir_enter("Load")
-            raise _PathEnd("oob-load")
+            raise PathEnd("oob-load")
 
         def survives(E, S, FT, L, D):
             depths.append(len(E.attr._ir_stack))
@@ -227,8 +227,7 @@ class TestUnitCharging:
         plan = ((S_IF, cond, ((S_LOCAL, "x", dies),),
                  ((S_LOCAL, "x", survives),)),)
         engine.attr.begin_step("lw", state.pc)
-        finished = engine._run(state, [(plan, 0)], {}, _Outcome(), {},
-                               None)
+        finished = drive(engine, state, plan, {}, None, Outcome())
         assert len(finished) == 1
         assert depths == [0]
         assert engine.attr.rules["lw"].ir["Load"].calls == 1

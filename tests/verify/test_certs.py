@@ -7,21 +7,20 @@ from repro.lint import LintConfig, run_lint
 from repro.runstore.certs import (certificate_key, load_certificate,
                                   save_certificate)
 
-SUMMARY = {"isa": "rv32", "mode": "concrete", "rules": 48, "proved": 48,
-           "tiers": {}, "seconds": 0.1}
+SUMMARY = {"isa": "rv32", "rules": 48, "proved": 48, "tiers": {},
+           "seconds": 0.1}
 
 
 class TestKeying:
     def test_every_component_changes_the_key(self):
-        base = certificate_key("sha256:aa", 2, 1, "transval-concrete")
+        base = certificate_key("sha256:aa", 2, 1, "transval-symbolic")
         assert certificate_key("sha256:bb", 2, 1,
-                               "transval-concrete") != base
-        assert certificate_key("sha256:aa", 3, 1,
-                               "transval-concrete") != base
-        assert certificate_key("sha256:aa", 2, 2,
-                               "transval-concrete") != base
-        assert certificate_key("sha256:aa", 2, 1,
                                "transval-symbolic") != base
+        assert certificate_key("sha256:aa", 3, 1,
+                               "transval-symbolic") != base
+        assert certificate_key("sha256:aa", 2, 2,
+                               "transval-symbolic") != base
+        assert certificate_key("sha256:aa", 2, 1, "p") != base
 
     def test_key_is_deterministic(self):
         assert certificate_key("sha256:aa", 2, 1, "p") \
@@ -31,10 +30,10 @@ class TestKeying:
 class TestStore:
     def test_round_trip(self, tmp_path):
         root = str(tmp_path)
-        path = save_certificate("sha256:aa", 2, 1, "transval-concrete",
+        path = save_certificate("sha256:aa", 2, 1, "transval-symbolic",
                                 SUMMARY, store_root=root)
         assert os.path.exists(path)
-        cert = load_certificate("sha256:aa", 2, 1, "transval-concrete",
+        cert = load_certificate("sha256:aa", 2, 1, "transval-symbolic",
                                 store_root=root)
         assert cert is not None
         assert cert["summary"] == SUMMARY
@@ -93,7 +92,7 @@ class TestLintIntegration:
         monkeypatch.setenv("REPRO_TRANSVAL_SEED_BUG", "vlx:add")
         seeded = self._run(monkeypatch, tmp_path)
         errors = [f for f in seeded.findings if f.severity == "error"]
-        assert errors and errors[0].pass_id == "transval-concrete"
+        assert errors and errors[0].pass_id == "transval-symbolic"
         assert errors[0].witness is not None
         # The seeded run neither used nor clobbered the clean certs.
         monkeypatch.delenv("REPRO_TRANSVAL_SEED_BUG")

@@ -1,80 +1,93 @@
-"""Mutation corpus: seeded codegen bugs the validator must catch.
+"""Mutation corpus: seeded codegen and driver bugs the validator must
+catch.
 
-Four representative codegen-bug classes are injected into generated
-rv32 transfer functions — a flipped mask literal, a dropped
-sign-extension, two reordered effects, an off-by-one shift amount —
-and the validator must report each with a concrete counterexample
-whose witness actually separates the mutant from the original
-function when executed.
+Representative codegen-bug classes are injected into the generated
+plan source of rv32 rules — a flipped operator, a flipped mask literal,
+a dropped sign-extension, two reordered effects, an off-by-one shift
+amount — and the validator must report each with a concrete
+counterexample whose witness actually separates the mutant from the
+original plan.  The plan driver is proved with the plans, so a swapped
+fork-arm order or a dropped arm guard patched into the one driver is a
+counterexample too.
 
-The last test is the reason the validator exists at all: a mutation
-the *dynamic* differential harness (``tests/compile/``) cannot see —
+One test is the reason the validator exists at all: a mutation the
+*dynamic* differential harness (``tests/compile/``) cannot see —
 because the exerciser kernel never drives the mutated rule into the
 corrupted operand region — is still caught statically, because the
 proof quantifies over every decodable operand assignment and machine
 pre-state.
 """
 
-import re
+import inspect
 
 import pytest
 
-from repro.compile import clear_cache, compiled_for
-from repro.compile import concrete as concrete_mod
-from repro.compile.concrete import _HELPERS
+from repro.compile import clear_cache, compiled_for, driver, symbolic
+from repro.compile.ops import OPS
 from repro.isa import build
 from repro.isa.simulator import run_image
 from repro.programs import build_kernel
-from repro.verify import COUNTEREXAMPLE, seeded_mutation, verify_model
+from repro.smt.solver import Solver
+from repro.verify import (COUNTEREXAMPLE, PROVED, planeval,
+                          seeded_mutation, verify_model, verify_rule)
+
+
+def _replace_once(source, old, new):
+    assert old in source
+    return source.replace(old, new, 1)
+
+
+def _mutate_mask(source):
+    # srl: mask the shift amount to 0x1e instead of 0x1f.
+    return _replace_once(source, ", 31, 32)", ", 30, 32)")
 
 
 def _mutate_drop_sign_extension(source):
     # lb: forget to sign-extend the loaded byte.
-    assert " - ((_w2 & 0x80) << 1)" in source
-    return source.replace(" - ((_w2 & 0x80) << 1)", "", 1)
+    return _replace_once(source, "return sext(E._load(",
+                         "return zext(E._load(")
 
 
 def _mutate_reorder_effects(source):
-    # jalr: compute the branch target *after* writing the link
-    # register — visibly wrong when rd aliases rs1.
-    lines = source.split("\n")
-    position = next(index for index, line in enumerate(lines)
-                    if line.strip().startswith("u_target"))
-    assert "write_reg" in lines[position + 1]
-    lines[position], lines[position + 1] = \
-        lines[position + 1], lines[position]
-    return "\n".join(lines)
+    # jalr: write the link register *before* computing the branch
+    # target — visibly wrong when rd aliases rs1.
+    target = "(0, 'target', _s_jalr_0)"
+    link = "(1, 'x', ('f', 'rd'), _s_jalr_1)"
+    return _replace_once(source, "%s, %s" % (target, link),
+                         "%s, %s" % (link, target))
 
 
 def _mutate_shift_amount(source):
     # sll: shift by one more than the architecture says.
-    assert "& 31), 32," in source
-    return source.replace("& 31), 32,", "& 31) + 1, 32,", 1)
+    return _replace_once(source, "and_(S.read_reg('x', FT['rs2']), 31, 32)",
+                         "add(and_(S.read_reg('x', FT['rs2']), 31, 32), "
+                         "1, 32)")
 
 
 MUTATIONS = [
-    ("add", "flipped-mask", seeded_mutation),
+    ("add", "operator-flip", seeded_mutation),
+    ("srl", "flipped-mask", _mutate_mask),
     ("lb", "dropped-sign-extension", _mutate_drop_sign_extension),
     ("jalr", "reordered-effects", _mutate_reorder_effects),
     ("sll", "off-by-one-shift", _mutate_shift_amount),
 ]
 
 
-def _compile_source(source):
-    namespace = dict(_HELPERS)
+def _compile_plan(rule, source):
+    namespace = dict(OPS)
     exec(compile(source, "<mutant>", "exec"), namespace)
-    return namespace[re.search(r"def (\w+)\(", source).group(1)]
+    return namespace[symbolic.plan_name(rule)]
 
 
 @pytest.mark.parametrize("rule,label,mutate",
                          MUTATIONS, ids=[m[1] for m in MUTATIONS])
 def test_mutation_caught_with_counterexample(rule, label, mutate):
     model = build("rv32")
-    source = compiled_for(model).concrete.source(model.by_name[rule])
+    source = compiled_for(model).plan.source(model.by_name[rule])
     mutated = mutate(source)
     assert mutated != source
     results = {r.rule: r
-               for r in verify_model(model, "concrete",
+               for r in verify_model(model,
                                      source_overrides={rule: mutated})}
     result = results[rule]
     assert result.status == COUNTEREXAMPLE, result.detail
@@ -91,27 +104,27 @@ def test_mutation_caught_with_counterexample(rule, label, mutate):
 
 def test_clean_sources_not_flagged():
     model = build("rv32")
-    source = compiled_for(model).concrete.source(model.by_name["add"])
-    results = verify_model(model, "concrete",
-                           source_overrides={"add": source})
+    source = compiled_for(model).plan.source(model.by_name["add"])
+    results = verify_model(model, source_overrides={"add": source})
     assert all(r.status == "proved" for r in results)
 
 
 def test_validator_catches_what_dynamic_harness_misses(monkeypatch):
-    """A flipped register-index mask corrupts behavior only for
-    operand values the exerciser kernel never produces: the dynamic
-    differential run is bit-for-bit identical (the harness misses the
-    bug), while the static proof still finds a counterexample."""
+    """A flipped shift-amount mask corrupts behavior only for operand
+    values the exerciser kernel never produces: the dynamic
+    differential run of the compiled simulator is bit-for-bit identical
+    (the harness misses the bug), while the static proof still finds a
+    counterexample."""
     model, image = build_kernel("exerciser", "rv32")
-    rule = "xor"
-    source = compiled_for(model).concrete.source(model.by_name[rule])
-    mutated = seeded_mutation(source)
-    generate = concrete_mod.rule_function
+    rule = "sra"
+    source = compiled_for(model).plan.source(model.by_name[rule])
+    mutated = _mutate_mask(source)
+    generate = symbolic.rule_plan
 
-    def mutant_generator(isa, instr):
-        if instr.name == rule:
-            return _compile_source(mutated), mutated
-        return generate(isa, instr)
+    def mutant_generator(isa, instr, probe=False):
+        if instr.name == rule and not probe:
+            return _compile_plan(rule, mutated), mutated
+        return generate(isa, instr, probe)
 
     def final_state(compiled):
         sim = run_image(model, image,
@@ -125,9 +138,11 @@ def test_validator_catches_what_dynamic_harness_misses(monkeypatch):
     # The mutant goes in through the lazy table: a fresh cache entry
     # generates each rule from the (patched) generator on first use.
     clear_cache()
-    monkeypatch.setattr(concrete_mod, "rule_function", mutant_generator)
+    monkeypatch.setattr(symbolic, "rule_plan", mutant_generator)
     try:
         dynamic_missed = final_state(compiled=True) == baseline
+        # The mutant did run: the operands are what hid it.
+        assert rule in compiled_for(model).plan.generated()
     finally:
         monkeypatch.undo()
         clear_cache()
@@ -135,19 +150,53 @@ def test_validator_catches_what_dynamic_harness_misses(monkeypatch):
         "exerciser differential unexpectedly detected the mutation — "
         "pick a different rule for the miss demonstration")
     results = {r.rule: r
-               for r in verify_model(model, "concrete",
+               for r in verify_model(model,
                                      source_overrides={rule: mutated})}
     assert results[rule].status == COUNTEREXAMPLE
     assert results[rule].counterexamples[0].word is not None
+
+
+def _check(solver, extra):
+    return solver.check(extra)
+
+
+def _verify_beq():
+    model = build("rv32")
+    instr = model.by_name["beq"]
+    plans, probed = planeval.load_plans(
+        compiled_for(model).symbolic_source(model), model.name)
+    return verify_rule(model, instr, Solver(), _check,
+                       plans=(plans["beq"], probed["beq"]))
+
+
+DRIVER_MUTATIONS = [
+    ("swapped-arm-order", "(st[2], st[3])", "(st[3], st[2])"),
+    ("dropped-arm-guard",
+     "branch.assume(guard)",
+     "branch.assume(guard) if position == 0 else None"),
+]
+
+
+@pytest.mark.parametrize("label,old,new", DRIVER_MUTATIONS,
+                         ids=[m[0] for m in DRIVER_MUTATIONS])
+def test_driver_mutation_caught(monkeypatch, label, old, new):
+    """The validator walks plans with the engine's own plan driver, so
+    a bug in the driver's fork — the arm a guard selects, or the guard
+    an arm assumes — is a counterexample on a branching rule."""
+    assert _verify_beq().status == PROVED
+    source = _replace_once(inspect.getsource(driver._fork), old, new)
+    namespace = dict(vars(driver))
+    exec(compile(source, driver.__file__, "exec"), namespace)
+    monkeypatch.setattr(driver, "_fork", namespace["_fork"])
+    result = _verify_beq()
+    assert result.status == COUNTEREXAMPLE, result.detail
+    assert result.counterexamples[0].word is not None
 
 
 def test_probed_twin_mutation_caught():
     """transval-symbolic proves each plan's probed twin as well: a bug
     present only in the twin (the code deep attribution steps run) is
     a counterexample labelled as the twin's."""
-    from repro.smt.solver import Solver
-    from repro.verify import planeval, verify_rule
-
     model = build("rv32")
     instr = model.by_name["add"]
     compiled = compiled_for(model)
@@ -156,13 +205,11 @@ def test_probed_twin_mutation_caught():
     mutated = source.replace(twin, twin.replace(" = add(", " = sub(", 1))
     assert mutated != source
     plans, probed = planeval.load_plans(mutated, model.name)
-    result = verify_rule(model, instr, "symbolic", Solver(),
-                         lambda solver, extra: solver.check(extra),
+    result = verify_rule(model, instr, Solver(), _check,
                          plans=(plans["add"], probed["add"]))
     assert result.status == COUNTEREXAMPLE
     assert result.counterexamples[0].label.startswith("probed twin: ")
-    clean = verify_rule(model, instr, "symbolic", Solver(),
-                        lambda solver, extra: solver.check(extra),
+    clean = verify_rule(model, instr, Solver(), _check,
                         plans=(plans["add"], plans["add"]))
     assert clean.status == "proved"
 
@@ -172,8 +219,7 @@ def test_wrong_width_literal_caught():
     runs the emitted source with operators that reject a literal
     disagreeing with a term operand: a width bug the term path alone
     would hide fails the proof, in the plan and in its twin."""
-    from repro.smt.solver import Solver
-    from repro.verify import UNSUPPORTED, planeval, verify_rule
+    from repro.verify import UNSUPPORTED
 
     model = build("rv32")
     instr = model.by_name["add"]
@@ -185,8 +231,7 @@ def test_wrong_width_literal_caught():
         mutated = source.replace(text, text.replace(", 32)", ", 31)"))
         assert mutated != source
         plans, probed = planeval.load_plans(mutated, model.name)
-        result = verify_rule(model, instr, "symbolic", Solver(),
-                             lambda solver, extra: solver.check(extra),
+        result = verify_rule(model, instr, Solver(), _check,
                              plans=(plans["add"], probed["add"]))
         assert result.status == UNSUPPORTED
         assert "width literal 31 disagrees with a 32-bit operand" \

@@ -1,10 +1,11 @@
 """End-to-end translation validation: every shipped ISA verifies clean.
 
-The acceptance bar for the ``transval-*`` passes: both compiled
-artifacts (generated concrete Python, symbolic plans) of every rule of
-every shipped spec are statically proved equivalent to the reference
-IR — no counterexamples, and no silently skipped rules (an unsupported
-rule would surface as an explicit non-proved verdict and fail here).
+The acceptance bar for the ``transval-symbolic`` pass: the compiled
+plan of every rule of every shipped spec, and its probed twin, run by
+the plan driver the engine and the concrete simulator run, are
+statically proved equivalent to the reference IR — no
+counterexamples, and no silently skipped rules (an unsupported rule
+would surface as an explicit non-proved verdict and fail here).
 """
 
 import pytest
@@ -13,14 +14,15 @@ from repro.isa import build
 from repro.verify import PROVED, TIERS, verify_model
 
 ALL_TARGETS = ["rv32", "mips32", "armlite", "pred32", "vlx"]
-MODES = ["concrete", "symbolic"]
+#: The validator's one mode: compiled plans (``transval-symbolic``).
+MODES = ["symbolic"]
 
 
 @pytest.mark.parametrize("target", ALL_TARGETS)
 @pytest.mark.parametrize("mode", MODES)
 def test_every_rule_proved(target, mode):
     model = build(target)
-    results = verify_model(model, mode)
+    results = verify_model(model)
     # One explicit verdict per rule — the "no silent skips" guarantee.
     assert [r.rule for r in results] \
         == [i.name for i in model.instructions]
@@ -34,7 +36,7 @@ def test_every_rule_proved(target, mode):
 @pytest.mark.parametrize("target", ALL_TARGETS)
 def test_tier_statistics_populated(target):
     model = build(target)
-    results = verify_model(model, "concrete")
+    results = verify_model(model)
     totals = {key: 0 for key in TIERS}
     for result in results:
         assert set(result.tiers) == set(TIERS)
@@ -49,7 +51,7 @@ def test_tier_statistics_populated(target):
 
 def test_branching_rules_enumerate_both_sides():
     model = build("rv32")
-    results = {r.rule: r for r in verify_model(model, "concrete")}
+    results = {r.rule: r for r in verify_model(model)}
     beq = results["beq"]
     assert beq.status == PROVED
     assert beq.ref_paths == 2 and beq.cand_paths == 2
@@ -57,7 +59,7 @@ def test_branching_rules_enumerate_both_sides():
 
 def test_result_serialization_round_trips():
     model = build("vlx")
-    for result in verify_model(model, "symbolic"):
+    for result in verify_model(model):
         record = result.to_dict()
         assert record["rule"] == result.rule
         assert record["status"] == "proved"
