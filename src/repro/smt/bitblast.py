@@ -28,6 +28,7 @@ class BitBlaster:
         self.sat = solver if solver is not None else SatSolver()
         # Variable 1 is the constant TRUE.
         self._true = self.sat.new_var()
+        self._false = -self._true
         self.sat.add_clause([self._true])
         self._term_bits: Dict[int, List[int]] = {}
         self._gate_cache: Dict[Tuple, int] = {}
@@ -35,23 +36,15 @@ class BitBlaster:
 
     # -- gates ---------------------------------------------------------------
 
-    @property
-    def true_lit(self) -> int:
-        return self._true
-
-    @property
-    def false_lit(self) -> int:
-        return -self._true
-
     def _fresh(self) -> int:
         return self.sat.new_var()
 
     def _and(self, a: int, b: int) -> int:
-        if a == self.false_lit or b == self.false_lit or a == -b:
-            return self.false_lit
-        if a == self.true_lit:
+        if a == self._false or b == self._false or a == -b:
+            return self._false
+        if a == self._true:
             return b
-        if b == self.true_lit or a == b:
+        if b == self._true or a == b:
             return a
         key = ("and", a, b) if a < b else ("and", b, a)
         out = self._gate_cache.get(key)
@@ -68,18 +61,18 @@ class BitBlaster:
         return -self._and(-a, -b)
 
     def _xor(self, a: int, b: int) -> int:
-        if a == self.false_lit:
+        if a == self._false:
             return b
-        if b == self.false_lit:
+        if b == self._false:
             return a
-        if a == self.true_lit:
+        if a == self._true:
             return -b
-        if b == self.true_lit:
+        if b == self._true:
             return -a
         if a == b:
-            return self.false_lit
+            return self._false
         if a == -b:
-            return self.true_lit
+            return self._true
         key = ("xor", a, b) if a < b else ("xor", b, a)
         out = self._gate_cache.get(key)
         if out is not None:
@@ -94,9 +87,9 @@ class BitBlaster:
 
     def _mux(self, sel: int, then: int, other: int) -> int:
         """out = sel ? then : other."""
-        if sel == self.true_lit:
+        if sel == self._true:
             return then
-        if sel == self.false_lit:
+        if sel == self._false:
             return other
         if then == other:
             return then
@@ -116,20 +109,21 @@ class BitBlaster:
         return -self._xor(a, b)
 
     def _and_many(self, lits) -> int:
-        out = self.true_lit
+        out = self._true
         for lit in lits:
             out = self._and(out, lit)
         return out
 
     def _or_many(self, lits) -> int:
-        out = self.false_lit
+        out = self._false
         for lit in lits:
             out = self._or(out, lit)
         return out
 
     def _full_adder(self, a: int, b: int, cin: int) -> Tuple[int, int]:
-        s = self._xor(self._xor(a, b), cin)
-        cout = self._or(self._and(a, b), self._and(cin, self._xor(a, b)))
+        half = self._xor(a, b)
+        s = self._xor(half, cin)
+        cout = self._or(self._and(a, b), self._and(cin, half))
         return s, cout
 
     # -- word-level circuits ---------------------------------------------------
@@ -144,23 +138,23 @@ class BitBlaster:
 
     def _negate(self, xs: List[int]) -> List[int]:
         return self._adder([-x for x in xs],
-                           [self.false_lit] * len(xs), self.true_lit)
+                           [self._false] * len(xs), self._true)
 
     def _multiplier(self, xs: List[int], ys: List[int]) -> List[int]:
         """Shift-and-add multiplier, truncated to len(xs) bits."""
         width = len(xs)
-        acc = [self.false_lit] * width
+        acc = [self._false] * width
         for i, y in enumerate(ys):
-            if y == self.false_lit:
+            if y == self._false:
                 continue
-            partial = ([self.false_lit] * i
+            partial = ([self._false] * i
                        + [self._and(x, y) for x in xs[:width - i]])
-            acc = self._adder(acc, partial, self.false_lit)
+            acc = self._adder(acc, partial, self._false)
         return acc
 
     def _ult(self, xs: List[int], ys: List[int]) -> int:
         """Unsigned x < y, via the borrow-out of x - y."""
-        borrow = self.false_lit
+        borrow = self._false
         for a, b in zip(xs, ys):
             diff = self._xor(a, b)
             borrow = self._or(self._and(-a, b), self._and(-diff, borrow))
@@ -172,7 +166,7 @@ class BitBlaster:
     def _shifter(self, xs: List[int], amount: List[int], kind: str) -> List[int]:
         """Barrel shifter; over-shifts give 0 (or sign fill for 'ashr')."""
         width = len(xs)
-        fill = xs[-1] if kind == "ashr" else self.false_lit
+        fill = xs[-1] if kind == "ashr" else self._false
         stages = 0
         while (1 << stages) < width:
             stages += 1
@@ -183,14 +177,14 @@ class BitBlaster:
             nxt = []
             for i in range(width):
                 if kind == "shl":
-                    shifted = cur[i - step] if i - step >= 0 else self.false_lit
+                    shifted = cur[i - step] if i - step >= 0 else self._false
                 else:
                     shifted = cur[i + step] if i + step < width else fill
                 nxt.append(self._mux(sel, shifted, cur[i]))
             cur = nxt
         # Any set bit of the amount beyond the stage bits means over-shift.
         over = self._or_many(amount[stages:])
-        if over != self.false_lit:
+        if over != self._false:
             cur = [self._mux(over, fill, bit) for bit in cur]
         return cur
 
@@ -206,11 +200,11 @@ class BitBlaster:
         r = [self._fresh() for _ in range(width)]
         nz = self._or_many(ys)
         # Compute q*y + r at double width to rule out overflow.
-        q2 = q + [self.false_lit] * width
-        y2 = ys + [self.false_lit] * width
-        r2 = r + [self.false_lit] * width
+        q2 = q + [self._false] * width
+        y2 = ys + [self._false] * width
+        r2 = r + [self._false] * width
         prod = self._multiplier(q2, y2)
-        total = self._adder(prod, r2, self.false_lit)
+        total = self._adder(prod, r2, self._false)
         # nz -> total == x (lower half) and total upper half == 0.
         for i in range(width):
             self._imply_iff(nz, total[i], xs[i])
@@ -218,7 +212,7 @@ class BitBlaster:
             self._imply_lit(nz, -total[i])
         # nz -> r < y.
         self._imply_lit(nz, self._ult(r, ys))
-        q_out = [self._mux(nz, qi, self.true_lit) for qi in q]
+        q_out = [self._mux(nz, qi, self._true) for qi in q]
         r_out = [self._mux(nz, ri, xi) for ri, xi in zip(r, xs)]
         return q_out, r_out
 
@@ -253,7 +247,7 @@ class BitBlaster:
     def _blast_node(self, node: T.Term) -> List[int]:
         op = node.op
         if op == T.CONST:
-            return [self.true_lit if (node.value >> i) & 1 else self.false_lit
+            return [self._true if (node.value >> i) & 1 else self._false
                     for i in range(node.width)]
         if op == T.VAR:
             known = self._var_bits.get(node.name)
@@ -264,9 +258,9 @@ class BitBlaster:
             return bits
         argv = [self._term_bits[a.tid] for a in node.args]
         if op == T.ADD:
-            return self._adder(argv[0], argv[1], self.false_lit)
+            return self._adder(argv[0], argv[1], self._false)
         if op == T.SUB:
-            return self._adder(argv[0], [-b for b in argv[1]], self.true_lit)
+            return self._adder(argv[0], [-b for b in argv[1]], self._true)
         if op == T.MUL:
             return self._multiplier(argv[0], argv[1])
         if op == T.UDIV:
@@ -295,7 +289,7 @@ class BitBlaster:
             hi, lo = node.params
             return argv[0][lo:hi + 1]
         if op == T.ZEXT:
-            return argv[0] + [self.false_lit] * node.params[0]
+            return argv[0] + [self._false] * node.params[0]
         if op == T.SEXT:
             return argv[0] + [argv[0][-1]] * node.params[0]
         if op == T.ITE:
@@ -334,7 +328,7 @@ class BitBlaster:
         Debugging/interop aid: the instance can be fed to any external SAT
         solver to cross-check answers.
         """
-        clauses = list(self.sat._clauses) + [[lit] for lit in assumptions]
+        clauses = self.sat.clauses() + [[lit] for lit in assumptions]
         lines = ["c repro bit-blaster export",
                  "p cnf %d %d" % (self.sat.num_vars, len(clauses))]
         for clause in clauses:

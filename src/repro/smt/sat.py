@@ -6,13 +6,32 @@ minimization, EVSIDS branching, phase saving, and Luby restarts.  Pure
 Python, tuned for the clause counts the bit-blaster produces (tens of
 thousands of clauses), not for SAT-competition instances.
 
-Literal encoding follows DIMACS: variables are positive integers, a negative
-integer denotes the negated literal.  Internally literals map to indices
-``2*v`` (positive) and ``2*v + 1`` (negative) for array-based watch lists.
+The interface speaks DIMACS: variables are positive integers, and a
+negative integer denotes the negated literal.  Inside, a literal is a
+*code*, ``2*v`` for ``v`` and ``2*v + 1`` for ``-v``: negation is
+``code ^ 1``, the variable is ``code >> 1``, and one value list indexed
+by code says whether a literal is true (1), false (0) or unassigned (-1).
+Watch lists are indexed by code too; ``_watches[p]`` holds the clauses
+watching ``p ^ 1``, visited when ``p`` becomes true.
+
+Branching takes the unassigned variable of highest activity, the lowest
+index among ties.  A lazy min-heap of ``(-activity, var)`` entries finds
+it: a bump pushes a fresh entry and leaves the old one stale, stale
+entries and assigned variables are dropped when they reach the top, and
+backtracking pushes a variable again only if its live entry was popped.
+Rescaling the activities past 1e100 rebuilds the heap.
+
+The search itself is part of the contract.  Every path input the engine
+reports is read from a model, so a change to how this module computes
+must not change which decision, propagation or conflict happens when:
+``tests/smt/test_sat_search.py`` pins each solve's statistics and model
+on a fixed corpus, and ``tests/smt/test_sat_heap.py`` holds every heap
+pick to a linear scan over the activities.
 """
 
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush
 from typing import Dict, Iterable, List, Optional, Sequence
 
 __all__ = ["SatSolver", "SAT", "UNSAT"]
@@ -21,15 +40,6 @@ SAT = "sat"
 UNSAT = "unsat"
 
 _UNASSIGNED = -1
-
-
-def _lit_index(lit: int) -> int:
-    return 2 * lit if lit > 0 else -2 * lit + 1
-
-
-def _index_lit(idx: int) -> int:
-    var = idx >> 1
-    return -var if idx & 1 else var
 
 
 def luby(i: int) -> int:
@@ -46,6 +56,18 @@ def luby(i: int) -> int:
     return 1 << seq
 
 
+def _code(lit: int) -> int:
+    if lit > 0:
+        return lit << 1
+    if lit < 0:
+        return (-lit << 1) | 1
+    raise ValueError("0 is not a valid literal")
+
+
+def _dimacs(code: int) -> int:
+    return -(code >> 1) if code & 1 else code >> 1
+
+
 class SatSolver:
     """Incremental-ish CDCL solver.
 
@@ -56,21 +78,26 @@ class SatSolver:
 
     def __init__(self, decay: float = 0.95, restart_base: int = 100):
         self._num_vars = 0
-        self._clauses: List[List[int]] = []
-        self._learned: List[List[int]] = []
-        self._watches: List[List[List[int]]] = [[], []]  # index -> clauses
-        self._assign: List[int] = [_UNASSIGNED]          # var -> 0/1
+        self._clauses: List[List[int]] = []   # every stored clause, as codes
+        self._units: List[int] = []            # codes of the unit clauses
+        self._watches: List[List[List[int]]] = [[], []]  # code -> clauses
+        self._val: List[int] = [_UNASSIGNED, _UNASSIGNED]
         self._level: List[int] = [0]
         self._reason: List[Optional[List[int]]] = [None]
-        self._phase: List[int] = [0]
+        self._phase: List[int] = [1]           # var -> code to branch on
         self._activity: List[float] = [0.0]
+        self._heap: List[tuple] = []
+        self._in_heap: List[bool] = [False]    # var has a live heap entry
+        self._seen: List[bool] = [False]       # conflict-analysis marks
         self._var_inc = 1.0
         self._decay = decay
         self._restart_base = restart_base
         self._trail: List[int] = []
         self._trail_lim: List[int] = []
         self._queue_head = 0
-        self._empty_clause = False
+        # Set by an empty clause or a conflict at level 0: the clauses are
+        # unsatisfiable for good, so every later solve answers UNSAT.
+        self._refuted = False
         # Statistics, exposed for the benchmarks.
         self.stats = {"decisions": 0, "propagations": 0, "conflicts": 0,
                       "restarts": 0, "learned": 0}
@@ -78,47 +105,78 @@ class SatSolver:
     # -- construction -------------------------------------------------------
 
     def new_var(self) -> int:
-        self._num_vars += 1
-        self._assign.append(_UNASSIGNED)
+        var = self._num_vars = self._num_vars + 1
+        self._val += (_UNASSIGNED, _UNASSIGNED)
         self._level.append(0)
         self._reason.append(None)
-        self._phase.append(0)
+        self._phase.append(2 * var + 1)
         self._activity.append(0.0)
-        self._watches.append([])
-        self._watches.append([])
-        return self._num_vars
+        self._in_heap.append(True)
+        self._seen.append(False)
+        self._watches += ([], [])
+        # Activity 0 and the highest index: no entry sorts after this one,
+        # so appending keeps the heap ordered.
+        self._heap.append((-0.0, var))
+        return var
 
-    def _ensure_var(self, var: int) -> None:
-        while self._num_vars < var:
+    def _grow(self, num_vars: int) -> None:
+        while self._num_vars < num_vars:
             self.new_var()
 
     def add_clause(self, lits: Sequence[int]) -> None:
         """Add a clause (a sequence of DIMACS literals)."""
-        seen = set()
         clause: List[int] = []
+        top = 0
         for lit in lits:
-            if lit == 0:
+            if lit > 0:
+                var, code = lit, lit << 1
+            elif lit < 0:
+                var = -lit
+                code = (var << 1) | 1
+            else:
                 raise ValueError("0 is not a valid literal")
-            if -lit in seen:
-                return  # tautology
-            if lit in seen:
+            if var > top:
+                top = var
+            if code in clause:
                 continue
-            seen.add(lit)
-            clause.append(lit)
-            self._ensure_var(abs(lit))
+            if code ^ 1 in clause:
+                self._grow(top)
+                return  # tautology
+            clause.append(code)
+        if top > self._num_vars:
+            self._grow(top)
         if not clause:
-            self._empty_clause = True
+            self._refuted = True
             return
-        if len(clause) == 1:
-            # Stored as a clause so assumptions/restarts replay it uniformly.
-            self._clauses.append(clause)
-            return
-        self._attach(clause)
         self._clauses.append(clause)
+        if len(clause) == 1:
+            # Kept apart so every solve replays them at level 0.
+            self._units.append(clause[0])
+            return
+        val = self._val
+        if val[clause[0]] == 0 and val[clause[1]] == 0:
+            self._watch_past_level0(clause)
+        watches = self._watches
+        watches[clause[0] ^ 1].append(clause)
+        watches[clause[1] ^ 1].append(clause)
 
-    def _attach(self, clause: List[int]) -> None:
-        self._watches[_lit_index(-clause[0])].append(clause)
-        self._watches[_lit_index(-clause[1])].append(clause)
+    def _watch_past_level0(self, clause: List[int]) -> None:
+        """A clause added after a solve whose first two literals are false
+        at level 0 would be watched where propagation never looks again:
+        watch two literals that are not, or keep what the clause forces."""
+        val = self._val
+        level = self._level
+
+        def dead(code):
+            return val[code] == 0 and level[code >> 1] == 0
+
+        if not (dead(clause[0]) and dead(clause[1])):
+            return
+        clause.sort(key=dead)  # stable: live literals first, in order
+        if dead(clause[0]):
+            self._refuted = True
+        elif dead(clause[1]):
+            self._units.append(clause[0])
 
     @property
     def num_vars(self) -> int:
@@ -128,223 +186,285 @@ class SatSolver:
     def num_clauses(self) -> int:
         return len(self._clauses)
 
+    def clauses(self) -> List[List[int]]:
+        """Every stored clause as DIMACS literals, in the order added."""
+        return [[_dimacs(code) for code in clause] for clause in self._clauses]
+
     # -- assignment helpers --------------------------------------------------
 
-    def _value(self, lit: int) -> int:
-        """0 false, 1 true, -1 unassigned."""
-        val = self._assign[abs(lit)]
-        if val == _UNASSIGNED:
-            return _UNASSIGNED
-        return val if lit > 0 else 1 - val
-
-    def _enqueue(self, lit: int, reason: Optional[List[int]]) -> bool:
-        val = self._value(lit)
-        if val == 0:
-            return False
-        if val == 1:
-            return True
-        var = abs(lit)
-        self._assign[var] = 1 if lit > 0 else 0
+    def _assign(self, code: int, reason: Optional[List[int]]) -> None:
+        val = self._val
+        val[code] = 1
+        val[code ^ 1] = 0
+        var = code >> 1
         self._level[var] = len(self._trail_lim)
         self._reason[var] = reason
-        self._trail.append(lit)
-        return True
+        self._trail.append(code)
 
     def _propagate(self) -> Optional[List[int]]:
         """Unit propagation; returns a conflicting clause or None."""
-        while self._queue_head < len(self._trail):
-            lit = self._trail[self._queue_head]
-            self._queue_head += 1
-            self.stats["propagations"] += 1
-            watch_list = self._watches[_lit_index(lit)]
+        trail = self._trail
+        watches = self._watches
+        val = self._val
+        level = self._level
+        reason = self._reason
+        depth = len(self._trail_lim)
+        start = head = self._queue_head
+        while head < len(trail):
+            true_lit = trail[head]
+            head += 1
+            false_lit = true_lit ^ 1
+            watch_list = watches[true_lit]
             i = 0
-            while i < len(watch_list):
+            end = len(watch_list)
+            while i < end:
                 clause = watch_list[i]
                 # Make sure the falsified literal is in slot 1.
-                if clause[0] == -lit:
-                    clause[0], clause[1] = clause[1], clause[0]
                 first = clause[0]
-                if self._value(first) == 1:
+                if first == false_lit:
+                    first = clause[0] = clause[1]
+                    clause[1] = false_lit
+                if val[first] == 1:
                     i += 1
                     continue
                 # Look for a replacement watch.
-                moved = False
                 for k in range(2, len(clause)):
-                    if self._value(clause[k]) != 0:
-                        clause[1], clause[k] = clause[k], clause[1]
-                        self._watches[_lit_index(-clause[1])].append(clause)
-                        watch_list[i] = watch_list[-1]
+                    other = clause[k]
+                    if val[other] != 0:
+                        clause[1] = other
+                        clause[k] = false_lit
+                        watches[other ^ 1].append(clause)
+                        end -= 1
+                        watch_list[i] = watch_list[end]
                         watch_list.pop()
-                        moved = True
                         break
-                if moved:
-                    continue
-                # Clause is unit or conflicting.
-                if self._value(first) == 0:
-                    return clause
-                self._enqueue(first, clause)
-                i += 1
+                else:
+                    # Clause is unit or conflicting.
+                    if val[first] == 0:
+                        self._queue_head = head
+                        self.stats["propagations"] += head - start
+                        return clause
+                    val[first] = 1
+                    val[first ^ 1] = 0
+                    var = first >> 1
+                    level[var] = depth
+                    reason[var] = clause
+                    trail.append(first)
+                    i += 1
+        self._queue_head = head
+        self.stats["propagations"] += head - start
         return None
 
     # -- conflict analysis ---------------------------------------------------
 
-    def _bump(self, var: int) -> None:
-        self._activity[var] += self._var_inc
-        if self._activity[var] > 1e100:
-            for v in range(1, self._num_vars + 1):
-                self._activity[v] *= 1e-100
-            self._var_inc *= 1e-100
+    def _rebuild_heap(self) -> None:
+        activity = self._activity
+        heap = self._heap
+        heap[:] = [(-activity[var], var)
+                   for var in range(1, self._num_vars + 1)]
+        heapify(heap)
+        self._in_heap[1:] = [True] * self._num_vars
+
+    def _rescale(self) -> None:
+        activity = self._activity
+        for var in range(1, self._num_vars + 1):
+            activity[var] *= 1e-100
+        self._var_inc *= 1e-100
+        self._rebuild_heap()
 
     def _analyze(self, conflict: List[int]):
         """First-UIP learning; returns (learned clause, backtrack level)."""
+        level = self._level
+        reason = self._reason
+        trail = self._trail
+        seen = self._seen
+        activity = self._activity
+        heap = self._heap
+        in_heap = self._in_heap
+        var_inc = self._var_inc
         learned: List[int] = [0]  # slot 0 becomes the asserting literal
-        seen = [False] * (self._num_vars + 1)
         counter = 0
-        lit = None
-        reason = conflict
-        index = len(self._trail)
+        lit = -1
+        clause = conflict
+        index = len(trail)
         current_level = len(self._trail_lim)
         while True:
-            for q in reason:
-                if lit is not None and q == lit:
+            for q in clause:
+                if q == lit:
                     continue
-                var = abs(q)
-                if not seen[var] and self._level[var] > 0:
+                var = q >> 1
+                if not seen[var] and level[var] > 0:
                     seen[var] = True
-                    self._bump(var)
-                    if self._level[var] == current_level:
+                    act = activity[var] = activity[var] + var_inc
+                    if act > 1e100:
+                        self._rescale()
+                        var_inc = self._var_inc
+                    elif in_heap[var]:
+                        heappush(heap, (-act, var))
+                    if level[var] == current_level:
                         counter += 1
                     else:
                         learned.append(q)
             # Walk the trail backwards to the next marked literal.
             while True:
                 index -= 1
-                lit = self._trail[index]
-                if seen[abs(lit)]:
+                lit = trail[index]
+                if seen[lit >> 1]:
                     break
             counter -= 1
-            seen[abs(lit)] = False
+            seen[lit >> 1] = False
             if counter == 0:
                 break
-            reason = self._reason[abs(lit)]
-        learned[0] = -lit
+            clause = reason[lit >> 1]
+        learned[0] = lit ^ 1
         # Clause minimization: drop literals implied by the rest.
         keep = [learned[0]]
         for q in learned[1:]:
-            reason_q = self._reason[abs(q)]
+            var = q >> 1
+            reason_q = reason[var]
             if reason_q is None:
                 keep.append(q)
                 continue
-            if any(not seen[abs(r)] and self._level[abs(r)] > 0
-                   for r in reason_q if abs(r) != abs(q)):
-                keep.append(q)
+            for r in reason_q:
+                rvar = r >> 1
+                if rvar != var and not seen[rvar] and level[rvar] > 0:
+                    keep.append(q)
+                    break
+        for q in learned[1:]:
+            seen[q >> 1] = False
         learned = keep
         if len(learned) == 1:
             back_level = 0
         else:
             # Second-highest decision level in the clause.
-            levels = sorted((self._level[abs(q)] for q in learned[1:]),
-                            reverse=True)
-            back_level = levels[0]
+            back_level = max(level[q >> 1] for q in learned[1:])
             # Ensure the literal at that level is in slot 1 (watch invariant).
             for k in range(1, len(learned)):
-                if self._level[abs(learned[k])] == back_level:
+                if level[learned[k] >> 1] == back_level:
                     learned[1], learned[k] = learned[k], learned[1]
                     break
         return learned, back_level
 
     def _backtrack(self, level: int) -> None:
-        if len(self._trail_lim) <= level:
+        trail_lim = self._trail_lim
+        if len(trail_lim) <= level:
             return
-        limit = self._trail_lim[level]
-        for lit in reversed(self._trail[limit:]):
-            var = abs(lit)
-            self._phase[var] = self._assign[var]
-            self._assign[var] = _UNASSIGNED
-            self._reason[var] = None
-        del self._trail[limit:]
-        del self._trail_lim[level:]
-        self._queue_head = len(self._trail)
+        trail = self._trail
+        limit = trail_lim[level]
+        val = self._val
+        phase = self._phase
+        in_heap = self._in_heap
+        heap = self._heap
+        activity = self._activity
+        for code in trail[limit:]:
+            var = code >> 1
+            phase[var] = code
+            val[code] = val[code ^ 1] = _UNASSIGNED
+            if not in_heap[var]:
+                in_heap[var] = True
+                heappush(heap, (-activity[var], var))
+        del trail[limit:]
+        del trail_lim[level:]
+        self._queue_head = len(trail)
 
-    def _pick_branch(self) -> int:
-        best_var = 0
-        best_act = -1.0
-        for var in range(1, self._num_vars + 1):
-            if self._assign[var] == _UNASSIGNED and self._activity[var] > best_act:
-                best_act = self._activity[var]
-                best_var = var
-        if best_var == 0:
-            return 0
-        return best_var if self._phase[best_var] else -best_var
+    def _pick_branch(self) -> Optional[int]:
+        """The phase-saved literal of the unassigned variable with the
+        highest activity (lowest index among ties), or None."""
+        if len(self._trail) == self._num_vars:
+            return None  # all assigned: no need to drain the heap
+        heap = self._heap
+        activity = self._activity
+        in_heap = self._in_heap
+        val = self._val
+        while heap:
+            neg_act, var = heappop(heap)
+            if -neg_act != activity[var]:
+                continue  # stale: the variable was bumped since
+            in_heap[var] = False
+            if val[var << 1] == _UNASSIGNED:
+                return self._phase[var]
+        return None
 
     # -- main loop -----------------------------------------------------------
 
     def solve(self, assumptions: Iterable[int] = ()) -> str:
         """Solve under ``assumptions``; returns :data:`SAT` or :data:`UNSAT`."""
-        if self._empty_clause:
+        if self._refuted:
             return UNSAT
         self._backtrack(0)
+        val = self._val
         # Replay unit clauses at level 0.
-        for clause in self._clauses:
-            if len(clause) == 1 and not self._enqueue(clause[0], None):
+        for code in self._units:
+            if val[code] == 0:
+                self._refuted = True
                 return UNSAT
+            if val[code] == _UNASSIGNED:
+                self._assign(code, None)
         if self._propagate() is not None:
+            self._refuted = True
             return UNSAT
-        assumptions = list(assumptions)
-        for lit in assumptions:
-            self._ensure_var(abs(lit))
+        assumptions = [_code(lit) for lit in assumptions]
+        for code in assumptions:
+            self._grow(code >> 1)
+        trail = self._trail
+        trail_lim = self._trail_lim
+        watches = self._watches
+        stats = self.stats
         restart_round = 1
         conflicts_until_restart = self._restart_base * luby(restart_round)
         conflicts_here = 0
         while True:
             conflict = self._propagate()
             if conflict is not None:
-                self.stats["conflicts"] += 1
+                stats["conflicts"] += 1
                 conflicts_here += 1
-                if not self._trail_lim:
+                if not trail_lim:
+                    self._refuted = True
                     return UNSAT
-                if len(self._trail_lim) <= len(assumptions):
+                if len(trail_lim) <= len(assumptions):
                     # Conflict forced purely by the assumptions.
                     return UNSAT
                 learned, back_level = self._analyze(conflict)
                 back_level = max(back_level, len(assumptions))
-                if back_level >= len(self._trail_lim):
-                    back_level = len(self._trail_lim) - 1
+                if back_level >= len(trail_lim):
+                    back_level = len(trail_lim) - 1
                 self._backtrack(back_level)
                 if len(learned) > 1:
-                    self._attach(learned)
-                    self._learned.append(learned)
-                    self.stats["learned"] += 1
-                self._enqueue(learned[0], learned)
+                    watches[learned[0] ^ 1].append(learned)
+                    watches[learned[1] ^ 1].append(learned)
+                    stats["learned"] += 1
+                self._assign(learned[0], learned)
                 self._var_inc /= self._decay
+                if len(self._heap) > 4 * self._num_vars + 64:
+                    self._rebuild_heap()  # drop the stale entries
                 continue
             if conflicts_here >= conflicts_until_restart:
-                self.stats["restarts"] += 1
+                stats["restarts"] += 1
                 restart_round += 1
                 conflicts_until_restart = self._restart_base * luby(restart_round)
                 conflicts_here = 0
                 self._backtrack(len(assumptions)
-                                if len(self._trail_lim) > len(assumptions) else 0)
+                                if len(trail_lim) > len(assumptions) else 0)
                 continue
             # Apply pending assumptions, one decision level each.
-            decision = 0
-            if len(self._trail_lim) < len(assumptions):
-                lit = assumptions[len(self._trail_lim)]
-                val = self._value(lit)
-                if val == 0:
+            if len(trail_lim) < len(assumptions):
+                code = assumptions[len(trail_lim)]
+                value = val[code]
+                if value == 0:
                     return UNSAT
-                self._trail_lim.append(len(self._trail))
-                if val == _UNASSIGNED:
-                    self._enqueue(lit, None)
+                trail_lim.append(len(trail))
+                if value == _UNASSIGNED:
+                    self._assign(code, None)
                 continue
             decision = self._pick_branch()
-            if decision == 0:
+            if decision is None:
                 return SAT
-            self.stats["decisions"] += 1
-            self._trail_lim.append(len(self._trail))
-            self._enqueue(decision, None)
+            stats["decisions"] += 1
+            trail_lim.append(len(trail))
+            self._assign(decision, None)
 
     def model(self) -> Dict[int, int]:
         """Assignment after a SAT answer: var -> 0/1 (unassigned vars -> 0)."""
-        return {var: (self._assign[var] if self._assign[var] != _UNASSIGNED else 0)
+        val = self._val
+        return {var: (1 if val[2 * var] == 1 else 0)
                 for var in range(1, self._num_vars + 1)}

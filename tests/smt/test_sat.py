@@ -39,6 +39,13 @@ class TestBasics:
         with pytest.raises(ValueError):
             SatSolver().add_clause([0])
 
+    def test_zero_assumption_rejected(self):
+        s = SatSolver()
+        s.add_clause([1, 2])
+        with pytest.raises(ValueError):
+            s.solve(assumptions=[1, 0])
+        assert s.solve(assumptions=[-1]) == SAT
+
     def test_tautology_ignored(self):
         s = SatSolver()
         s.add_clause([1, -1])
