@@ -1,19 +1,15 @@
 #!/usr/bin/env python3
-"""Live health monitoring: provoke frontier pressure, then degrade
-gracefully.
+"""Health monitoring: provoke frontier pressure and watch it, without
+changing the run.
 
 A breadth-first exploration of a path-explosion maze doubles its
 frontier at every branch — exactly the mid-flight failure mode the
-health monitor exists to see.  Three runs of the same kernel:
+health monitor exists to see.  Two runs of the same kernel:
 
 1. **baseline** — no monitor, just the ground truth;
 2. **observe-only** — a tight ``frontier_budget`` makes the watchdog
-   diagnose ``frontier-pressure``, but the default action is ``none``,
-   so exploration is provably unchanged (same paths, same defects);
-3. **degraded** — the same budget with ``actions={"frontier-pressure":
-   "merge"}``: every diagnosis forces a merge pass over the frontier,
-   collapsing same-pc states and shrinking the path count while still
-   reaching the planted defect.
+   diagnose ``frontier-pressure``, and the monitor only observes, so
+   exploration is provably unchanged (same paths, same defects).
 
 Run:  python examples/health_monitor.py
 """
@@ -64,25 +60,6 @@ def main():
             == {d.input_bytes for d in baseline.defects})
     print("observe-only: %d frontier-pressure diagnoses, exploration "
           "unchanged (%d paths)" % (len(pressure), len(observed.paths)))
-    print()
-
-    # -- 3. degrade: force a merge pass on every diagnosis -------------
-    merging_cfg = HealthConfig(
-        sample_every_steps=64, frontier_budget=BUDGET,
-        actions={FRONTIER_PRESSURE: "merge"})
-    engine, merged = explore(health=merging_cfg)
-    print("=== degraded (on pressure: force merge pass) ===")
-    print(merged.summary())
-    print(engine.health.report())
-    print()
-
-    assert len(merged.paths) < len(baseline.paths)
-    assert {d.kind for d in merged.defects} == \
-        {d.kind for d in baseline.defects}
-    print("merge action: %d paths vs %d baseline — frontier collapsed, "
-          "defect still found (%s)"
-          % (len(merged.paths), len(baseline.paths),
-             merged.defects[0].kind))
 
 
 if __name__ == "__main__":

@@ -191,12 +191,12 @@ def register(bench: Benchmark) -> Benchmark:
 def benchmark(bench_id: str, **meta):
     """Decorator form of :func:`register`."""
 
-    def wrap(fn):
+    def decorate(fn):
         register(Benchmark(bench_id, fn,
                            module=getattr(fn, "__module__", ""), **meta))
         return fn
 
-    return wrap
+    return decorate
 
 
 def get(bench_id: str) -> Benchmark:

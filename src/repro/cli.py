@@ -21,12 +21,7 @@ Subcommands::
     speccov <run.jsonl>         ADL spec coverage of a run — which
                                 semantic rules ran (``--min-ratio`` CI
                                 gate, ``--annotate`` spec margin view)
-    top <run.jsonl>             live TTY view of a running exploration
-                                (tails the ``--telemetry-out`` file for
-                                ``health`` events; ``--once`` for a
-                                single snapshot)
-    metrics <run.jsonl>         metrics of a saved run (``--prom`` for
-                                Prometheus text exposition)
+    metrics <run.jsonl>         metrics of a saved run
     diffstats <A> <B>           diff two runs' metrics/health series;
                                 flags regressions above ``--threshold``
                                 (exit 3 when any are found; ``--json``
@@ -53,13 +48,12 @@ Common options: ``--input TEXT`` (program input; ``\\xNN`` escapes),
 reason), plus the observability flags ``--telemetry-out FILE.jsonl``
 (structured event trace; see docs/OBSERVABILITY.md), ``--profile``
 (per-phase time breakdown), ``--attr [sampled|full]`` (rule-level cost
-attribution with ``--attr-every N`` sampling), ``--health`` (live
-sampler + watchdog, with
-``--health-every`` / ``--frontier-budget`` / ``--on-pressure``) and
-``--serve-metrics PORT`` (live Prometheus endpoint on localhost).
+attribution with ``--attr-every N`` sampling) and ``--health``
+(periodic sampler + observe-only watchdog, with ``--health-every`` /
+``--frontier-budget``).
 
-The telemetry readers (``stats``, ``tree``, ``speccov``, ``top``,
-``metrics``, ``diffstats``) share one loader: a missing, empty or
+The telemetry readers (``stats``, ``tree``, ``speccov``, ``metrics``,
+``diffstats``) share one loader: a missing, empty or
 unparseable run file is a one-line error on stderr and exit code 1
 (never a traceback); a truncated trailing line — the usual artifact of
 a killed run — is skipped with a warning and the remaining events are
@@ -77,9 +71,8 @@ from .core import (Engine, EngineConfig, measure, solver_cache_summary,
 from .isa import assemble, build, format_instruction, run_image
 from .isa.cfg import recover_cfg
 from .obs import (AttrConfig, ExecutionTree, HealthConfig, JsonlSink,
-                  MetricsServer, Obs, SpecCoverage, TelemetryError,
-                  compare_runs, health_summary_line, load_run,
-                  render_prom_snapshot)
+                  Obs, SpecCoverage, TelemetryError, compare_runs,
+                  health_summary_line, load_run)
 from .obs.attr import annotate_spec_costs, hot_report, hot_rules_lines
 from .obs.flame import chrome_trace, render_collapsed
 from .runstore import (RunStore, RunStoreError, cached_explore,
@@ -216,18 +209,13 @@ def cmd_explore(args) -> int:
                               "spec_digests": {model.name:
                                                spec_digest(model)}})
         obs.add_sink(sink)
-    # Health monitor: live sampler + watchdog (--health); tightening
-    # flags imply it.
-    want_health = (args.health or args.frontier_budget is not None
-                   or args.on_pressure != "none")
+    # Health monitor: sampler + watchdog (--health); a tightened
+    # budget implies it.
+    want_health = args.health or args.frontier_budget is not None
     health = None
     if want_health:
-        actions = None
-        if args.on_pressure != "none":
-            actions = {"frontier-pressure": args.on_pressure}
         health = HealthConfig(sample_every_steps=args.health_every,
-                              frontier_budget=args.frontier_budget,
-                              actions=actions)
+                              frontier_budget=args.frontier_budget)
     # Cost attribution: --attr [sampled|full] (+ --attr-every N).
     attr_mode = getattr(args, "attr", None)
     attr_config = None
@@ -255,12 +243,12 @@ def cmd_explore(args) -> int:
         # Store-backed dedup: an identical submission (same spec,
         # program, config, strategy, seed, regions) is answered from
         # the content-addressed run store; a miss explores and records.
-        if (args.max_seconds is not None or want_health
-                or args.serve_metrics is not None):
+        if args.max_seconds is not None or want_health:
             sys.stderr.write(
-                "error: --store needs a deterministic run; drop "
-                "--max-seconds/--health/--serve-metrics (they make the "
-                "stop reason timing-dependent)\n")
+                "error: --store needs a deterministic run that a stored "
+                "one can stand in for; drop --max-seconds (it makes the "
+                "stop reason timing-dependent) and --health (it samples "
+                "a live exploration, which a store hit does not run)\n")
             return 1
         try:
             result, stored, store_hit = cached_explore(
@@ -276,15 +264,7 @@ def cmd_explore(args) -> int:
         engine.load_image(image)
         for start, size, track in _parse_regions(args):
             engine.add_region(start, size, track_uninit=track)
-        server = None
-        if args.serve_metrics is not None:
-            server = MetricsServer(obs.metrics, port=args.serve_metrics)
-            print("serving live metrics at %s" % server.url)
-        try:
-            result = engine.explore()
-        finally:
-            if server is not None:
-                server.close()
+        result = engine.explore()
     print(result.summary())
     if stored is not None:
         print("store: %s %s (%s)"
@@ -332,9 +312,10 @@ def cmd_explore(args) -> int:
 def cmd_record(args) -> int:
     """Explore and persist into the content-addressed run store.
 
-    Deliberately excludes the timing-dependent explore flags
-    (``--max-seconds``, the health watchdog): a recorded run must stop
+    Deliberately excludes ``--max-seconds``: a recorded run must stop
     for deterministic reasons or replay verification is meaningless.
+    ``--health`` is left out too: a store hit runs no exploration to
+    sample.
     Exit codes mirror ``explore``: 2 when defects were found, else 0.
     """
     model, image = _load(args)
@@ -741,181 +722,8 @@ def cmd_speccov(args) -> int:
     return 0
 
 
-def _format_health_frame(sample, path: str) -> str:
-    """Render one ``health`` event sample as a ``repro top`` frame."""
-    solver = sample.get("solver") or {}
-    pool = sample.get("pool") or {}
-    lines = [
-        "repro top — %s" % path,
-        "sample #%-5s t=%.1fs  steps=%s  steps/s=%.0f"
-        % (sample.get("seq", "?"), sample.get("t", 0.0),
-           sample.get("steps", 0), sample.get("steps_per_sec", 0.0)),
-        "frontier=%-6s coverage=%-6s paths=%-6s defects=%s"
-        % (sample.get("frontier", 0), sample.get("coverage", 0),
-           sample.get("paths", 0), sample.get("defects", 0)),
-        "solver: share=%.2f hit_ratio=%.2f checks=%d   "
-        "pool: interned=%d (%+d)"
-        % (solver.get("share", 0.0), solver.get("hit_ratio", 0.0),
-           solver.get("checks", 0), pool.get("interned", 0),
-           pool.get("grown", 0)),
-    ]
-    top_states = sample.get("top_states") or ()
-    if top_states:
-        lines.append("heaviest states:")
-        lines.append("  %-7s %-10s %10s %6s %8s"
-                     % ("state", "pc", "path_terms", "pages", "steps"))
-        for foot in top_states:
-            lines.append("  #%-6s %-10s %10s %6s %8s"
-                         % (foot.get("state"), "%#x" % foot.get("pc", 0),
-                            foot.get("path_terms"), foot.get("pages"),
-                            foot.get("steps")))
-    return "\n".join(lines)
-
-
-def _follow_gz(args) -> int:
-    """``repro top`` follow mode over a ``.jsonl.gz`` sidecar: re-read
-    the whole (compressed) file each poll until the run finishes."""
-    import time
-
-    redraw = sys.stdout.isatty()
-    frames = 0
-    last_seq = None
-    deadline = (time.monotonic() + args.max_wait
-                if args.max_wait is not None else None)
-    try:
-        while True:
-            try:
-                run = load_run(args.run)
-            except TelemetryError:
-                run = None
-            if run is not None:
-                health_events = run.events_of("health")
-                if health_events:
-                    sample = health_events[-1].data.get("sample") or {}
-                    if sample.get("seq") != last_seq:
-                        last_seq = sample.get("seq")
-                        if redraw:
-                            sys.stdout.write("\x1b[2J\x1b[H")
-                        print(_format_health_frame(sample, args.run))
-                        sys.stdout.flush()
-                        frames += 1
-                summary = run.run_summary()
-                if summary is not None:
-                    print("run finished: paths=%s defects=%s stop=%s"
-                          % (summary.get("paths"),
-                             summary.get("defects"),
-                             summary.get("stop_reason")))
-                    return 0
-            if deadline is not None and time.monotonic() > deadline:
-                break
-            time.sleep(args.interval)
-    except KeyboardInterrupt:
-        pass
-    if frames == 0:
-        sys.stderr.write(
-            "error: %s carries no health events (run explore with "
-            "--health --telemetry-out?)\n" % args.run)
-        return 1
-    return 0
-
-
-def cmd_top(args) -> int:
-    """Live (or ``--once``) TTY view of a run's ``health`` events."""
-    import json
-    import time
-
-    if args.once:
-        run = _open_run(args.run)
-        if run is None:
-            return 1
-        health_events = run.events_of("health")
-        if not health_events:
-            sys.stderr.write(
-                "error: %s carries no health events (run explore with "
-                "--health --telemetry-out?)\n" % args.run)
-            return 1
-        sample = health_events[-1].data.get("sample") or {}
-        print(_format_health_frame(sample, args.run))
-        for event in run.events_of("watchdog"):
-            print("watchdog: [%s] %s action=%s"
-                  % (event.data.get("diagnosis"),
-                     event.data.get("detail"),
-                     event.data.get("action")))
-        return 0
-
-    # Follow mode: tail the JSONL file until the run_summary meta record
-    # lands (the writer flushes after every health sample, so a live
-    # exploration shows up here with at most one sample of latency).
-    # Gzip sidecars cannot be tailed incrementally (the stream is only
-    # complete once closed): poll with full re-reads instead.
-    if args.run.endswith(".gz"):
-        return _follow_gz(args)
-    try:
-        handle = open(args.run)
-    except OSError as exc:
-        sys.stderr.write("error: cannot open %s: %s\n"
-                         % (args.run, exc.strerror or exc))
-        return 1
-    redraw = sys.stdout.isatty()
-    buffer = ""
-    frames = 0
-    deadline = (time.monotonic() + args.max_wait
-                if args.max_wait is not None else None)
-    try:
-        with handle:
-            while True:
-                chunk = handle.read()
-                if not chunk:
-                    if deadline is not None and time.monotonic() > deadline:
-                        break
-                    time.sleep(args.interval)
-                    continue
-                buffer += chunk
-                while "\n" in buffer:
-                    line, buffer = buffer.split("\n", 1)
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        record = json.loads(line)
-                    except ValueError:
-                        continue
-                    if not isinstance(record, dict):
-                        continue
-                    kind = record.get("kind")
-                    if kind == "meta":
-                        if record.get("record") != "run_summary":
-                            continue
-                        print("run finished: paths=%s defects=%s stop=%s"
-                              % (record.get("paths"),
-                                 record.get("defects"),
-                                 record.get("stop_reason")))
-                        return 0
-                    if kind == "health":
-                        sample = (record.get("data") or {}).get(
-                            "sample") or {}
-                        if redraw:
-                            sys.stdout.write("\x1b[2J\x1b[H")
-                        print(_format_health_frame(sample, args.run))
-                        sys.stdout.flush()
-                        frames += 1
-                    elif kind == "watchdog":
-                        data = record.get("data") or {}
-                        print("watchdog: [%s] %s action=%s"
-                              % (data.get("diagnosis"),
-                                 data.get("detail"), data.get("action")))
-    except KeyboardInterrupt:
-        pass
-    if frames == 0:
-        sys.stderr.write(
-            "error: %s carries no health events (run explore with "
-            "--health --telemetry-out?)\n" % args.run)
-        return 1
-    return 0
-
-
 def cmd_metrics(args) -> int:
-    """Metrics of a saved run; ``--prom`` for Prometheus text format."""
+    """Metrics of a saved run."""
     run = _open_run(args.run)
     if run is None:
         return 1
@@ -929,10 +737,6 @@ def cmd_metrics(args) -> int:
             "error: %s carries no metrics section (was the run recorded "
             "with --telemetry-out?)\n" % args.run)
         return 1
-    if args.prom:
-        sys.stdout.write(render_prom_snapshot(metrics,
-                                              namespace=args.namespace))
-        return 0
     counters, gauges, histograms = sections
     if counters:
         print("counters:")
@@ -1321,10 +1125,11 @@ def main(argv=None) -> int:
                          help="wall-clock deadline; stops cleanly with "
                               "stop reason 'deadline'")
     explore.add_argument("--health", action="store_true",
-                         help="live health monitor: periodic sampler + "
-                              "stall/pressure watchdog (report at the "
-                              "end; with --telemetry-out, 'health' "
-                              "events for 'repro top')")
+                         help="health monitor: periodic sampler + "
+                              "observe-only stall/pressure watchdog "
+                              "(report at the end; with "
+                              "--telemetry-out, 'health' and "
+                              "'watchdog' events)")
     explore.add_argument("--health-every", type=int, default=256,
                          metavar="N",
                          help="sample every N engine steps "
@@ -1334,17 +1139,6 @@ def main(argv=None) -> int:
                          help="watchdog: diagnose frontier-pressure "
                               "when pending states exceed N "
                               "(implies --health)")
-    explore.add_argument("--on-pressure", default="none",
-                         choices=["none", "merge", "switch", "stop"],
-                         help="action when frontier-pressure fires: "
-                              "observe only (default), force a merge "
-                              "pass, switch strategy, or stop with "
-                              "stop reason 'pressure'")
-    explore.add_argument("--serve-metrics", type=int, default=None,
-                         metavar="PORT",
-                         help="serve live Prometheus metrics on "
-                              "127.0.0.1:PORT while exploring "
-                              "(0 = pick a free port)")
     explore.add_argument("--store", nargs="?", const="", default=None,
                          metavar="DIR",
                          help="answer identical submissions from the "
@@ -1456,30 +1250,9 @@ def main(argv=None) -> int:
     hot.add_argument("--out", metavar="FILE",
                      help="--annotate: write the heat map to FILE")
 
-    top = commands.add_parser(
-        "top", help="live TTY view of a running exploration "
-                    "(tails --telemetry-out health events)")
-    top.add_argument("run", help="telemetry JSONL file being written")
-    top.add_argument("--once", action="store_true",
-                     help="print the latest health snapshot and exit")
-    top.add_argument("--interval", type=float, default=0.5,
-                     metavar="S",
-                     help="poll interval in seconds (default 0.5)")
-    top.add_argument("--max-wait", type=float, default=None,
-                     metavar="S",
-                     help="give up after S seconds without new data "
-                          "(default: wait forever)")
-
     metrics = commands.add_parser(
-        "metrics", help="metrics of a saved run (--prom for Prometheus "
-                        "text exposition)")
+        "metrics", help="metrics of a saved run")
     metrics.add_argument("run", help="telemetry JSONL file")
-    metrics.add_argument("--prom", action="store_true",
-                         help="Prometheus text format (for pushgateway "
-                              "or the textfile collector)")
-    metrics.add_argument("--namespace", default="repro",
-                         help="metric name prefix for --prom "
-                              "(default 'repro')")
 
     diffstats = commands.add_parser(
         "diffstats", help="diff two runs' metrics; flag regressions "
@@ -1657,8 +1430,7 @@ def main(argv=None) -> int:
         "isas": cmd_isas, "asm": cmd_asm, "dis": cmd_dis, "run": cmd_run,
         "trace": cmd_trace, "explore": cmd_explore, "cfg": cmd_cfg,
         "stats": cmd_stats, "hot": cmd_hot, "tree": cmd_tree,
-        "speccov": cmd_speccov,
-        "top": cmd_top, "metrics": cmd_metrics,
+        "speccov": cmd_speccov, "metrics": cmd_metrics,
         "diffstats": cmd_diffstats, "bench": cmd_bench,
         "lint": cmd_lint,
         "record": cmd_record, "replay": cmd_replay, "runs": cmd_runs,

@@ -38,31 +38,12 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Tuple
 
+from ..ir.interp import Outcome
 from ..smt import terms as T
 from .symbolic import (S_HALT, S_IF, S_LOCAL, S_OUT, S_PC, S_REG, S_STORE,
                        S_TRAP)
 
 __all__ = ["CONCRETE", "Outcome", "PathEnd", "drive"]
-
-
-class Outcome:
-    """Control effects of one path through a plan.  The defaults are
-    class attributes, so a fresh outcome costs no Python call."""
-
-    next_pc: Any = None        # None: fall through
-    halted = False
-    exit_code: Any = None
-    trapped = False
-    trap_code: Any = None
-
-    def copy(self) -> "Outcome":
-        clone = Outcome()
-        clone.next_pc = self.next_pc
-        clone.halted = self.halted
-        clone.exit_code = self.exit_code
-        clone.trapped = self.trapped
-        clone.trap_code = self.trap_code
-        return clone
 
 
 class PathEnd(Exception):
@@ -112,8 +93,7 @@ def drive(E, S, stmts: tuple, FT: Dict[str, Any], D, outcome: Outcome,
           L: Optional[Dict[str, Any]] = None) -> Paths:
     """Run the plan ``stmts`` on ``S``: one ``(state, outcome)`` per
     surviving path.  ``FT`` holds the decoded fields, ``D`` is the
-    decoded instruction and ``outcome`` a fresh :class:`Outcome` — on a
-    machine that never forks, any object with its five fields.
+    decoded instruction and ``outcome`` a fresh :class:`Outcome`.
 
     ``frames`` is the continuation stack of ``(statements, next index)``
     pairs.  A fork arm drives its body with its own copies of the

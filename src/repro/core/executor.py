@@ -143,9 +143,7 @@ class EngineConfig:
         self.obs = obs
         # Live health monitor (repro.obs.health).  None = off.  Pass a
         # HealthConfig to attach the periodic sampler + stall/pressure
-        # watchdog to the exploration loop.  Sampling is read-only;
-        # degradation actions fire only when HealthConfig.actions
-        # explicitly opts in.
+        # watchdog to the exploration loop.  Observe-only.
         self.health = health
         # Cost attribution (repro.obs.attr).  None = off.  Pass an
         # AttrConfig to charge wall/solver time, cache traffic, forks
@@ -157,8 +155,6 @@ class EngineConfig:
     # key material (repro.runstore).  ``obs``, ``health`` and ``attr``
     # are deliberately absent: observability must never change what a
     # run computes, and serializing live handles makes no sense.
-    # ``health`` watchdog *actions* do change the tree; the run store
-    # refuses configs that enable them (repro.runstore.store).
     _SERIALIZED_FIELDS = (
         "max_steps_per_path", "max_states", "max_paths", "max_defects",
         "max_instructions", "max_wall_seconds", "max_fork_targets",
@@ -214,6 +210,9 @@ class Engine:
             self.attr = CostAttribution(self.config.attr, model,
                                         metrics=self.obs.metrics)
             self.solver.attach_attr(self.attr)
+        # Steps read the clock only when the profiler or attribution
+        # will charge the reading (_timed_exec).
+        self._time_steps = self._profile_on or self.attr is not None
         metrics = self.obs.metrics
         self._c_steps = metrics.counter("engine.steps")
         self._c_forks = metrics.counter("engine.forks")
@@ -238,8 +237,6 @@ class Engine:
         if self.config.health is not None:
             from ..obs.health import HealthMonitor
             self.health = HealthMonitor(self.config.health, self.obs)
-        self._strategy_name = strategy
-        self._strategy_seed = seed
         self._explore_start = 0.0
         self.memory_map = MemoryMap()
         self._base_memory = SymMemory(self.memory_map,
@@ -339,10 +336,7 @@ class Engine:
                 if self._limit_hit(result):
                     break
                 if monitor is not None:
-                    diagnoses = monitor.tick()
-                    if diagnoses and not self._apply_health_actions(
-                            diagnoses, result):
-                        break
+                    monitor.tick()
                 current = self.strategy.pop()
                 for successor in self._step(current, result):
                     if len(self.strategy) >= self.config.max_states:
@@ -361,7 +355,7 @@ class Engine:
             if monitor is not None:
                 telemetry["health"] = monitor.finish()
             if self.attr is not None:
-                telemetry["attr"] = self.attr.snapshot(self._profiler)
+                telemetry["attr"] = self.attr.snapshot()
             result.telemetry = telemetry
             self._result = None
         return result
@@ -385,89 +379,6 @@ class Engine:
             result.stop_reason = "deadline"
             return True
         return False
-
-    # -- health-monitor degradation actions (opt-in; repro.obs.health) -----------
-
-    def _apply_health_actions(self, diagnoses,
-                              result: R.ExplorationResult) -> bool:
-        """Act on watchdog diagnoses; False stops the exploration.
-
-        Only diagnoses whose configured action is not ``"none"`` do
-        anything — the watchdog is observe-only by default, so a
-        monitored run explores exactly the same tree as an unmonitored
-        one unless the operator explicitly opted into degradation.
-        """
-        for diagnosis in diagnoses:
-            action = diagnosis.get("action", "none")
-            if action == "stop":
-                result.stop_reason = "pressure"
-                return False
-            if action == "merge":
-                self._force_merge_pass(result)
-            elif action == "switch":
-                self._switch_strategy(
-                    self.config.health.switch_strategy)
-        return True
-
-    def _force_merge_pass(self, result: R.ExplorationResult) -> int:
-        """Drain the frontier and merge structurally compatible states
-        parked at the same pc (graceful degradation under frontier
-        pressure).  Returns the number of merges performed."""
-        from .merge import try_merge
-        drained: List[SymState] = []
-        while self.strategy:
-            drained.append(self.strategy.pop())
-        survivors: List[SymState] = []
-        buckets: Dict[int, List[int]] = {}
-        merges = 0
-        tracer = self._tracer
-        for state in drained:
-            merged_index = None
-            for index in buckets.get(state.pc, ()):
-                merged = try_merge(survivors[index], state)
-                if merged is None:
-                    continue
-                if tracer.enabled:
-                    tracer.emit("merge", state_id=merged.state_id,
-                                pc=merged.pc,
-                                merged_from=[survivors[index].state_id,
-                                             state.state_id],
-                                duplicate=merged is survivors[index],
-                                forced=True)
-                survivors[index] = merged
-                merged_index = index
-                merges += 1
-                break
-            if merged_index is None:
-                buckets.setdefault(state.pc, []).append(len(survivors))
-                survivors.append(state)
-        # Pops drained newest-first; push back reversed so a stack
-        # frontier keeps roughly its old scheduling order.
-        for state in reversed(survivors):
-            self.strategy.push(state)
-        if merges:
-            self.obs.metrics.counter("engine.merges").inc(merges)
-        return merges
-
-    def _switch_strategy(self, name: str) -> None:
-        """Swap the frontier for a fresh strategy (graceful degradation:
-        e.g. leave a depth-stuck DFS for BFS).  Pending states carry
-        over; wrappers (merging, observability) are re-applied."""
-        drained: List[SymState] = []
-        while self.strategy:
-            drained.append(self.strategy.pop())
-        fresh = make_strategy(name, self._strategy_seed)
-        self._coverage_feedback = (fresh if isinstance(
-            fresh, CoverageStrategy) else None)
-        if self.config.merge_states:
-            from .merge import MergingFrontier
-            fresh = MergingFrontier(fresh, obs=self.obs)
-        if self.obs.profiler.enabled or self.obs.tracer.enabled:
-            fresh = ObservedStrategy(fresh, self.obs)
-        self.strategy = fresh
-        for state in drained:
-            self.strategy.push(state)
-        self._strategy_name = name
 
     # -- single step -----------------------------------------------------------------
 
@@ -515,28 +426,14 @@ class Engine:
         if tracer.enabled:
             tracer.emit("step", state_id=state.state_id, pc=state.pc,
                         instr=decoded.instruction.name)
-        # Cost attribution: set the (rule, pc) context every step; a
-        # *deep* (sampled) step runs the rule's probed twin so
-        # per-IR-kind timings accrue (_exec_block).  The end_step charge
-        # in the finally mirrors the eval phase scope exactly — that is
-        # the reconciliation contract (attr eval calls == phase eval
-        # calls).
-        attr = self.attr
-        if attr is not None:
-            attr.begin_step(decoded.instruction.name, state.pc)
-            attr_start = time.perf_counter()
         try:
-            if self._profile_on:
-                with self._profiler.phase("eval"):
-                    finished = self._exec_block(state, decoded)
+            if self._time_steps:
+                finished = self._timed_exec(state, decoded)
             else:
                 finished = self._exec_block(state, decoded)
         except PathEnd as dead:
             self._dead_end(state, dead.reason)
             return []
-        finally:
-            if attr is not None:
-                attr.end_step(time.perf_counter() - attr_start)
         successors: List[SymState] = []
         for sub_state, outcome in finished:
             sub_state.steps += 1
@@ -566,8 +463,8 @@ class Engine:
             forked = len(finished) - 1
             result.states_forked += forked
             self._c_forks.inc(forked)
-            if attr is not None:
-                attr.on_fork(forked)
+            if self.attr is not None:
+                self.attr.on_fork(forked)
             if tracer.enabled:
                 tracer.emit("fork", state_id=state.state_id, pc=state.pc,
                             children=[sub.state_id
@@ -724,6 +621,26 @@ class Engine:
         return successors
 
     # -- block execution: the rule's compiled plan -----------------------------------
+
+    def _timed_exec(self, state: SymState,
+                    decoded) -> List[Tuple[SymState, Outcome]]:
+        """:meth:`_exec_block` under one clock reading, charged to both
+        the profiler's ``eval`` phase and attribution's step (so their
+        eval totals are equal by construction).  Attribution first sets
+        the (rule, pc) context; a *deep* (sampled) step runs the rule's
+        probed twin so per-IR-kind timings accrue."""
+        attr = self.attr
+        if attr is not None:
+            attr.begin_step(decoded.instruction.name, state.pc)
+        scope = self._profiler.open("eval")
+        start = time.perf_counter()
+        try:
+            return self._exec_block(state, decoded)
+        finally:
+            elapsed = time.perf_counter() - start
+            scope.close(elapsed)
+            if attr is not None:
+                attr.end_step(elapsed)
 
     def _exec_block(self, state: SymState,
                     decoded) -> List[Tuple[SymState, Outcome]]:

@@ -12,11 +12,11 @@ memory and provide input bytes can execute IR.
 
 from __future__ import annotations
 
-from typing import Dict, Sequence
+from typing import Any, Dict, Sequence
 
 from . import nodes as N
 
-__all__ = ["MachineContext", "ExecOutcome", "exec_block", "eval_expr"]
+__all__ = ["MachineContext", "Outcome", "exec_block", "eval_expr"]
 
 
 def _mask(width: int) -> int:
@@ -58,17 +58,28 @@ class MachineContext:
         raise NotImplementedError
 
 
-class ExecOutcome:
-    """Result of executing one instruction's IR block."""
+class Outcome:
+    """Control effects of one path through an instruction: what the
+    interpreter, the symbolic reference evaluator
+    (:mod:`repro.ir.symexec`) and the plan driver
+    (:mod:`repro.compile.driver`) report.  Codes are ``None`` unless the
+    path halted or trapped.  The defaults are class attributes, so a
+    fresh outcome costs no Python call."""
 
-    __slots__ = ("next_pc", "halted", "exit_code", "trapped", "trap_code")
+    next_pc: Any = None        # None: fall through
+    halted = False
+    exit_code: Any = None
+    trapped = False
+    trap_code: Any = None
 
-    def __init__(self):
-        self.next_pc = None        # None -> fall through
-        self.halted = False
-        self.exit_code = 0
-        self.trapped = False
-        self.trap_code = 0
+    def copy(self) -> "Outcome":
+        clone = Outcome()
+        clone.next_pc = self.next_pc
+        clone.halted = self.halted
+        clone.exit_code = self.exit_code
+        clone.trapped = self.trapped
+        clone.trap_code = self.trap_code
+        return clone
 
 
 def eval_expr(expr: N.Expr, ctx: MachineContext, fields: Dict[str, int],
@@ -213,12 +224,12 @@ def _apply_binop(op: str, left: int, right: int, width: int) -> int:
 
 
 def exec_block(stmts: Sequence[N.Stmt], ctx: MachineContext,
-               fields: Dict[str, int], attr=None) -> ExecOutcome:
+               fields: Dict[str, int], attr=None) -> Outcome:
     """Execute one instruction's IR block concretely.
 
     ``attr`` opt-in threads a cost-attribution probe through every
     evaluated expression (see :func:`eval_expr`)."""
-    outcome = ExecOutcome()
+    outcome = Outcome()
     local_values: Dict[str, int] = {}
     _exec_stmts(stmts, ctx, fields, local_values, outcome, attr)
     return outcome

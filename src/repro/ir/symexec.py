@@ -36,8 +36,9 @@ from typing import Dict, List, Optional, Tuple
 
 from ..smt import terms as T
 from . import nodes as N
+from .interp import Outcome
 
-__all__ = ["SymbolicMachine", "SymOutcome", "SymExecError", "exec_block"]
+__all__ = ["SymbolicMachine", "SymExecError", "exec_block"]
 
 
 class SymExecError(Exception):
@@ -81,27 +82,8 @@ class SymbolicMachine:
         raise NotImplementedError
 
 
-class SymOutcome:
-    """Per-path control outcome — the symbolic ``ExecOutcome``."""
-
-    __slots__ = ("next_pc", "halted", "exit_code", "trapped", "trap_code")
-
-    def __init__(self) -> None:
-        self.next_pc: Optional[T.Term] = None
-        self.halted = False
-        self.exit_code: Optional[T.Term] = None
-        self.trapped = False
-        self.trap_code: Optional[T.Term] = None
-
-    def copy(self) -> "SymOutcome":
-        clone = SymOutcome()
-        for slot in self.__slots__:
-            setattr(clone, slot, getattr(self, slot))
-        return clone
-
-
 #: One finished path: (machine, outcome, guard terms along the path).
-Path = Tuple[SymbolicMachine, SymOutcome, Tuple[T.Term, ...]]
+Path = Tuple[SymbolicMachine, Outcome, Tuple[T.Term, ...]]
 
 _BINOPS = {
     "add": T.add, "sub": T.sub, "mul": T.mul, "udiv": T.udiv,
@@ -182,12 +164,12 @@ def exec_block(stmts, machine: SymbolicMachine,
                fields: Dict[str, T.Term]) -> List[Path]:
     """Execute one rule's statements; returns every path's
     ``(machine, outcome, guards)``."""
-    return _run(machine, [(tuple(stmts), 0)], {}, SymOutcome(), (),
+    return _run(machine, [(tuple(stmts), 0)], {}, Outcome(), (),
                 fields)
 
 
 def _run(machine: SymbolicMachine, frames, local_values,
-         outcome: SymOutcome, guards: Tuple[T.Term, ...],
+         outcome: Outcome, guards: Tuple[T.Term, ...],
          fields: Dict[str, T.Term]) -> List[Path]:
     while frames:
         stmts, index = frames[-1]
@@ -242,7 +224,7 @@ def _run(machine: SymbolicMachine, frames, local_values,
 
 
 def _fork(machine: SymbolicMachine, stmt: N.IfStmt, cond: T.Term,
-          frames, local_values, outcome: SymOutcome,
+          frames, local_values, outcome: Outcome,
           guards: Tuple[T.Term, ...],
           fields: Dict[str, T.Term]) -> List[Path]:
     results: List[Path] = []

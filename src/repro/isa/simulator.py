@@ -188,11 +188,8 @@ class Simulator:
             pairs = tuple(((pc + i) & self._pc_mask, window[i])
                           for i in range(decoded.length))
             self._sites[pc] = (pairs, decoded, plan)
-        # The interpreter's outcome, so a step reports the same exit and
-        # trap codes in both modes (an int state never forks, so the
-        # driver never copies it).
         ((_, outcome),) = drive(CONCRETE, state, plan, decoded.fields,
-                                decoded, interp.ExecOutcome())
+                                decoded, interp.Outcome())
         return self._retire(decoded, outcome)
 
     def _retire(self, decoded, outcome) -> StepResult:

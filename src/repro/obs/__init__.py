@@ -53,7 +53,6 @@ from .events import (  # noqa: F401
     EventTracer,
 )
 from .health import (  # noqa: F401
-    ACTIONS,
     DIAGNOSES,
     FRONTIER_PRESSURE,
     POOL_PRESSURE,
@@ -71,7 +70,6 @@ from .metrics import (  # noqa: F401
 )
 from .flame import chrome_trace, collapsed_stacks, render_collapsed  # noqa: F401,E501
 from .profile import PhaseProfiler, PhaseStats  # noqa: F401
-from .prom import MetricsServer, render_prom, render_prom_snapshot  # noqa: F401
 from .sinks import (  # noqa: F401
     ConsoleSink,
     JsonlSink,
@@ -101,9 +99,8 @@ __all__ = ["Obs", "MetricsRegistry", "Counter", "Gauge", "Histogram",
            "ExecutionTree", "FlightRecorder", "TreeEdge", "TreeNode",
            "SpecCoverage", "IsaSpecCoverage", "rule_coverage_from_visited",
            "HealthConfig", "HealthMonitor", "health_summary_line",
-           "DIAGNOSES", "ACTIONS", "STALL", "SOLVER_DOMINATED",
+           "DIAGNOSES", "STALL", "SOLVER_DOMINATED",
            "FRONTIER_PRESSURE", "POOL_PRESSURE",
-           "MetricsServer", "render_prom", "render_prom_snapshot",
            "RunComparison", "DiffRow", "compare_runs", "extract_metrics",
            "STEP", "FORK", "MERGE", "SOLVER_CHECK", "SOLVER_CACHE",
            "PATH_END", "DEFECT", "DECODE_CACHE", "PRUNE", "HEALTH",

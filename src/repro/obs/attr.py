@@ -20,17 +20,16 @@ that time is spent on.  Costs are charged at three granularities:
   the query, so one hot branch shows up as one hot address.
 
 **Sampling.**  Rule-level charging (steps, eval time, solver time,
-forks) happens on *every* step — two clock reads — so rule totals
-reconcile with the phase profiler in every mode.  The expensive parts
-(per-IR-node probing, term-pool deltas) run only on every
-``sample_every``-th step ("deep" steps); ``mode="full"`` makes every
-step deep.
+forks) happens on *every* step.  The expensive parts (per-IR-node
+probing, term-pool deltas) run only on every ``sample_every``-th step
+("deep" steps); ``mode="full"`` makes every step deep.
 
-**Reconciliation contract** (pinned by ``tests/obs/test_attr.py``):
-with the profiler enabled, attribution's eval/solver *call counts*
-equal the ``eval``/``solver`` phase call counts exactly, and the
-attributed times agree within 5% — the attribution window encloses the
-phase scope, so attr time is a hair larger, never smaller.
+**One timer** (pinned by ``tests/obs/test_attr.py``): attribution takes
+its eval and solver charges from the same clock readings as the phase
+profiler's ``eval`` and ``solver`` scopes (``Engine._timed_exec``,
+``Solver.check``), so with the profiler enabled the block's
+``eval_calls``/``eval_s`` and ``solver_checks``/``solver_s`` *equal*
+those phases' ``calls``/``total_s``.
 
 The :meth:`CostAttribution.snapshot` dict is the wire format: it rides
 in ``result.telemetry["attr"]`` (schema-v5 sidecar ``run_summary``
@@ -52,8 +51,10 @@ __all__ = ["AttrConfig", "CostAttribution", "ATTR_SCHEMA_VERSION",
            "ir_kind"]
 
 #: Version of the ``attr`` snapshot block (independent of the event
-#: schema version; bumped when the block's shape changes).
-ATTR_SCHEMA_VERSION = 1
+#: schema version; bumped when the block's shape changes).  2: attr and
+#: the phase profiler share one timer, so the block no longer carries a
+#: section comparing their totals.
+ATTR_SCHEMA_VERSION = 2
 
 #: Pseudo-rule charged for solver work issued outside any instruction
 #: (e.g. a feasibility probe before the first step).
@@ -151,7 +152,7 @@ class CostAttribution:
         self.sites: Dict[int, _SiteCost] = {}
         self.steps = 0
         self.deep_steps = 0
-        # Running totals (the reconcile side of the ledger).
+        # Running totals (equal to the eval/solver phase totals).
         self.eval_calls = 0
         self.eval_s = 0.0
         self.solver_checks = 0
@@ -168,8 +169,7 @@ class CostAttribution:
         self._ir_stack: List[list] = []   # [kind, start, child_time]
         self._pool = None                 # bound lazily (term pool)
         self._pool_mark = 0
-        # attr.* metrics (rendered by repro.obs.prom like every other
-        # metric); NULL objects when metrics are off.
+        # attr.* metrics; NULL objects when metrics are off.
         from .metrics import NULL_COUNTER, NULL_HISTOGRAM
         self._h_eval = NULL_HISTOGRAM
         self._h_solver = NULL_HISTOGRAM
@@ -217,8 +217,8 @@ class CostAttribution:
         return deep
 
     def end_step(self, elapsed: float) -> None:
-        """Charge one instruction's evaluation wall time (every step —
-        this is what reconciles with the ``eval`` phase)."""
+        """Charge one instruction's evaluation wall time (every step;
+        the ``eval`` phase is charged the same reading)."""
         self.eval_calls += 1
         self.eval_s += elapsed
         self._rule_cost.eval_s += elapsed
@@ -263,9 +263,9 @@ class CostAttribution:
     # -- solver-side charging (Solver.attach_attr) ---------------------------
 
     def on_solver_check(self, elapsed: float, result: str) -> None:
-        """One *solved* query (cache answers go through
-        :meth:`on_solver_cache` instead, mirroring the profiler's
-        accounting contract)."""
+        """One *solved* query, charged the reading its ``solver`` phase
+        gets (cache answers go through :meth:`on_solver_cache`
+        instead)."""
         self.solver_checks += 1
         self.solver_s += elapsed
         cost = self._rule_cost
@@ -298,13 +298,8 @@ class CostAttribution:
 
     # -- snapshot -------------------------------------------------------------
 
-    def snapshot(self, profiler=None) -> Dict[str, object]:
-        """The JSON-able ``attr`` block (see module docstring).
-
-        ``profiler`` (a :class:`~repro.obs.profile.PhaseProfiler`)
-        contributes the ``reconcile`` section comparing attribution
-        totals against the ``eval``/``solver`` phase totals.
-        """
+    def snapshot(self) -> Dict[str, object]:
+        """The JSON-able ``attr`` block (see module docstring)."""
         rules: Dict[str, Dict[str, object]] = {}
         for name, cost in self.rules.items():
             if cost.steps == 0 and cost.solver_checks == 0 \
@@ -355,7 +350,7 @@ class CostAttribution:
                          "forks": site.forks}
             for pc, site in sorted(self.sites.items())
             if site.solver_checks or site.forks or site.cache_hits}
-        block: Dict[str, object] = {
+        return {
             "version": ATTR_SCHEMA_VERSION,
             "isa": self.isa,
             "source": self._source,
@@ -374,23 +369,6 @@ class CostAttribution:
             "ir": dict(sorted(ir_rollup.items())),
             "sites": sites,
         }
-        if profiler is not None and getattr(profiler, "enabled", False):
-            phases = profiler.snapshot()
-            block["reconcile"] = {
-                "eval": {
-                    "attr_calls": self.eval_calls,
-                    "phase_calls": phases.get("eval", {}).get("calls", 0),
-                    "attr_s": self.eval_s,
-                    "phase_s": phases.get("eval", {}).get("total_s", 0.0),
-                },
-                "solver": {
-                    "attr_calls": self.solver_checks,
-                    "phase_calls": phases.get("solver", {}).get("calls", 0),
-                    "attr_s": self.solver_s,
-                    "phase_s": phases.get("solver", {}).get("total_s", 0.0),
-                },
-            }
-        return block
 
     def report(self, top: int = 10) -> str:
         return hot_report(self.snapshot(), top=top)
@@ -515,18 +493,6 @@ def hot_report(block, top: int = 10, min_share: float = 0.0) -> str:
                             int(entry.get("solver_checks", 0) or 0),
                             int(entry.get("cache_hits", 0) or 0),
                             int(entry.get("forks", 0) or 0)))
-    reconcile = block.get("reconcile")
-    if isinstance(reconcile, dict):
-        for phase in ("eval", "solver"):
-            entry = reconcile.get(phase)
-            if isinstance(entry, dict):
-                lines.append(
-                    "reconcile %-6s attr %s calls / %.2fms vs phase "
-                    "%s calls / %.2fms"
-                    % (phase, entry.get("attr_calls"),
-                       float(entry.get("attr_s", 0.0)) * 1e3,
-                       entry.get("phase_calls"),
-                       float(entry.get("phase_s", 0.0)) * 1e3))
     return "\n".join(lines)
 
 

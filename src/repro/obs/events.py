@@ -23,8 +23,8 @@ Event kinds
                   frontier size, steps/sec, solver + cache rates, term
                   pool growth, top-k heaviest states; see
                   :mod:`repro.obs.health`)
-``watchdog``      a stall/pressure diagnosis (``diagnosis``, ``detail``,
-                  optional ``action`` when degradation is enabled)
+``watchdog``      a stall/pressure diagnosis (``diagnosis``, ``detail``;
+                  observe-only, nothing acts on it)
 ``store``         a run-store dedup probe (``hit``, ``run_id`` payload):
                   an identical submission answered from the
                   content-addressed run store instead of re-exploring
@@ -172,7 +172,7 @@ class EventTracer:
     def flush(self) -> None:
         """Flush sinks that buffer (best-effort; sinks without a
         ``flush`` are skipped).  The health monitor calls this after
-        each sample so live tails (``repro top``) see fresh data."""
+        each sample so a killed run keeps the samples it took."""
         for sink in self.sinks:
             flush = getattr(sink, "flush", None)
             if flush is not None:

@@ -22,8 +22,8 @@ Two cooperating pieces, both driven from the executor main loop:
     Samples are schema-versioned dicts (``"v"`` key,
     :data:`HEALTH_SCHEMA`), kept in a bounded in-memory history,
     mirrored into gauges (``health.*``) and emitted as ``health``
-    events into the run's tracer (then flushed, so a live ``repro
-    top`` tail sees them mid-run).
+    events into the run's tracer (then flushed, so a killed run keeps
+    every sample it took).
 
 watchdog (inside the monitor)
     Evaluated at each sample: detects **no-new-coverage windows**
@@ -33,17 +33,12 @@ watchdog (inside the monitor)
     growth** beyond ``frontier_budget`` and **term-pool growth**
     beyond ``pool_budget``.  Each firing produces a structured
     diagnosis (recorded, counted, emitted as a ``watchdog`` event).
-    Diagnoses are *observe-only by default*; per-diagnosis graceful
-    degradation is opt-in via ``HealthConfig(actions={...})`` — the
-    engine then forces a merge pass (``"merge"``), switches strategy
-    (``"switch"``) or stops with a clean ``pressure`` stop reason
-    (``"stop"``).
+    Diagnoses only report: the engine never acts on them.
 
 Determinism: sampling is read-only — with the default
 ``min_interval_s=0`` the cadence is a pure function of the step count,
 so a run with the monitor attached explores exactly the same tree as a
-run without it (pinned by ``tests/obs/test_health.py``).  Only opt-in
-actions may change exploration, and only when explicitly configured.
+run without it (pinned by ``tests/obs/test_health.py``).
 """
 
 from __future__ import annotations
@@ -55,13 +50,13 @@ from typing import Dict, List, Optional
 from .events import HEALTH, WATCHDOG
 
 __all__ = ["HealthConfig", "HealthMonitor", "health_summary_line",
-           "HEALTH_SCHEMA", "DIAGNOSES", "ACTIONS",
+           "HEALTH_SCHEMA", "DIAGNOSES",
            "STALL", "SOLVER_DOMINATED", "FRONTIER_PRESSURE",
-           "POOL_PRESSURE",
-           "ACTION_NONE", "ACTION_MERGE", "ACTION_SWITCH", "ACTION_STOP"]
+           "POOL_PRESSURE"]
 
-#: Version of the ``health`` event payload / summary dict layout.
-HEALTH_SCHEMA = 1
+#: Version of the ``health`` event payload / summary dict layout
+#: (2: diagnoses no longer carry an ``action``).
+HEALTH_SCHEMA = 2
 
 # -- diagnosis kinds ---------------------------------------------------------
 
@@ -71,15 +66,6 @@ FRONTIER_PRESSURE = "frontier-pressure"
 POOL_PRESSURE = "term-pool-pressure"
 
 DIAGNOSES = (STALL, SOLVER_DOMINATED, FRONTIER_PRESSURE, POOL_PRESSURE)
-
-# -- degradation actions -----------------------------------------------------
-
-ACTION_NONE = "none"        # observe only (the default for everything)
-ACTION_MERGE = "merge"      # force a merge pass over the frontier
-ACTION_SWITCH = "switch"    # switch the exploration strategy
-ACTION_STOP = "stop"        # stop with stop_reason = "pressure"
-
-ACTIONS = (ACTION_NONE, ACTION_MERGE, ACTION_SWITCH, ACTION_STOP)
 
 
 class HealthConfig:
@@ -100,9 +86,7 @@ class HealthConfig:
                  solver_share_threshold: Optional[float] = 0.9,
                  solver_min_window_s: float = 0.05,
                  frontier_budget: Optional[int] = None,
-                 pool_budget: Optional[int] = None,
-                 actions: Optional[Dict[str, str]] = None,
-                 switch_strategy: str = "bfs"):
+                 pool_budget: Optional[int] = None):
         if sample_every_steps < 1:
             raise ValueError("sample_every_steps must be >= 1")
         # -- sampler cadence.  With min_interval_s == 0 (the default)
@@ -123,17 +107,6 @@ class HealthConfig:
         self.solver_min_window_s = solver_min_window_s
         self.frontier_budget = frontier_budget
         self.pool_budget = pool_budget
-        # -- opt-in degradation: {diagnosis kind: action}.  Anything
-        # not listed is observe-only.
-        self.actions = dict(actions) if actions else {}
-        for kind, action in self.actions.items():
-            if kind not in DIAGNOSES:
-                raise ValueError("unknown diagnosis %r (have: %s)"
-                                 % (kind, ", ".join(DIAGNOSES)))
-            if action not in ACTIONS:
-                raise ValueError("unknown action %r (have: %s)"
-                                 % (action, ", ".join(ACTIONS)))
-        self.switch_strategy = switch_strategy
 
 
 class HealthMonitor:
@@ -144,7 +117,7 @@ class HealthMonitor:
         monitor = HealthMonitor(HealthConfig(...), obs)
         monitor.begin(engine, result)       # per-exploration reset
         ... per popped state:
-        diagnoses = monitor.tick()          # cheap guard; maybe sample
+        monitor.tick()                      # cheap guard; maybe sample
         ... at the end:
         telemetry["health"] = monitor.finish()
 
@@ -218,21 +191,18 @@ class HealthMonitor:
             self._solver_last = engine.solver.stats.as_dict()
         self._pool_begin = T.get_pool().stats()
 
-    def tick(self) -> Optional[List[Dict[str, object]]]:
-        """One engine step.  Returns new diagnoses when a sample fired
-        and the watchdog spoke, else ``None`` (the overwhelmingly
-        common case: one increment + one compare)."""
+    def tick(self) -> None:
+        """One engine step: one increment and one compare until a
+        sample is due."""
         self._ticks += 1
         if self._ticks < self._next_tick:
-            return None
+            return
         now = time.perf_counter()
+        self._next_tick = self._ticks + self.config.sample_every_steps
         if (self.config.min_interval_s > 0.0
                 and now - self._last_time < self.config.min_interval_s):
-            # Too soon in wall time; re-arm a full step window out.
-            self._next_tick = self._ticks + self.config.sample_every_steps
-            return None
-        self._next_tick = self._ticks + self.config.sample_every_steps
-        return self._sample(now)
+            return      # too soon in wall time; re-armed a window out
+        self._sample(now)
 
     def sample_now(self) -> Dict[str, object]:
         """Force an immediate sample (tests / examples / final flush)."""
@@ -246,11 +216,11 @@ class HealthMonitor:
 
     # -- sampling -----------------------------------------------------------
 
-    def _sample(self, now: float) -> Optional[List[Dict[str, object]]]:
+    def _sample(self, now: float) -> None:
         from ..smt import terms as T
         engine, result = self._engine, self._result
         if engine is None or result is None:
-            return None
+            return
         elapsed = now - self._last_time
         steps_delta = self._ticks - self._last_ticks
         steps_per_sec = steps_delta / elapsed if elapsed > 0 else 0.0
@@ -304,12 +274,11 @@ class HealthMonitor:
         tracer = self._tracer
         if tracer is not None and tracer.enabled:
             tracer.emit(HEALTH, state_id=-1, pc=0, sample=sample)
-            tracer.flush()   # live tails (`repro top`) see it mid-run
-        fired = self._watchdog(sample, solver_share, elapsed)
+            tracer.flush()   # a killed run keeps the samples it took
+        self._watchdog(sample, solver_share, elapsed)
         self._last_time = now
         self._last_ticks = self._ticks
         self._solver_last = engine.solver.stats.as_dict()
-        return fired if fired else None
 
     def _top_states(self, engine) -> List[Dict[str, int]]:
         """Footprints of the top-k heaviest frontier states."""
@@ -378,14 +347,12 @@ class HealthMonitor:
 
     def _diagnose(self, kind: str, sample, detail: str,
                   streak: int = 0) -> Dict[str, object]:
-        action = self.config.actions.get(kind, ACTION_NONE)
         diagnosis: Dict[str, object] = {
             "v": HEALTH_SCHEMA,
             "diagnosis": kind,
             "detail": detail,
             "seq": sample["seq"],
             "t": sample["t"],
-            "action": action,
         }
         if streak:
             diagnosis["streak"] = streak
@@ -444,10 +411,9 @@ class HealthMonitor:
                             "diagnosis" if len(self.diagnoses) == 1
                             else "diagnoses"))
             for diagnosis in self.diagnoses:
-                lines.append("  [%s] %s action=%s"
+                lines.append("  [%s] %s"
                              % (diagnosis["diagnosis"],
-                                diagnosis["detail"],
-                                diagnosis["action"]))
+                                diagnosis["detail"]))
         else:
             lines.append("watchdog: healthy (0 diagnoses)")
         return "\n".join(lines)

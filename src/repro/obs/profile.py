@@ -1,11 +1,16 @@
 """Per-phase wall-time profiler.
 
-Scopes (``with profiler.phase("solver"): ...`` or the
-``@profiler.wrap("decode")`` decorator) accumulate calls, inclusive and
-exclusive (self) time per phase name.  Nesting is tracked with an
-explicit stack, so ``eval`` wrapping ``memory`` wrapping ``solver``
-yields a correct breakdown: each phase's *self* time excludes the time
-spent in phases entered beneath it.
+Scopes (``with profiler.phase("decode"): ...``) accumulate calls,
+inclusive and exclusive (self) time per phase name.  Nesting is tracked
+with an explicit stack, so ``eval`` wrapping ``memory`` wrapping
+``solver`` yields a correct breakdown: each phase's *self* time excludes
+the time spent in phases entered beneath it.
+
+A caller that reads the clock itself — the engine's eval step and the
+solver's solved query, whose one reading also feeds cost attribution and
+``solve_time`` — opens a scope with :meth:`PhaseProfiler.open` and
+closes it with the elapsed time it measured, so every consumer of that
+reading is charged the same value.
 
 A disabled profiler hands out one shared no-op scope, keeping the hot
 path at roughly the cost of a method call.
@@ -13,7 +18,6 @@ path at roughly the cost of a method call.
 
 from __future__ import annotations
 
-import functools
 import time
 from typing import Dict, List
 
@@ -56,6 +60,9 @@ class _NullScope:
     def __exit__(self, *_exc):
         return False
 
+    def close(self, _elapsed: float) -> None:
+        pass
+
 
 _NULL_SCOPE = _NullScope()
 
@@ -76,7 +83,12 @@ class _Scope:
         return self
 
     def __exit__(self, *_exc):
-        elapsed = time.perf_counter() - self._start
+        self.close(time.perf_counter() - self._start)
+        return False
+
+    def close(self, elapsed: float) -> None:
+        """Leave the scope, charging ``elapsed`` seconds to its phase
+        (and to its parent scope as child time)."""
         profiler = self._profiler
         stack = profiler._stack
         stack.pop()
@@ -88,7 +100,6 @@ class _Scope:
         stats.self_time += elapsed - self._child_time
         if stack:
             stack[-1]._child_time += elapsed
-        return False
 
 
 class PhaseProfiler:
@@ -105,20 +116,16 @@ class PhaseProfiler:
             return _NULL_SCOPE
         return _Scope(self, name)
 
-    def wrap(self, name: str):
-        """Decorator form: time every call of the wrapped function.
-
-        ``functools.wraps`` keeps the wrapped function's metadata
-        (``__qualname__``, ``__module__``, ``__wrapped__`` and the
-        signature via ``__wrapped__``) intact so decorated engine
-        methods stay introspectable."""
-        def decorator(fn):
-            @functools.wraps(fn)
-            def wrapped(*args, **kwargs):
-                with self.phase(name):
-                    return fn(*args, **kwargs)
-            return wrapped
-        return decorator
+    def open(self, name: str):
+        """Enter a scope of ``name`` whose caller times it: the caller
+        reads the clock and ends the scope with ``close(elapsed)``.
+        Scopes opened beneath it still charge it their time as child
+        time."""
+        if not self.enabled:
+            return _NULL_SCOPE
+        scope = _Scope(self, name)
+        self._stack.append(scope)
+        return scope
 
     def stats(self, name: str) -> PhaseStats:
         """Stats for one phase.

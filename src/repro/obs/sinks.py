@@ -135,9 +135,9 @@ class JsonlSink:
         self._handle.write("\n")
 
     def flush(self) -> None:
-        """Push buffered lines to disk so live tails (``repro top``)
-        observe them mid-run.  Called by the health monitor after each
-        sample — cheap at sampling cadence, never on the hot path."""
+        """Push buffered lines to disk, so a killed run keeps them.
+        Called by the health monitor after each sample — cheap at
+        sampling cadence, never on the hot path."""
         self._handle.flush()
 
     def close(self) -> None:

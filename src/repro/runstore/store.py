@@ -50,7 +50,6 @@ from ..core.reporting import ExplorationResult
 from ..isa.assembler import Image
 from ..obs import JsonlSink, Obs
 from ..obs.events import STORE
-from ..obs.health import ACTION_NONE
 from ..obs.sinks import load_run
 from .fingerprint import (defects_fingerprint, leaves_fingerprint,
                           tree_fingerprint)
@@ -343,25 +342,6 @@ def _warm_start_engine(store: RunStore, engine: Engine,
     return source.run_id, engine.solver.query_cache.load_state(payload)
 
 
-def _check_keyable(config: EngineConfig) -> None:
-    """Refuse a config whose outcome the run key cannot name.
-
-    Health watchdog *actions* (merge, switch, stop) reshape the explored
-    tree, but ``health`` is not key material — a stored run explored
-    with them would answer for, and replay against, a run without.
-    Observe-only health (no actions, or all ``"none"``) stays allowed.
-    """
-    actions = getattr(config.health, "actions", None) or {}
-    active = sorted("%s=%s" % (kind, action)
-                    for kind, action in actions.items()
-                    if action != ACTION_NONE)
-    if active:
-        raise RunStoreError(
-            "health watchdog actions change the explored tree and are "
-            "not part of the run key; record without them (%s)"
-            % ", ".join(active))
-
-
 def record_exploration(store: RunStore, model, image,
                        config: EngineConfig, strategy: str = "dfs",
                        seed: int = 0, regions: Sequence = (),
@@ -374,10 +354,8 @@ def record_exploration(store: RunStore, model, image,
     The event stream is written gzip-compressed while the engine runs;
     fingerprints are then computed by *re-loading* the written sidecar
     (the exact artifact replay will read — like-for-like by
-    construction).  Raises :class:`RunStoreError` for a config with
-    health watchdog actions (see :func:`_check_keyable`).
+    construction).
     """
-    _check_keyable(config)
     spec = spec_digest(model)
     key = run_key(model.name, spec, image, config, strategy, seed,
                   regions)
@@ -482,10 +460,8 @@ def cached_explore(store: RunStore, model, image, config: EngineConfig,
     ``store.hit`` counter, emits a ``store`` event, and never
     constructs an engine — zero new solver checks.  A miss increments
     ``store.miss`` and explores; with ``persist_on_miss`` the run is
-    committed so the next identical submission hits.  Raises
-    :class:`RunStoreError` for a config with health watchdog actions.
+    committed so the next identical submission hits.
     """
-    _check_keyable(config)
     spec = spec_digest(model)
     key = run_key(model.name, spec, image, config, strategy, seed,
                   regions)

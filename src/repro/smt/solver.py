@@ -161,11 +161,11 @@ class Solver:
     def attach_attr(self, attr) -> None:
         """Wire a :class:`repro.obs.attr.CostAttribution` accumulator.
 
-        Mirrors the profiler's accounting contract: every *solved*
-        query charges its elapsed time to the engine's current
-        rule/pc/IR context (``on_solver_check``); query-cache answers
-        and frame reuse charge only a cache hit (``on_solver_cache``),
-        never solver time."""
+        Every *solved* query charges the elapsed time its ``solver``
+        phase gets to the engine's current rule/pc/IR context
+        (``on_solver_check``); query-cache answers and frame reuse
+        charge only a cache hit (``on_solver_cache``), never solver
+        time."""
         self._attr = attr
 
     # -- assertion management -------------------------------------------------
@@ -210,18 +210,17 @@ class Solver:
             self._c_cache_miss.inc()
             if self._attr is not None:
                 self._attr.on_cache_miss()
-        profiler = self._obs_profiler
+        # One clock reading per solved query: solve_time, the solver
+        # phase, the check_ms histogram and attribution all get it.
+        scope = self._obs_profiler.open("solver")
         start = time.perf_counter()
         skip_models = key is not None  # the cache probe already replayed them
         try:
-            if profiler.enabled:
-                with profiler.phase("solver"):
-                    result = self._check(conds, skip_models)
-            else:
-                result = self._check(conds, skip_models)
+            result = self._check(conds, skip_models)
         finally:
             elapsed = time.perf_counter() - start
             self.stats.solve_time += elapsed
+            scope.close(elapsed)
         self._check_hist.observe(elapsed * 1000.0)
         if result == SAT:
             self.stats.sat_results += 1

@@ -46,7 +46,7 @@ __all__ = ["VALIDATOR_VERSION", "Counterexample", "RuleResult",
 
 #: Bump when validator semantics change — the plan driver's walk
 #: included (part of the certificate key).
-VALIDATOR_VERSION = 2
+VALIDATOR_VERSION = 3
 
 PROVED = "proved"
 COUNTEREXAMPLE = "counterexample"

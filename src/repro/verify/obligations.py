@@ -172,6 +172,14 @@ class _Comparer:
             return "next-pc presence differs (ref %s, compiled %s)" % (
                 "set" if ref_outcome.next_pc is not None else "fallthrough",
                 "set" if cand_outcome.next_pc is not None else "fallthrough")
+        if ref_outcome.halted and ref_outcome.exit_code is not None \
+                and cand_outcome.exit_code is None:
+            return "exit code missing (ref halted with one, compiled " \
+                "without)"
+        if ref_outcome.trapped and ref_outcome.trap_code is not None \
+                and cand_outcome.trap_code is None:
+            return "trap code missing (ref trapped with one, compiled " \
+                "without)"
         ref_events = [(e[0], e[-1]) for e in ref_machine.mem_log]
         cand_events = [(e[0], e[-1]) for e in cand_machine.mem_log]
         if ref_events != cand_events:
@@ -204,12 +212,12 @@ class _Comparer:
         if ref_outcome.next_pc is not None:
             self._discharge("next_pc", ref_outcome.next_pc,
                             cand_outcome.next_pc, guards, mismatches)
-        if ref_outcome.halted and ref_outcome.exit_code is not None \
-                and cand_outcome.exit_code is not None:
+        # _structure made the compiled side carry a code wherever the
+        # reference halted or trapped with one.
+        if ref_outcome.halted and ref_outcome.exit_code is not None:
             self._discharge("exit_code", ref_outcome.exit_code,
                             cand_outcome.exit_code, guards, mismatches)
-        if ref_outcome.trapped and ref_outcome.trap_code is not None \
-                and cand_outcome.trap_code is not None:
+        if ref_outcome.trapped and ref_outcome.trap_code is not None:
             self._discharge("trap_code", ref_outcome.trap_code,
                             cand_outcome.trap_code, guards, mismatches)
         spaces = sorted(set(ref_machine.touched_spaces())

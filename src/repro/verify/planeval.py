@@ -40,7 +40,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from ..compile.driver import Outcome, drive
 from ..compile.ops import OPS, Value, norm
 from ..smt import terms as T
-from ..ir.symexec import Path, SymExecError, SymOutcome
+from ..ir.symexec import Path, SymExecError
 from .state import MachineState
 
 __all__ = ["load_plans", "exec_plan", "WidthLiteralError"]
@@ -178,14 +178,13 @@ def _index(index: Optional[Value]) -> Optional[T.Term]:
     return None if index is None else _term(index)
 
 
-def _lifted(outcome: Outcome) -> SymOutcome:
-    lifted = SymOutcome()
-    lifted.halted = outcome.halted
-    lifted.trapped = outcome.trapped
+def _lifted(outcome: Outcome) -> Outcome:
+    """``outcome`` with its int values lifted to terms, in place."""
     for slot in ("next_pc", "exit_code", "trap_code"):
         value = getattr(outcome, slot)
-        setattr(lifted, slot, None if value is None else _term(value))
-    return lifted
+        if value is not None:
+            setattr(outcome, slot, _term(value))
+    return outcome
 
 
 def load_plans(symbolic_source: str,

@@ -108,7 +108,7 @@ def test_compiled_step_matches_interpreted_step(target, data):
                                        decoded_fields)
     ((_, compiled_outcome),) = drive(CONCRETE, specialized, table(instr),
                                      decoded_fields, None,
-                                     interp.ExecOutcome())
+                                     interp.Outcome())
 
     _assert_outcomes_equal(interp_outcome, compiled_outcome, context)
     _assert_machines_equal(reference, specialized, context)

@@ -1,13 +1,12 @@
-"""Health monitor: sampler, watchdog, determinism, degradation actions.
+"""Health monitor: sampler, watchdog, determinism.
 
-The contracts under test (PR 4's tentpole):
+The contracts under test:
 
 * the sampler is read-only and step-count-driven, so a monitored run
   explores exactly the same tree as an unmonitored one;
 * the watchdog speaks only when a threshold is configured and crossed,
   and on a healthy run it stays silent;
-* degradation actions never fire unless explicitly opted in via
-  ``HealthConfig(actions={...})``.
+* diagnoses only report: there is no action to configure.
 """
 
 import pytest
@@ -15,8 +14,7 @@ import pytest
 from repro.core import Engine, EngineConfig
 from repro.obs import (HEALTH, WATCHDOG, HealthConfig, HealthMonitor,
                        Obs, RingBufferSink, health_summary_line)
-from repro.obs.health import (ACTION_MERGE, ACTION_STOP, ACTION_SWITCH,
-                              FRONTIER_PRESSURE, HEALTH_SCHEMA,
+from repro.obs.health import (FRONTIER_PRESSURE, HEALTH_SCHEMA,
                               POOL_PRESSURE, SOLVER_DOMINATED, STALL)
 from repro.programs import build_kernel
 
@@ -129,8 +127,8 @@ class TestDeterminism:
 
     def test_observe_only_watchdog_does_not_change_exploration(self):
         _, bare, _ = run_maze(health=None)
-        # A ludicrous budget: fires on nearly every sample, but the
-        # default action is observe-only.
+        # A ludicrous budget: fires on nearly every sample, and
+        # diagnoses only report.
         engine, noisy, _ = run_maze(
             health=HealthConfig(sample_every_steps=16, frontier_budget=0))
         assert engine.health.diagnoses, "budget 0 must fire"
@@ -179,7 +177,7 @@ class TestWatchdog:
                                   0.0, 1.0)
         assert sorted(d["diagnosis"] for d in fired) == sorted(
             [FRONTIER_PRESSURE, POOL_PRESSURE])
-        assert all(d["action"] == "none" for d in fired)
+        assert all("action" not in d for d in fired)
 
     def test_watchdog_events_carry_diagnosis(self):
         health = HealthConfig(sample_every_steps=16, frontier_budget=0)
@@ -192,37 +190,11 @@ class TestWatchdog:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             HealthConfig(sample_every_steps=0)
-        with pytest.raises(ValueError):
-            HealthConfig(actions={"bogus-diagnosis": "stop"})
-        with pytest.raises(ValueError):
-            HealthConfig(actions={FRONTIER_PRESSURE: "explode"})
-
-
-class TestActions:
-    def test_stop_action_sets_pressure_stop_reason(self):
-        health = HealthConfig(sample_every_steps=16, frontier_budget=0,
-                              actions={FRONTIER_PRESSURE: ACTION_STOP})
-        _, result, _ = run_maze(health=health)
-        assert result.stop_reason == "pressure"
-
-    def test_merge_action_shrinks_the_frontier(self):
-        _, baseline, _ = run_maze(health=None, strategy="bfs")
-        health = HealthConfig(sample_every_steps=16, frontier_budget=2,
-                              actions={FRONTIER_PRESSURE: ACTION_MERGE})
-        engine, merged, _ = run_maze(health=health, strategy="bfs")
-        assert engine.health.diagnoses
-        assert len(merged.paths) < len(baseline.paths)
-        # The merged run still reaches the planted defect.
-        assert {d.kind for d in merged.defects} == \
-            {d.kind for d in baseline.defects}
-
-    def test_switch_action_swaps_the_strategy(self):
-        health = HealthConfig(sample_every_steps=16, frontier_budget=0,
-                              actions={FRONTIER_PRESSURE: ACTION_SWITCH},
-                              switch_strategy="bfs")
-        engine, result, _ = run_maze(health=health, strategy="dfs")
-        assert engine._strategy_name == "bfs"
-        assert result.stop_reason == "exhausted"
+        # The watchdog has no actions to configure.
+        with pytest.raises(TypeError):
+            HealthConfig(actions={FRONTIER_PRESSURE: "stop"})
+        with pytest.raises(TypeError):
+            HealthConfig(switch_strategy="bfs")
 
 
 class TestDeadline:

@@ -1,4 +1,5 @@
-"""Phase profiler: nesting, self-time, decorator, disabled no-op."""
+"""Phase profiler: nesting, self-time, caller-timed scopes, disabled
+no-op."""
 
 import time
 
@@ -66,18 +67,33 @@ class TestScopes:
         assert stats.self_time <= stats.total + 1e-9
 
 
-class TestDecorator:
-    def test_wrap_times_every_call(self):
+class TestCallerTimedScope:
+    def test_close_charges_the_callers_reading(self):
         profiler = PhaseProfiler()
-
-        @profiler.wrap("decode")
-        def decode():
+        outer = profiler.open("eval")
+        with profiler.phase("memory"):
             spin(0.001)
-            return 42
+        inner = profiler.open("solver")
+        inner.close(0.25)
+        outer.close(0.5)
+        solver = profiler.stats("solver")
+        assert (solver.calls, solver.total, solver.self_time) \
+            == (1, 0.25, 0.25)
+        eval_stats = profiler.stats("eval")
+        assert (eval_stats.calls, eval_stats.total) == (1, 0.5)
+        # Both children's time is the parent's child time.
+        memory = profiler.stats("memory").total
+        assert eval_stats.self_time == 0.5 - (memory + 0.25)
+        # The stack is unwound: a new root scope has no parent.
+        profiler.open("decode").close(0.125)
+        assert profiler.stats("decode").self_time == 0.125
 
-        assert decode() == 42
-        assert decode() == 42
-        assert profiler.stats("decode").calls == 2
+    def test_disabled_open_is_shared_noop(self):
+        profiler = PhaseProfiler(enabled=False)
+        scope = profiler.open("eval")
+        assert scope is profiler.phase("eval")
+        scope.close(1.0)
+        assert profiler.snapshot() == {}
 
 
 class TestDisabled:
@@ -181,6 +197,9 @@ class TestSolverCacheAccounting:
         cond = T.ult(T.bv(9, 8), T.var("acc_b", 8))
         assert solver.check(extra=[cond]) == SAT
         assert obs.profiler.stats("solver").calls == 1
+        # One clock reading: the phase is charged exactly solve_time.
+        assert obs.profiler.stats("solver").total \
+            == solver.stats.solve_time > 0
         assert obs.metrics.histogram("solver.check_ms").count == 1
         assert self._by_kind(ring).get("solver_check", 0) == 1
         assert obs.metrics.counter("solver.cache_miss").value == 1
@@ -294,21 +313,6 @@ class TestScopeUnwinding:
         # Self time across a recursive chain never exceeds the sum of
         # inclusive totals.
         assert stats.self_time <= stats.total + 1e-9
-
-
-class TestWrapMetadata:
-    def test_wrap_preserves_function_identity(self):
-        profiler = PhaseProfiler()
-
-        @profiler.wrap("decode")
-        def decode_instruction(word):
-            """Decode one instruction word."""
-            return word + 1
-
-        assert decode_instruction.__name__ == "decode_instruction"
-        assert decode_instruction.__doc__ == "Decode one instruction word."
-        assert decode_instruction.__wrapped__(1) == 2
-        assert decode_instruction(1) == 2
 
 
 class TestStatsRegistration:

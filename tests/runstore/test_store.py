@@ -147,33 +147,15 @@ class TestRecordAndDedup:
 
 
 class TestHealthActions:
-    """Watchdog actions reshape the tree but are not key material: the
-    store refuses them at the library level, not just in the CLI."""
-
-    @pytest.mark.parametrize("action", ["merge", "switch", "stop"])
-    def test_actions_refused(self, kernel, store, action):
-        from repro.obs.health import HealthConfig
-
-        model, image = kernel
-        config = fresh_config()
-        config.health = HealthConfig(
-            frontier_budget=1, actions={"frontier-pressure": action})
-        with pytest.raises(RunStoreError, match="frontier-pressure"):
-            record_exploration(store, model, image, config)
-        with pytest.raises(RunStoreError, match="frontier-pressure"):
-            cached_explore(store, model, image, config)
-        with pytest.raises(RunStoreError):
-            cached_explore(store, model, image, config,
-                           persist_on_miss=False)
-        assert store.list_runs() == []
+    """Health is observe-only and not key material, so the store
+    records a monitored run like any other."""
 
     def test_observe_only_health_allowed(self, kernel, store):
         from repro.obs.health import HealthConfig
 
         model, image = kernel
         config = fresh_config()
-        config.health = HealthConfig(
-            actions={"frontier-pressure": "none"})
+        config.health = HealthConfig()
         _result, stored = record_exploration(store, model, image, config)
         assert store.get(stored.run_id) is not None
 

@@ -362,42 +362,26 @@ class TestHealthCLI:
                      "--max-seconds", "0"]) == 0
         assert "stop=deadline" in capsys.readouterr().out
 
-    def test_explore_serve_metrics(self, clean_file, capsys):
-        assert main(["explore", "rv32", clean_file,
-                     "--serve-metrics", "0"]) == 0
-        assert "serving live metrics at http://127.0.0.1:" in \
-            capsys.readouterr().out
 
-    def test_explore_on_pressure_stop(self, tmp_path, capsys):
-        source = tmp_path / "branchy.s"
-        source.write_text(BRANCHY)
-        assert main(["explore", "rv32", str(source),
-                     "--health-every", "2", "--frontier-budget", "0",
-                     "--on-pressure", "stop"]) == 0
-        out = capsys.readouterr().out
-        assert "stop=pressure" in out
-        assert "frontier-pressure" in out
+class TestRemovedOptions:
+    """The watchdog's actions, the live metrics endpoint, Prometheus
+    output and ``repro top`` are gone: asking for them is argparse's
+    usage error, not a traceback."""
 
-
-class TestTopCLI:
-    def test_top_once_shows_latest_sample(self, health_run, capsys):
-        assert main(["top", health_run, "--once"]) == 0
-        out = capsys.readouterr().out
-        assert "repro top" in out
-        assert "frontier=" in out and "solver:" in out
-
-    def test_top_follow_stops_at_run_summary(self, health_run, capsys):
-        # The run already finished, so follow mode drains the file,
-        # sees the run_summary meta record and exits cleanly.
-        assert main(["top", health_run, "--interval", "0.01",
-                     "--max-wait", "2"]) == 0
-        assert "run finished:" in capsys.readouterr().out
-
-    def test_top_without_health_events_is_graceful(self, run_file,
-                                                   capsys):
-        assert main(["top", run_file, "--once"]) == 1
+    @pytest.mark.parametrize("argv", [
+        ["explore", "rv32", "{source}", "--on-pressure", "stop"],
+        ["explore", "rv32", "{source}", "--serve-metrics", "0"],
+        ["top", "{run}"],
+        ["metrics", "{run}", "--prom"],
+    ], ids=["on-pressure", "serve-metrics", "top", "metrics-prom"])
+    def test_usage_error(self, argv, clean_file, run_file, capsys):
+        argv = [arg.format(source=clean_file, run=run_file)
+                for arg in argv]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
         err = capsys.readouterr().err
-        assert "no health events" in err
+        assert "usage:" in err
         assert "Traceback" not in err
 
 
@@ -408,12 +392,6 @@ class TestMetricsCLI:
         assert "counters:" in out
         assert "engine.steps" in out
         assert "health.samples" in out
-
-    def test_metrics_prom(self, health_run, capsys):
-        assert main(["metrics", health_run, "--prom"]) == 0
-        out = capsys.readouterr().out
-        assert "# TYPE repro_engine_steps_total counter" in out
-        assert "repro_health_samples_total" in out
 
     def test_metrics_without_summary_is_graceful(self, tmp_path,
                                                  capsys):
@@ -453,7 +431,7 @@ class TestDegenerateTelemetryInputs:
     """PR 4 satellite: every reader fails gracefully, never a traceback."""
 
     @pytest.mark.parametrize("argv", [
-        ["stats"], ["tree"], ["speccov"], ["metrics"], ["top", "--once"],
+        ["stats"], ["tree"], ["speccov"], ["metrics"],
     ])
     def test_missing_file(self, argv, tmp_path, capsys):
         assert main(argv[:1] + [str(tmp_path / "absent.jsonl")]
@@ -463,7 +441,7 @@ class TestDegenerateTelemetryInputs:
         assert "Traceback" not in captured.err
 
     @pytest.mark.parametrize("argv", [
-        ["stats"], ["metrics"], ["top", "--once"],
+        ["stats"], ["metrics"],
     ])
     def test_empty_file(self, argv, tmp_path, capsys):
         path = tmp_path / "empty.jsonl"
@@ -493,8 +471,6 @@ class TestDegenerateTelemetryInputs:
         capsys.readouterr()
         assert main(["stats", str(run)]) == 0
         assert "stop=deadline" in capsys.readouterr().out
-        assert main(["top", str(run), "--once"]) == 1
-        assert "no health events" in capsys.readouterr().err
 
     def test_schema_v1_sidecar_still_reads(self, tmp_path, capsys):
         # Old sidecars predate health events; readers must degrade
@@ -507,8 +483,6 @@ class TestDegenerateTelemetryInputs:
                         '"data": {"mnemonic": "addi"}}\n')
         assert main(["stats", str(path)]) == 0
         capsys.readouterr()
-        assert main(["top", str(path), "--once"]) == 1
-        assert "no health events" in capsys.readouterr().err
         assert main(["diffstats", str(path), str(path)]) == 0
         captured = capsys.readouterr()
         assert "Traceback" not in captured.err

@@ -7,8 +7,8 @@ a dropped sign-extension, two reordered effects, an off-by-one shift
 amount — and the validator must report each with a concrete
 counterexample whose witness actually separates the mutant from the
 original plan.  The plan driver is proved with the plans, so a swapped
-fork-arm order or a dropped arm guard patched into the one driver is a
-counterexample too.
+fork-arm order, a dropped arm guard or a dropped halt/trap code patched
+into the one driver is a counterexample too.
 
 One test is the reason the validator exists at all: a mutation the
 *dynamic* differential harness (``tests/compile/``) cannot see —
@@ -160,13 +160,13 @@ def _check(solver, extra):
     return solver.check(extra)
 
 
-def _verify_beq():
+def _verify_rv32(rule):
     model = build("rv32")
-    instr = model.by_name["beq"]
+    instr = model.by_name[rule]
     plans, probed = planeval.load_plans(
         compiled_for(model).symbolic_source(model), model.name)
     return verify_rule(model, instr, Solver(), _check,
-                       plans=(plans["beq"], probed["beq"]))
+                       plans=(plans[rule], probed[rule]))
 
 
 DRIVER_MUTATIONS = [
@@ -183,13 +183,39 @@ def test_driver_mutation_caught(monkeypatch, label, old, new):
     """The validator walks plans with the engine's own plan driver, so
     a bug in the driver's fork — the arm a guard selects, or the guard
     an arm assumes — is a counterexample on a branching rule."""
-    assert _verify_beq().status == PROVED
+    assert _verify_rv32("beq").status == PROVED
     source = _replace_once(inspect.getsource(driver._fork), old, new)
     namespace = dict(vars(driver))
     exec(compile(source, driver.__file__, "exec"), namespace)
     monkeypatch.setattr(driver, "_fork", namespace["_fork"])
-    result = _verify_beq()
+    result = _verify_rv32("beq")
     assert result.status == COUNTEREXAMPLE, result.detail
+    assert result.counterexamples[0].word is not None
+
+
+DROPPED_CODE_MUTATIONS = [
+    ("halt", "outcome.exit_code = st[1](E, S, FT, L, D)",
+     "st[1](E, S, FT, L, D)"),
+    ("trap", "outcome.trap_code = st[1](E, S, FT, L, D)",
+     "st[1](E, S, FT, L, D)"),
+]
+
+
+@pytest.mark.parametrize("rule,old,new", DROPPED_CODE_MUTATIONS,
+                         ids=["dropped-exit-code", "dropped-trap-code"])
+def test_dropped_code_mutation_caught(monkeypatch, rule, old, new):
+    """A driver that evaluates a halt's (trap's) code but never stores
+    it leaves the compiled path without one, while the reference path
+    halts (traps) with a code: a structure counterexample."""
+    assert _verify_rv32(rule).status == PROVED
+    source = _replace_once(inspect.getsource(driver.drive), old, new)
+    namespace = dict(vars(driver))
+    exec(compile(source, driver.__file__, "exec"), namespace)
+    # The validator calls the driver through planeval's own binding.
+    monkeypatch.setattr(planeval, "drive", namespace["drive"])
+    result = _verify_rv32(rule)
+    assert result.status == COUNTEREXAMPLE, result.detail
+    assert result.counterexamples[0].label == "structure"
     assert result.counterexamples[0].word is not None
 
 
