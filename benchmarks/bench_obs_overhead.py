@@ -38,11 +38,11 @@ from typing import List, Tuple
 
 from repro.bench import Sample, benchmark
 from repro.core import Engine, EngineConfig
-from repro.obs import AttrConfig, FlightRecorder, HealthConfig, Obs
+from repro.obs import FlightRecorder, HealthConfig, Obs
 from repro.programs import build_kernel
 
 MAX_OVERHEAD = 0.15     # counters (and +health) must cost < 15% vs. disabled
-MAX_ATTR_OVERHEAD = 0.20  # sampled cost attribution must cost < 20%
+MAX_ATTR_OVERHEAD = 0.20  # cost attribution must cost < 20%
 REPEATS = 7             # round-robin rounds; overheads are medians
 WORKLOAD = ("maze", {"depth": 8, "solution": 0b10110010})
 
@@ -56,10 +56,9 @@ def _recording() -> Obs:
     return obs
 
 
-def run_once(obs_factory, health_factory=None, attr_factory=None) -> float:
+def run_once(obs_factory, health_factory=None, attr=False) -> float:
     model, image = build_kernel(WORKLOAD[0], "rv32", **WORKLOAD[1])
     health = health_factory() if health_factory is not None else None
-    attr = attr_factory() if attr_factory is not None else None
     config = EngineConfig(collect_path_inputs=False, obs=obs_factory(),
                           health=health, attr=attr)
     engine = Engine(model, config=config)
@@ -73,10 +72,10 @@ def run_once(obs_factory, health_factory=None, attr_factory=None) -> float:
 
 def round_robin(configs, repeats: int = REPEATS
                 ) -> Tuple[List[float], List[List[float]]]:
-    """``(overheads, times)`` for ``(obs, health, attr)`` factory
-    triples: each configuration after the first (the baseline) gets its
-    median ratio over ``repeats`` rounds, minus one; ``times`` holds
-    every configuration's run times, the baseline's first."""
+    """``(overheads, times)`` for ``(obs factory, health factory,
+    attr)`` triples: each configuration after the first (the baseline)
+    gets its median ratio over ``repeats`` rounds, minus one; ``times``
+    holds every configuration's run times, the baseline's first."""
     baseline, others = configs[0], configs[1:]
     times: List[List[float]] = [[] for _ in configs]
     ratios: List[List[float]] = [[] for _ in others]
@@ -102,8 +101,8 @@ def round_robin(configs, repeats: int = REPEATS
                     % (WORKLOAD[1]["depth"], REPEATS))
 def _observatory_sample():
     run_once(Obs.disabled)      # warm model/decoder caches
-    (counters_overhead,), times = round_robin([(Obs.disabled, None, None),
-                                               (Obs.default, None, None)])
+    (counters_overhead,), times = round_robin([(Obs.disabled, None, False),
+                                               (Obs.default, None, False)])
     return Sample(counters_overhead, wall_s=sum(map(sum, times)))
 
 
@@ -113,17 +112,16 @@ def main(argv) -> int:
     run_once(Obs.disabled)
     # Health monitor at its default cadence (sample every 256 steps):
     # guarded alongside the counters — a monitored run must stay cheap
-    # enough to leave on in CI.  Sampled cost attribution at its default
-    # cadence (deep-probe every 16th step): guarded under its own,
-    # looser, budget — attribution adds two clock reads to every step
-    # by design.
+    # enough to leave on in CI.  Cost attribution: guarded under its
+    # own, looser, budget — attribution adds two clock reads to every
+    # step by design.
     overheads, times = round_robin([
-        (Obs.disabled, None, None),
-        (Obs.default, None, None),
-        (lambda: Obs(metrics=True, profile=True), None, None),
-        (_recording, None, None),
-        (Obs.default, HealthConfig, None),
-        (Obs.default, None, AttrConfig)])
+        (Obs.disabled, None, False),
+        (Obs.default, None, False),
+        (lambda: Obs(metrics=True, profile=True), None, False),
+        (_recording, None, False),
+        (Obs.default, HealthConfig, False),
+        (Obs.default, None, True)])
     (counters_overhead, profiled_overhead, recording_overhead,
      health_overhead, attr_overhead) = overheads
     disabled, counters, profiled, recording, monitored, attributed = [
@@ -154,13 +152,13 @@ def main(argv) -> int:
               % (100 * health_overhead, 100 * MAX_OVERHEAD))
         failed = True
     if attr_overhead >= MAX_ATTR_OVERHEAD:
-        print("FAIL: sampled attribution overhead %.1f%% >= %.0f%% "
-              "budget" % (100 * attr_overhead, 100 * MAX_ATTR_OVERHEAD))
+        print("FAIL: attribution overhead %.1f%% >= %.0f%% budget"
+              % (100 * attr_overhead, 100 * MAX_ATTR_OVERHEAD))
         failed = True
     if failed:
         return 1
     print("OK: default telemetry %.1f%%, health monitor %.1f%% "
-          "< %.0f%% budget; sampled attribution %.1f%% < %.0f%% budget"
+          "< %.0f%% budget; attribution %.1f%% < %.0f%% budget"
           % (100 * counters_overhead, 100 * health_overhead,
              100 * MAX_OVERHEAD, 100 * attr_overhead,
              100 * MAX_ATTR_OVERHEAD))

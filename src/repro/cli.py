@@ -11,11 +11,11 @@ Subcommands::
     cfg   <isa> <file.s>        recover and print the control-flow graph
     stats <run.jsonl>           pretty-print a saved telemetry run
     hot <run.jsonl|run-id>      cost-attribution views: hottest ADL
-                                rules / IR kinds / branch sites,
-                                spec heat maps (``--annotate``),
-                                flamegraphs (``--flame``), Chrome
-                                traces (``--trace``); needs ``--attr``
-                                at explore/record time
+                                rules / branch sites, spec heat maps
+                                (``--annotate``), flamegraphs
+                                (``--flame``), Chrome traces
+                                (``--trace``); needs ``explore
+                                --attr`` or a ``record``-ed run
     tree  <run.jsonl>           reconstruct the execution tree of a run
                                 (``--format ascii|dot|json``, ``--out``)
     speccov <run.jsonl>         ADL spec coverage of a run — which
@@ -47,22 +47,24 @@ Common options: ``--input TEXT`` (program input; ``\\xNN`` escapes),
 ``--max-seconds`` (wall-clock deadline, honest ``deadline`` stop
 reason), plus the observability flags ``--telemetry-out FILE.jsonl``
 (structured event trace; see docs/OBSERVABILITY.md), ``--profile``
-(per-phase time breakdown), ``--attr [sampled|full]`` (rule-level cost
-attribution with ``--attr-every N`` sampling) and ``--health``
-(periodic sampler + observe-only watchdog, with ``--health-every`` /
-``--frontier-budget``).
+(per-phase time breakdown), ``--attr`` (rule-level cost attribution)
+and ``--health`` (periodic sampler + observe-only watchdog, with
+``--health-every`` / ``--frontier-budget``).  ``record`` always stores
+a cost-attribution profile with the run.
 
 The telemetry readers (``stats``, ``tree``, ``speccov``, ``metrics``,
 ``diffstats``) share one loader: a missing, empty or
 unparseable run file is a one-line error on stderr and exit code 1
 (never a traceback); a truncated trailing line — the usual artifact of
 a killed run — is skipped with a warning and the remaining events are
-used.
+used.  A reader piped into a consumer that closes early (``repro stats
+run.jsonl | head -1``) exits 1 without a traceback.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import __version__
@@ -70,8 +72,8 @@ from .core import (Engine, EngineConfig, measure, solver_cache_summary,
                    trace_run)
 from .isa import assemble, build, format_instruction, run_image
 from .isa.cfg import recover_cfg
-from .obs import (AttrConfig, ExecutionTree, HealthConfig, JsonlSink,
-                  Obs, SpecCoverage, TelemetryError, compare_runs,
+from .obs import (ExecutionTree, HealthConfig, JsonlSink, Obs,
+                  SpecCoverage, TelemetryError, compare_runs,
                   health_summary_line, load_run)
 from .obs.attr import annotate_spec_costs, hot_report, hot_rules_lines
 from .obs.flame import chrome_trace, render_collapsed
@@ -216,13 +218,6 @@ def cmd_explore(args) -> int:
     if want_health:
         health = HealthConfig(sample_every_steps=args.health_every,
                               frontier_budget=args.frontier_budget)
-    # Cost attribution: --attr [sampled|full] (+ --attr-every N).
-    attr_mode = getattr(args, "attr", None)
-    attr_config = None
-    if attr_mode:
-        attr_config = AttrConfig(mode=attr_mode,
-                                 sample_every=getattr(args, "attr_every",
-                                                      16))
     config = EngineConfig(
         max_steps_per_path=args.max_steps,
         check_uninit=args.uninit,
@@ -233,7 +228,7 @@ def cmd_explore(args) -> int:
         max_wall_seconds=args.max_seconds,
         health=health,
         obs=obs,
-        attr=attr_config,
+        attr=args.attr,
     )
     store_flag = getattr(args, "store", None)
     engine = None
@@ -291,7 +286,7 @@ def cmd_explore(args) -> int:
     if want_profile:
         print(obs.profiler.report())
     attr_block = (result.telemetry or {}).get("attr")
-    if attr_mode and attr_block:
+    if attr_block:
         print(hot_report(attr_block, top=5))
     if sink is not None:
         summary = {"record": "run_summary",
@@ -321,11 +316,9 @@ def cmd_record(args) -> int:
     model, image = _load(args)
     store = RunStore(args.store)
     obs = Obs(metrics=True, profile=True)
-    # Recorded runs carry a cost-attribution profile by default
-    # (sampled mode; --attr off|sampled|full to override): attribution
-    # is observe-only, so it never changes the run id or the outcome.
-    attr_mode = getattr(args, "attr", "sampled")
-    attr_config = AttrConfig(attr_mode) if attr_mode != "off" else None
+    # Recorded runs always carry a cost-attribution profile:
+    # attribution is observe-only, so it never changes the run id or
+    # the outcome.
     config = EngineConfig(
         max_steps_per_path=args.max_steps,
         check_uninit=args.uninit,
@@ -334,7 +327,7 @@ def cmd_record(args) -> int:
         collect_coverage=True,
         use_solver_cache=not args.no_solver_cache,
         obs=obs,
-        attr=attr_config,
+        attr=True,
     )
     try:
         result, stored, hit = cached_explore(
@@ -584,8 +577,8 @@ def _attr_block_from_store(target, store_dir):
 
 
 def cmd_hot(args) -> int:
-    """Cost-attribution views of a run: hottest rules / IR kinds /
-    branch sites, flamegraphs, Chrome traces, spec heat maps.
+    """Cost-attribution views of a run: hottest rules / branch sites,
+    flamegraphs, Chrome traces, spec heat maps.
 
     ``target`` is a telemetry sidecar path (JSONL, written by
     ``explore --attr --telemetry-out``) or a run-store run id
@@ -594,9 +587,8 @@ def cmd_hot(args) -> int:
     never a traceback.
     """
     import json as _json
-    import os as _os
     block = None
-    if _os.path.exists(args.target) or _os.path.sep in args.target:
+    if os.path.exists(args.target) or os.path.sep in args.target:
         block, failed = _attr_block_from_sidecar(args.target)
         if failed:
             return 1
@@ -619,8 +611,8 @@ def cmd_hot(args) -> int:
             return 1
         if block is None:
             sys.stderr.write(
-                "error: run %s has no cost-attribution profile "
-                "(record with --attr enabled)\n" % run.run_id)
+                "error: run %s has no cost-attribution profile (it "
+                "was stored without attribution)\n" % run.run_id)
             return 1
     if args.flame:
         with open(args.flame, "w") as handle:
@@ -926,9 +918,9 @@ def cmd_bench(args) -> int:
 def cmd_compile(args) -> int:
     """Dump the generated plan module for one ISA.
 
-    What actually executes: the mixed int/term plans with their probed
-    twins, which ``explore`` and ``run --compiled`` both run through the
-    one plan driver, headed by the spec digest that keys the
+    What actually executes: the mixed int/term plans, which
+    ``explore`` and ``run --compiled`` both run through the one plan
+    driver, headed by the spec digest that keys the
     compilation cache.  Useful for eyeballing the specializer's output
     and as a CI artifact.
     """
@@ -1106,20 +1098,12 @@ def main(argv=None) -> int:
     explore.add_argument("--profile", action="store_true",
                          help="print a per-phase time breakdown "
                               "(decode/eval/solver/memory/strategy)")
-    explore.add_argument("--attr", nargs="?", const="sampled",
-                         default=None, choices=["sampled", "full"],
+    explore.add_argument("--attr", action="store_true",
                          help="rule-level cost attribution: charge "
                               "eval/solver/cache/fork costs to ADL "
-                              "rules, IR kinds and branch sites "
-                              "(prints the hottest rules; with "
-                              "--telemetry-out, inspect later via "
-                              "'repro hot').  'sampled' (default) "
-                              "probes IR nodes every Nth step; "
-                              "'full' probes every step")
-    explore.add_argument("--attr-every", type=int, default=16,
-                         metavar="N",
-                         help="sampled attribution: deep-probe every "
-                              "Nth step (default 16)")
+                              "rules and branch sites (prints the "
+                              "hottest rules; with --telemetry-out, "
+                              "inspect later via 'repro hot')")
     explore.add_argument("--max-seconds", type=float, default=None,
                          metavar="T",
                          help="wall-clock deadline; stops cleanly with "
@@ -1177,11 +1161,6 @@ def main(argv=None) -> int:
                         help="preload the solver cache from a stored "
                              "run (recorded in the manifest so replay "
                              "uses the same warm start)")
-    record.add_argument("--attr", default="sampled",
-                        choices=["off", "sampled", "full"],
-                        help="cost-attribution profile stored with the "
-                             "run as attr.json (default 'sampled'; "
-                             "observe-only: never part of the run key)")
 
     replay = commands.add_parser(
         "replay",
@@ -1220,8 +1199,8 @@ def main(argv=None) -> int:
     hot = commands.add_parser(
         "hot",
         help="cost-attribution views of a run: hottest rules, spec "
-             "heat maps, flamegraphs (needs --attr at explore/record "
-             "time)")
+             "heat maps, flamegraphs (needs explore --attr, or a run "
+             "stored by record)")
     hot.add_argument("target",
                      help="telemetry JSONL file (explore --attr "
                           "--telemetry-out) or run-store run id "
@@ -1436,7 +1415,18 @@ def main(argv=None) -> int:
         "record": cmd_record, "replay": cmd_replay, "runs": cmd_runs,
         "compile": cmd_compile,
     }[args.command]
-    return handler(args)
+    try:
+        code = handler(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe early.  Point stdout at devnull so
+        # the flush at interpreter exit cannot raise again (the recipe
+        # of the ``signal`` module docs).
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
+    return code
 
 
 if __name__ == "__main__":

@@ -88,32 +88,29 @@ class RuleTable:
 class CompiledSemantics:
     """One ISA's compiled transfer functions, keyed by spec digest.
 
-    ``plan(instr)`` is the rule's plan; ``probed_plan(instr)`` its
-    probed twin, which deep cost-attribution steps run.
+    ``plan(instr)`` is the rule's plan.
     """
 
-    __slots__ = ("isa", "digest", "codegen_version", "plan", "probed_plan")
+    __slots__ = ("isa", "digest", "codegen_version", "plan")
 
     def __init__(self, isa: str, digest: str):
         self.isa = isa
         self.digest = digest
         self.codegen_version = CODEGEN_VERSION
-        # The generators are looked up at call time, so a patched
-        # module function reaches tables that already exist.
+        # The generator is looked up at call time, so a patched module
+        # function reaches tables that already exist.
         self.plan = RuleTable(
             lambda instr: symbolic.rule_plan(isa, instr))
-        self.probed_plan = RuleTable(
-            lambda instr: symbolic.rule_plan(isa, instr, probe=True))
 
     def symbolic_source(self, model,
                         overrides: Optional[Dict[str, str]] = None) -> str:
-        """The generated plans and probed twins for every rule of
-        ``model``, as one module with ``PLANS``/``PROBED`` tables;
-        ``overrides`` replaces a rule's plan source by name."""
+        """The generated plans for every rule of ``model``, as one
+        module with a ``PLANS`` table; ``overrides`` replaces a rule's
+        plan source by name."""
         overrides = overrides or {}
         return symbolic.module_source(self.isa, [
             (instr.name, overrides.get(instr.name)
-             or self.plan.source(instr), self.probed_plan.source(instr))
+             or self.plan.source(instr))
             for instr in model.instructions])
 
     def __repr__(self):

@@ -21,13 +21,12 @@ arm assumes, the continuation frames and the copies of locals and
 outcome each arm gets.  It reaches the machine through two objects:
 
 ``E`` — the machine's policy, also the ``E`` of the generated code
-    ``config.check_div_zero``, ``attr`` (probed twins only),
-    ``_load(S, addr, size, guards, D)``, ``_check_div(S, divisor,
-    guards, D)``, ``_store(S, addr, value, size, D)``,
-    ``_concrete_index(S, index, D)``, and for a symbolic ``if``:
-    ``_feasible_arms(S, guards)`` (one verdict per arm, ``None`` for an
-    infeasible one), ``_enter_arm(S, verdict)`` and ``_arm_ended(S,
-    reason)`` for an arm that raised :class:`PathEnd`;
+    ``config.check_div_zero``, ``_load(S, addr, size, guards, D)``,
+    ``_check_div(S, divisor, guards, D)``, ``_store(S, addr, value,
+    size, D)``, ``_concrete_index(S, index, D)``, and for a symbolic
+    ``if``: ``_feasible_arms(S, guards)`` (one verdict per arm, ``None``
+    for an infeasible one), ``_enter_arm(S, verdict)`` and
+    ``_dead_end(S, reason)`` for an arm that raised :class:`PathEnd`;
 ``S`` — the state
     ``pc``, ``read_reg(regfile, index)``, ``write_reg(regfile, index,
     value)``, ``input_byte()``, ``output_byte(value)``, and for a
@@ -70,7 +69,6 @@ class _Concrete:
     int, so no ``if`` ever forks."""
 
     config = _ConcreteConfig()
-    attr = None
 
     @staticmethod
     def _load(S, addr: int, size: int, guards, D) -> int:
@@ -175,6 +173,6 @@ def _fork(E, S, st: tuple, cond: T.Term, frames, L, outcome: Outcome,
                                  list(frames), dict(L)))
         except PathEnd as end:
             # This arm died (e.g. an OOB store); its siblings continue.
-            E._arm_ended(branch, end.reason)
+            E._dead_end(branch, end.reason)
     return results
 

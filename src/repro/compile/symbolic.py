@@ -31,15 +31,6 @@ therefore a concrete transfer function.  Translation validation
 (:mod:`repro.verify`) runs the emitted source unchanged, through the
 same driver, and proves every plan equal to its rule's IR.
 
-**Probed twins.**  ``rule_plan(..., probe=True)`` emits the same plan
-with ``A.ir_enter(kind)`` / ``A.ir_exit()`` (``A = E.attr``) around
-every IR node it evaluates, the register-index ``Field``/``Const``
-nodes the plain plan resolves ahead of time included.  The engine runs
-the twin on deep cost-attribution steps (:mod:`repro.obs.attr`).  A
-frame left open by a path ending mid-expression is closed by
-:meth:`~repro.obs.attr.CostAttribution.ir_unwind`, so the twin needs no
-``try``/``finally``.
-
 Term construction happens at run time, never at generation time: the
 term pool is swappable (``terms.set_pool``), so a digest-keyed
 cross-engine cache must not bake ``Term`` objects in.
@@ -50,7 +41,6 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..ir import nodes as N
-from ..obs.attr import ir_kind
 from .errors import CompileError
 from .ops import OPS
 
@@ -74,8 +64,6 @@ S_IF = 7         # (tag, cond_fn, then_plan, else_plan)
 #   ("f", field_name)  index comes from an encoding field: FT[name]
 #   ("c", value)       constant index, resolved at generation time
 #   ("e", fn)          general expression: eval + E._concrete_index
-# Probed twins use ("e", fn) for every index, so the index node is
-# probed like any other.
 
 #: IR binary op -> its operator's name in :data:`repro.compile.ops.OPS`.
 _OP_NAMES = {
@@ -121,11 +109,8 @@ def _emits_statements(expr: N.Expr) -> bool:
 class _SymEmitter:
     """Emits one generated expression function's source."""
 
-    def __init__(self, name: str, probe: bool):
-        self.probe = probe
+    def __init__(self, name: str):
         self.lines: List[str] = ["def %s(E, S, FT, L, D):" % name]
-        if probe:
-            self.lines.append("    A = E.attr")
         self.indent = 1
         self._temp = 0
         self._guard = 0
@@ -146,22 +131,6 @@ class _SymEmitter:
     # arm condition inside each symbolic ite arm.
 
     def expr(self, expr: N.Expr, guards: str) -> str:
-        if not self.probe:
-            return self._node(expr, guards)
-        self.emit("A.ir_enter(%r)" % ir_kind(expr))
-        result = self.temp()
-        self.emit("%s = %s" % (result, self._node(expr, guards)))
-        self.emit("A.ir_exit()")
-        return result
-
-    def _probe_leaf(self, expr: N.Expr) -> None:
-        """Probe frame for an index node the plan resolves ahead of
-        time (a twin must still count it)."""
-        if self.probe:
-            self.emit("A.ir_enter(%r)" % ir_kind(expr))
-            self.emit("A.ir_exit()")
-
-    def _node(self, expr: N.Expr, guards: str) -> str:
         if isinstance(expr, N.Const):
             return str(expr.value)
         if isinstance(expr, N.Field):
@@ -239,10 +208,8 @@ class _SymEmitter:
         if isinstance(index, N.Field):
             # A field is the decoded int; _concrete_index would return
             # it unchanged.
-            self._probe_leaf(index)
             return "FT[%r]" % index.name
         if isinstance(index, N.Const):
-            self._probe_leaf(index)
             return str(index.value)
         term = self.temp()
         self.emit("%s = %s" % (term, self.expr(index, guards)))
@@ -286,16 +253,15 @@ class _SymEmitter:
 class _PlanBuilder:
     """Lowers one rule into (plan literal, generated functions)."""
 
-    def __init__(self, prefix: str, probe: bool):
+    def __init__(self, prefix: str):
         self.prefix = prefix
-        self.probe = probe
         self.functions: List[str] = []
         self._count = 0
 
     def fn(self, expr: N.Expr) -> str:
         name = "%s_%d" % (self.prefix, self._count)
         self._count += 1
-        emitter = _SymEmitter(name, self.probe)
+        emitter = _SymEmitter(name)
         result = emitter.expr(expr, "()")
         self.functions.append(emitter.source(result))
         return name
@@ -307,11 +273,10 @@ class _PlanBuilder:
     def index_spec(self, index: Optional[N.Expr]) -> str:
         if index is None:
             return "None"
-        if not self.probe:
-            if isinstance(index, N.Field):
-                return "('f', %r)" % index.name
-            if isinstance(index, N.Const):
-                return "('c', %d)" % index.value
+        if isinstance(index, N.Field):
+            return "('f', %r)" % index.name
+        if isinstance(index, N.Const):
+            return "('c', %d)" % index.value
         return "('e', %s)" % self.fn(index)
 
     def plan(self, stmts) -> str:
@@ -348,25 +313,25 @@ class _PlanBuilder:
         return "(%s,)" % ", ".join(rows)
 
 
-def plan_name(rule: str, probe: bool = False) -> str:
+def plan_name(rule: str) -> str:
     """The module-level name a rule's generated source binds its plan
-    (or probed twin) to."""
-    return ("_probed_%s" if probe else "_plan_%s") % rule
+    to."""
+    return "_plan_%s" % rule
 
 
-def rule_plan(isa: str, instr, probe: bool = False) -> Tuple[tuple, str]:
-    """Generate one rule's plan, or its probed twin: ``(plan, source)``.
+def rule_plan(isa: str, instr) -> Tuple[tuple, str]:
+    """Generate one rule's plan: ``(plan, source)``.
 
     ``source`` is the exact text executed to build ``plan``;
     :func:`module_source` assembles these texts into one module.
     """
-    prefix = ("_p_%s" if probe else "_s_%s") % instr.name
-    builder = _PlanBuilder(prefix, probe)
+    prefix = "_s_%s" % instr.name
+    builder = _PlanBuilder(prefix)
     try:
         plan = builder.plan(instr.semantics)
     except CompileError as error:
         raise CompileError("%s: rule %r: %s" % (isa, instr.name, error))
-    name = plan_name(instr.name, probe)
+    name = plan_name(instr.name)
     source = "\n\n".join(builder.functions
                          + ["%s = %s" % (name, plan)]) + "\n"
     namespace: Dict[str, Any] = dict(OPS)
@@ -375,16 +340,12 @@ def rule_plan(isa: str, instr, probe: bool = False) -> Tuple[tuple, str]:
     return namespace[name], source
 
 
-def module_source(isa: str, rows: List[Tuple[str, str, str]]) -> str:
-    """One module from per-rule ``(name, plan source, probed source)``
-    rows, with ``PLANS`` and ``PROBED`` tables (rule name -> plan)."""
-    chunks = ["# generated by repro.compile — plans and probed twins for %r" % isa]
-    for name, source, probed in rows:
-        chunks.extend(["# rule %r" % name, source.rstrip("\n"),
-                       "# rule %r, probed twin" % name,
-                       probed.rstrip("\n")])
-    for table, probe in (("PLANS", False), ("PROBED", True)):
-        chunks.append("%s = {\n%s\n}" % (table, "\n".join(
-            "    %r: %s," % (name, plan_name(name, probe))
-            for name, _source, _probed in rows)))
+def module_source(isa: str, rows: List[Tuple[str, str]]) -> str:
+    """One module from per-rule ``(name, plan source)`` rows, with a
+    ``PLANS`` table (rule name -> plan)."""
+    chunks = ["# generated by repro.compile — plans for %r" % isa]
+    for name, source in rows:
+        chunks.extend(["# rule %r" % name, source.rstrip("\n")])
+    chunks.append("PLANS = {\n%s\n}" % "\n".join(
+        "    %r: %s," % (name, plan_name(name)) for name, _source in rows))
     return "\n\n".join(chunks) + "\n"

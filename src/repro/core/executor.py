@@ -15,7 +15,7 @@ Execution model
   generated functions over the operator library :mod:`repro.compile.ops`
   (masked int arithmetic on concrete operands, the ``T`` constructors
   once one is symbolic).  A rule is compiled the first time it
-  executes; deep cost-attribution steps run the plan's probed twin.
+  executes.
   The engine is the driver's machine: it answers each fork arm's
   feasibility (solver and frame model), loads, stores and register-index
   concretization; solver-query order lives in this module.
@@ -91,7 +91,7 @@ class EngineConfig:
                  use_solver_cache: bool = True,
                  obs: Optional[Obs] = None,
                  health: Optional[object] = None,
-                 attr: Optional[object] = None):
+                 attr: bool = False):
         self.max_steps_per_path = max_steps_per_path
         self.max_states = max_states
         self.max_paths = max_paths
@@ -145,10 +145,10 @@ class EngineConfig:
         # HealthConfig to attach the periodic sampler + stall/pressure
         # watchdog to the exploration loop.  Observe-only.
         self.health = health
-        # Cost attribution (repro.obs.attr).  None = off.  Pass an
-        # AttrConfig to charge wall/solver time, cache traffic, forks
-        # and term allocations to individual ADL rules, IR node kinds
-        # and branch sites (CLI --attr; repro hot).  Observe-only.
+        # Cost attribution (repro.obs.attr).  True charges wall/solver
+        # time, cache traffic, forks and term allocations to individual
+        # ADL rules and branch sites (CLI --attr; repro hot).
+        # Observe-only.
         self.attr = attr
 
     # Every field that shapes the exploration *outcome* — the run-store
@@ -202,13 +202,12 @@ class Engine:
         self._profiler = self.obs.profiler
         self._profile_on = self.obs.profiler.enabled
         # Cost attribution (repro.obs.attr): charges eval/solver time,
-        # cache traffic, forks and term allocations to rules / IR node
-        # kinds / branch sites.  Observe-only, like the profiler.
+        # cache traffic, forks and term allocations to rules and branch
+        # sites.  Observe-only, like the profiler.
         self.attr = None
-        if self.config.attr is not None:
+        if self.config.attr:
             from ..obs.attr import CostAttribution
-            self.attr = CostAttribution(self.config.attr, model,
-                                        metrics=self.obs.metrics)
+            self.attr = CostAttribution(model)
             self.solver.attach_attr(self.attr)
         # Steps read the clock only when the profiler or attribution
         # will charge the reading (_timed_exec).
@@ -627,8 +626,7 @@ class Engine:
         """:meth:`_exec_block` under one clock reading, charged to both
         the profiler's ``eval`` phase and attribution's step (so their
         eval totals are equal by construction).  Attribution first sets
-        the (rule, pc) context; a *deep* (sampled) step runs the rule's
-        probed twin so per-IR-kind timings accrue."""
+        the (rule, pc) context."""
         attr = self.attr
         if attr is not None:
             attr.begin_step(decoded.instruction.name, state.pc)
@@ -644,37 +642,21 @@ class Engine:
 
     def _exec_block(self, state: SymState,
                     decoded) -> List[Tuple[SymState, Outcome]]:
-        """Run one instruction's compiled plan — its probed twin on a
-        deep attribution step; one ``(state, outcome)`` per survivor."""
-        attr = self.attr
-        if attr is not None and attr.deep:
-            plan = self._compiled.probed_plan(decoded.instruction)
-        else:
-            plan = self._compiled.plan(decoded.instruction)
-        return drive(self, state, plan, decoded.fields, decoded, Outcome())
+        """Run one instruction's compiled plan; one ``(state,
+        outcome)`` per survivor."""
+        return drive(self, state, self._compiled.plan(decoded.instruction),
+                     decoded.fields, decoded, Outcome())
 
     # -- the plan driver's fork policy -------------------------------------------
 
     def _feasible_arms(self, state: SymState, guards) -> list:
         """One verdict per fork arm: ``None`` when the arm's guard is
         infeasible, else the ``(model, memo)`` witness (model ``None``
-        without frame reuse) that seeds the arm's frame.
-
-        On a deep attribution step the feasibility probes run under a
-        synthetic IfStmt frame, so their solver time shows up as
-        isa;rule;IfStmt;solver in the flamegraph (branch blame)."""
-        attr = self.attr
-        probe = attr is not None and attr.deep
-        if probe:
-            attr.ir_enter("IfStmt")
-        try:
-            verdicts = []
-            for guard in guards:
-                verdict, model, memo = self._branch_feasible(state, guard)
-                verdicts.append((model, memo) if verdict == SAT else None)
-        finally:
-            if probe:
-                attr.ir_exit()
+        without frame reuse) that seeds the arm's frame."""
+        verdicts = []
+        for guard in guards:
+            verdict, model, memo = self._branch_feasible(state, guard)
+            verdicts.append((model, memo) if verdict == SAT else None)
         return verdicts
 
     def _enter_arm(self, state: SymState, witness) -> None:
@@ -686,14 +668,6 @@ class Engine:
             state.frame_model = model
             state.frame_memo = memo if memo is not None else {}
             state.frame_checked = len(state.path_condition)
-
-    def _arm_ended(self, state: SymState, reason: str) -> None:
-        """A fork arm died; a twin's probe frames still open belong to
-        it."""
-        attr = self.attr
-        if attr is not None and attr.deep:
-            attr.ir_unwind()
-        self._dead_end(state, reason)
 
     def _branch_feasible(self, state: SymState, branch_cond: T.Term):
         """Feasibility of ``state.path_condition ∧ branch_cond``.

@@ -83,80 +83,64 @@ class Outcome:
 
 
 def eval_expr(expr: N.Expr, ctx: MachineContext, fields: Dict[str, int],
-              local_values: Dict[str, int], attr=None) -> int:
-    """Evaluate one IR expression to an unsigned integer.
-
-    ``attr`` (a :class:`repro.obs.attr.CostAttribution`, or anything
-    with ``ir_enter``/``ir_exit``) opt-in probes every node so concrete
-    interpretation can be cost-attributed per IR kind exactly like the
-    symbolic engine; ``None`` (the default) costs one check per node.
-    """
-    if attr is not None:
-        from ..obs.attr import ir_kind
-        attr.ir_enter(ir_kind(expr))
-    try:
-        if isinstance(expr, N.Const):
-            return expr.value
-        if isinstance(expr, N.Field):
-            return fields[expr.name] & _mask(expr.width)
-        if isinstance(expr, N.Local):
-            return local_values[expr.name]
-        if isinstance(expr, N.Pc):
-            return ctx.current_pc() & _mask(expr.width)
-        if isinstance(expr, N.InputByte):
-            # Input is a *side effect* (it advances the input cursor), so
-            # it may only appear as the whole right-hand side of an
-            # assignment, where evaluation order is unambiguous — exactly
-            # the discipline the translator enforces and the symbolic
-            # engine assumes.  Accepting it in a nested position here
-            # would let concrete and symbolic execution diverge on when
-            # the cursor moves.
-            raise ValueError(
-                "in() must be a whole right-hand side (translator bug)")
-        if isinstance(expr, N.ReadReg):
-            index = (eval_expr(expr.index, ctx, fields, local_values, attr)
-                     if expr.index is not None else None)
-            return ctx.read_reg(expr.regfile, index) & _mask(expr.width)
-        if isinstance(expr, N.Load):
-            addr = eval_expr(expr.addr, ctx, fields, local_values, attr)
-            return ctx.load(addr, expr.size) & _mask(expr.width)
-        if isinstance(expr, N.BinOp):
-            left = eval_expr(expr.left, ctx, fields, local_values, attr)
-            right = eval_expr(expr.right, ctx, fields, local_values, attr)
-            return _apply_binop(expr.op, left, right, expr.left.width)
-        if isinstance(expr, N.UnOp):
-            operand = eval_expr(expr.operand, ctx, fields, local_values,
-                                attr)
-            if expr.op == "not":
-                return ~operand & _mask(expr.width)
-            if expr.op == "neg":
-                return -operand & _mask(expr.width)
-            if expr.op == "boolnot":
-                return 1 - (operand & 1)
-            raise ValueError("unknown unary op %r" % expr.op)
-        if isinstance(expr, N.Ext):
-            operand = eval_expr(expr.operand, ctx, fields, local_values,
-                                attr)
-            if expr.kind == "zext":
-                return operand
-            return _to_signed(operand, expr.operand.width) \
-                & _mask(expr.width)
-        if isinstance(expr, N.ExtractBits):
-            operand = eval_expr(expr.operand, ctx, fields, local_values,
-                                attr)
-            return (operand >> expr.lo) & _mask(expr.hi - expr.lo + 1)
-        if isinstance(expr, N.ConcatBits):
-            hi = eval_expr(expr.hi_part, ctx, fields, local_values, attr)
-            lo = eval_expr(expr.lo_part, ctx, fields, local_values, attr)
-            return (hi << expr.lo_part.width) | lo
-        if isinstance(expr, N.IteExpr):
-            cond = eval_expr(expr.cond, ctx, fields, local_values, attr)
-            branch = expr.then if cond == 1 else expr.other
-            return eval_expr(branch, ctx, fields, local_values, attr)
-        raise ValueError("unknown expression node %r" % (expr,))
-    finally:
-        if attr is not None:
-            attr.ir_exit()
+              local_values: Dict[str, int]) -> int:
+    """Evaluate one IR expression to an unsigned integer."""
+    if isinstance(expr, N.Const):
+        return expr.value
+    if isinstance(expr, N.Field):
+        return fields[expr.name] & _mask(expr.width)
+    if isinstance(expr, N.Local):
+        return local_values[expr.name]
+    if isinstance(expr, N.Pc):
+        return ctx.current_pc() & _mask(expr.width)
+    if isinstance(expr, N.InputByte):
+        # Input is a *side effect* (it advances the input cursor), so
+        # it may only appear as the whole right-hand side of an
+        # assignment, where evaluation order is unambiguous — exactly
+        # the discipline the translator enforces and the symbolic
+        # engine assumes.  Accepting it in a nested position here
+        # would let concrete and symbolic execution diverge on when
+        # the cursor moves.
+        raise ValueError(
+            "in() must be a whole right-hand side (translator bug)")
+    if isinstance(expr, N.ReadReg):
+        index = (eval_expr(expr.index, ctx, fields, local_values)
+                 if expr.index is not None else None)
+        return ctx.read_reg(expr.regfile, index) & _mask(expr.width)
+    if isinstance(expr, N.Load):
+        addr = eval_expr(expr.addr, ctx, fields, local_values)
+        return ctx.load(addr, expr.size) & _mask(expr.width)
+    if isinstance(expr, N.BinOp):
+        left = eval_expr(expr.left, ctx, fields, local_values)
+        right = eval_expr(expr.right, ctx, fields, local_values)
+        return _apply_binop(expr.op, left, right, expr.left.width)
+    if isinstance(expr, N.UnOp):
+        operand = eval_expr(expr.operand, ctx, fields, local_values)
+        if expr.op == "not":
+            return ~operand & _mask(expr.width)
+        if expr.op == "neg":
+            return -operand & _mask(expr.width)
+        if expr.op == "boolnot":
+            return 1 - (operand & 1)
+        raise ValueError("unknown unary op %r" % expr.op)
+    if isinstance(expr, N.Ext):
+        operand = eval_expr(expr.operand, ctx, fields, local_values)
+        if expr.kind == "zext":
+            return operand
+        return _to_signed(operand, expr.operand.width) \
+            & _mask(expr.width)
+    if isinstance(expr, N.ExtractBits):
+        operand = eval_expr(expr.operand, ctx, fields, local_values)
+        return (operand >> expr.lo) & _mask(expr.hi - expr.lo + 1)
+    if isinstance(expr, N.ConcatBits):
+        hi = eval_expr(expr.hi_part, ctx, fields, local_values)
+        lo = eval_expr(expr.lo_part, ctx, fields, local_values)
+        return (hi << expr.lo_part.width) | lo
+    if isinstance(expr, N.IteExpr):
+        cond = eval_expr(expr.cond, ctx, fields, local_values)
+        branch = expr.then if cond == 1 else expr.other
+        return eval_expr(branch, ctx, fields, local_values)
+    raise ValueError("unknown expression node %r" % (expr,))
 
 
 def _apply_binop(op: str, left: int, right: int, width: int) -> int:
@@ -224,19 +208,15 @@ def _apply_binop(op: str, left: int, right: int, width: int) -> int:
 
 
 def exec_block(stmts: Sequence[N.Stmt], ctx: MachineContext,
-               fields: Dict[str, int], attr=None) -> Outcome:
-    """Execute one instruction's IR block concretely.
-
-    ``attr`` opt-in threads a cost-attribution probe through every
-    evaluated expression (see :func:`eval_expr`)."""
+               fields: Dict[str, int]) -> Outcome:
+    """Execute one instruction's IR block concretely."""
     outcome = Outcome()
     local_values: Dict[str, int] = {}
-    _exec_stmts(stmts, ctx, fields, local_values, outcome, attr)
+    _exec_stmts(stmts, ctx, fields, local_values, outcome)
     return outcome
 
 
-def _exec_stmts(stmts, ctx, fields, local_values, outcome,
-                attr=None) -> None:
+def _exec_stmts(stmts, ctx, fields, local_values, outcome) -> None:
     for stmt in stmts:
         if outcome.halted or outcome.trapped:
             return
@@ -247,37 +227,36 @@ def _exec_stmts(stmts, ctx, fields, local_values, outcome,
                 local_values[stmt.name] = ctx.input_byte() & 0xff
             else:
                 local_values[stmt.name] = eval_expr(
-                    stmt.value, ctx, fields, local_values, attr)
+                    stmt.value, ctx, fields, local_values)
         elif isinstance(stmt, N.SetReg):
-            index = (eval_expr(stmt.index, ctx, fields, local_values, attr)
+            index = (eval_expr(stmt.index, ctx, fields, local_values)
                      if stmt.index is not None else None)
             if isinstance(stmt.value, N.InputByte):
                 value = ctx.input_byte() & 0xff
             else:
-                value = eval_expr(stmt.value, ctx, fields, local_values,
-                                  attr)
+                value = eval_expr(stmt.value, ctx, fields, local_values)
             ctx.write_reg(stmt.regfile, index, value)
         elif isinstance(stmt, N.SetPc):
             outcome.next_pc = eval_expr(stmt.value, ctx, fields,
-                                        local_values, attr)
+                                        local_values)
         elif isinstance(stmt, N.Store):
-            addr = eval_expr(stmt.addr, ctx, fields, local_values, attr)
-            value = eval_expr(stmt.value, ctx, fields, local_values, attr)
+            addr = eval_expr(stmt.addr, ctx, fields, local_values)
+            value = eval_expr(stmt.value, ctx, fields, local_values)
             ctx.store(addr, value, stmt.size)
         elif isinstance(stmt, N.Output):
             ctx.output_byte(eval_expr(stmt.value, ctx, fields,
-                                      local_values, attr) & 0xff)
+                                      local_values) & 0xff)
         elif isinstance(stmt, N.Halt):
             outcome.halted = True
             outcome.exit_code = eval_expr(stmt.code, ctx, fields,
-                                          local_values, attr)
+                                          local_values)
         elif isinstance(stmt, N.Trap):
             outcome.trapped = True
             outcome.trap_code = eval_expr(stmt.code, ctx, fields,
-                                          local_values, attr)
+                                          local_values)
         elif isinstance(stmt, N.IfStmt):
-            cond = eval_expr(stmt.cond, ctx, fields, local_values, attr)
+            cond = eval_expr(stmt.cond, ctx, fields, local_values)
             body = stmt.then_body if cond == 1 else stmt.else_body
-            _exec_stmts(body, ctx, fields, local_values, outcome, attr)
+            _exec_stmts(body, ctx, fields, local_values, outcome)
         else:
             raise ValueError("unknown statement node %r" % (stmt,))

@@ -3,10 +3,9 @@
 The heavy lifting lives in :mod:`repro.verify`; this pass adapts it to
 the lint pipeline.  For each spec it statically proves every rule's
 compiled plan — the one generated artifact, which the engine and the
-concrete simulator both run through the one plan driver — and the
-plan's probed twin (the engine runs it on deep cost-attribution steps)
-equivalent to the reference IR semantics over *all* decodable operand
-values and machine pre-states, and reports:
+concrete simulator both run through the one plan driver — equivalent
+to the reference IR semantics over *all* decodable operand values and
+machine pre-states, and reports:
 
 * one ``error`` finding per proven inequivalence, carrying a concrete
   witness (encoding word + operand fields + machine pre-state) and a
@@ -62,9 +61,8 @@ def _seed_bug_override(model) -> Optional[Dict[str, str]]:
 @register
 class TransvalSymbolicPass(LintPass):
     id = "transval-symbolic"
-    title = ("prove the compiled plans and their probed twins "
-             "equivalent to the reference IR (all operands, all "
-             "pre-states)")
+    title = ("prove the compiled plans equivalent to the reference "
+             "IR (all operands, all pre-states)")
     family = TRANSVAL
     default_severity = ERROR
 

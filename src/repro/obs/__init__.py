@@ -22,7 +22,6 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from .attr import (  # noqa: F401
-    AttrConfig,
     CostAttribution,
     annotate_spec_costs,
     hot_report,
@@ -88,7 +87,7 @@ from .speccov import (  # noqa: F401
 from .tree import ExecutionTree, FlightRecorder, TreeEdge, TreeNode  # noqa: F401
 
 __all__ = ["Obs", "MetricsRegistry", "Counter", "Gauge", "Histogram",
-           "AttrConfig", "CostAttribution", "annotate_spec_costs",
+           "CostAttribution", "annotate_spec_costs",
            "hot_report", "hot_rules_lines",
            "chrome_trace", "collapsed_stacks", "render_collapsed",
            "EventTracer", "Event", "EVENT_KINDS", "SCHEMA_VERSION",

@@ -2,8 +2,8 @@
 
 The phase profiler (:mod:`repro.obs.profile`) answers "how much time
 goes to ``eval`` vs ``solver``"; this module answers the porter's next
-question — *which ADL semantic rules, IR node kinds and branch sites*
-that time is spent on.  Costs are charged at three granularities:
+question — *which ADL semantic rules and branch sites* that time is
+spent on.  Every step is charged at two granularities:
 
 * **rules** — every executed instruction is attributed to its semantic
   rule (the ``instruction`` block, via the
@@ -11,18 +11,8 @@ that time is spent on.  Costs are charged at three granularities:
   threads into the :class:`~repro.isa.model.ArchModel`), accumulating
   evaluation wall time, solver check time, cache hits/misses, forks and
   term-pool allocations per rule;
-* **IR node kinds** — a *deep* step runs the rule's probed twin (its
-  compiled plan with :meth:`CostAttribution.ir_enter`/``ir_exit`` around
-  every IR node, :mod:`repro.compile.symbolic`), so ``BinOp:add`` vs
-  ``Load`` vs ``IteExpr`` get their own inclusive/self timings (self
-  time excludes nested kinds and solver work, profiler-style);
 * **branch sites** — solver time is blamed on the guest pc that issued
   the query, so one hot branch shows up as one hot address.
-
-**Sampling.**  Rule-level charging (steps, eval time, solver time,
-forks) happens on *every* step.  The expensive parts (per-IR-node
-probing, term-pool deltas) run only on every ``sample_every``-th step
-("deep" steps); ``mode="full"`` makes every step deep.
 
 **One timer** (pinned by ``tests/obs/test_attr.py``): attribution takes
 its eval and solver charges from the same clock readings as the phase
@@ -36,73 +26,34 @@ in ``result.telemetry["attr"]`` (schema-v5 sidecar ``run_summary``
 blocks), is persisted as ``attr.json`` in the run store, and is what
 the offline renderers (:func:`hot_report`,
 :func:`annotate_spec_costs`, :mod:`repro.obs.flame`) and the
-``repro hot`` CLI consume.
+``repro hot`` CLI consume.  The renderers read only the rule and site
+tables, so older blocks still render.
 """
 
 from __future__ import annotations
 
-import time
 from typing import Dict, List, Optional
 
-from ..ir import nodes as N
-
-__all__ = ["AttrConfig", "CostAttribution", "ATTR_SCHEMA_VERSION",
-           "hot_report", "hot_rules_lines", "annotate_spec_costs",
-           "ir_kind"]
+__all__ = ["CostAttribution", "ATTR_SCHEMA_VERSION", "hot_report",
+           "hot_rules_lines", "annotate_spec_costs"]
 
 #: Version of the ``attr`` snapshot block (independent of the event
 #: schema version; bumped when the block's shape changes).  2: attr and
 #: the phase profiler share one timer, so the block no longer carries a
-#: section comparing their totals.
-ATTR_SCHEMA_VERSION = 2
+#: section comparing their totals.  3: every step is charged alike, so
+#: the block has no per-IR-kind tables and no sampling fields.
+ATTR_SCHEMA_VERSION = 3
 
 #: Pseudo-rule charged for solver work issued outside any instruction
 #: (e.g. a feasibility probe before the first step).
 ENGINE_BUCKET = "(engine)"
 
 
-class AttrConfig:
-    """Tunables for cost attribution (observe-only; never serialized
-    into the run-store key — attribution must not change outcomes)."""
-
-    MODES = ("sampled", "full")
-
-    def __init__(self, mode: str = "sampled", sample_every: int = 16):
-        if mode not in self.MODES:
-            raise ValueError("attr mode must be one of %r, got %r"
-                             % (self.MODES, mode))
-        self.mode = mode
-        # In full mode every step is deep; sampled mode probes every
-        # Nth step (N >= 1) so the always-on overhead stays bounded.
-        self.sample_every = 1 if mode == "full" else max(1, int(sample_every))
-
-
-def ir_kind(expr) -> str:
-    """Attribution label for one IR expression node.  ``BinOp``/``UnOp``
-    carry their operator so ``BinOp:add`` and ``BinOp:udiv`` separate."""
-    name = expr.__class__.__name__
-    if isinstance(expr, (N.BinOp, N.UnOp)):
-        return "%s:%s" % (name, expr.op)
-    return name
-
-
-class _IrCost:
-    """Per-(rule, IR kind) timing: calls, inclusive, self."""
-
-    __slots__ = ("calls", "total", "self_time")
-
-    def __init__(self):
-        self.calls = 0
-        self.total = 0.0
-        self.self_time = 0.0
-
-
 class _RuleCost:
     """Everything charged to one semantic rule."""
 
     __slots__ = ("steps", "eval_s", "solver_s", "solver_checks",
-                 "cache_hits", "cache_misses", "forks", "term_allocs",
-                 "ir", "solver_by_ir")
+                 "cache_hits", "cache_misses", "forks", "term_allocs")
 
     def __init__(self):
         self.steps = 0
@@ -113,8 +64,6 @@ class _RuleCost:
         self.cache_misses = 0
         self.forks = 0
         self.term_allocs = 0
-        self.ir: Dict[str, _IrCost] = {}
-        self.solver_by_ir: Dict[str, float] = {}
 
 
 class _SiteCost:
@@ -142,16 +91,13 @@ class CostAttribution:
     snapshot per-exploration.
     """
 
-    def __init__(self, config: Optional[AttrConfig] = None, model=None,
-                 metrics=None):
-        self.config = config if config is not None else AttrConfig()
+    def __init__(self, model=None):
         self.isa = getattr(model, "name", "?")
         self._provenance = dict(getattr(model, "rules", None) or {})
         self._source = getattr(model, "source_path", None)
         self.rules: Dict[str, _RuleCost] = {}
         self.sites: Dict[int, _SiteCost] = {}
         self.steps = 0
-        self.deep_steps = 0
         # Running totals (equal to the eval/solver phase totals).
         self.eval_calls = 0
         self.eval_s = 0.0
@@ -160,26 +106,11 @@ class CostAttribution:
         self.cache_hits = 0
         self.cache_misses = 0
         self.forks = 0
-        # Current step context (rule name + pc) and deep-step state.
-        self._rule = ENGINE_BUCKET
-        self._pc: Optional[int] = None
+        # The current step's ledgers: its rule's and its pc's.
         self._rule_cost = self._rule_for(ENGINE_BUCKET)
         self._site_cost: Optional[_SiteCost] = None
-        self.deep = False
-        self._ir_stack: List[list] = []   # [kind, start, child_time]
         self._pool = None                 # bound lazily (term pool)
         self._pool_mark = 0
-        # attr.* metrics; NULL objects when metrics are off.
-        from .metrics import NULL_COUNTER, NULL_HISTOGRAM
-        self._h_eval = NULL_HISTOGRAM
-        self._h_solver = NULL_HISTOGRAM
-        self._c_steps = NULL_COUNTER
-        self._c_deep = NULL_COUNTER
-        if metrics is not None:
-            self._h_eval = metrics.histogram("attr.step_eval_ms")
-            self._h_solver = metrics.histogram("attr.solver_ms")
-            self._c_steps = metrics.counter("attr.steps")
-            self._c_deep = metrics.counter("attr.deep_steps")
 
     # -- engine-side charging ------------------------------------------------
 
@@ -189,13 +120,9 @@ class CostAttribution:
             cost = self.rules[name] = _RuleCost()
         return cost
 
-    def begin_step(self, rule: str, pc: int) -> bool:
-        """Set the (rule, pc) context for one instruction; returns
-        whether this step is *deep* (per-IR-node probing on)."""
+    def begin_step(self, rule: str, pc: int) -> None:
+        """Set the (rule, pc) context for one instruction."""
         self.steps += 1
-        self._c_steps.inc()
-        self._rule = rule
-        self._pc = pc
         cost = self._rule_for(rule)
         cost.steps += 1
         self._rule_cost = cost
@@ -204,30 +131,19 @@ class CostAttribution:
             site = self.sites[pc] = _SiteCost(rule)
         site.steps += 1
         self._site_cost = site
-        deep = (self.steps - 1) % self.config.sample_every == 0
-        self.deep = deep
-        if deep:
-            self.deep_steps += 1
-            self._c_deep.inc()
-            if self._pool is None:
-                from ..smt import terms as T
-                self._pool = T.get_pool()
-            self._pool_mark = self._pool.misses
-            del self._ir_stack[:]
-        return deep
+        if self._pool is None:
+            from ..smt import terms as T
+            self._pool = T.get_pool()
+        self._pool_mark = self._pool.misses
 
     def end_step(self, elapsed: float) -> None:
-        """Charge one instruction's evaluation wall time (every step;
-        the ``eval`` phase is charged the same reading)."""
+        """Charge one instruction's evaluation wall time (the ``eval``
+        phase is charged the same reading) and its term allocations."""
         self.eval_calls += 1
         self.eval_s += elapsed
-        self._rule_cost.eval_s += elapsed
-        if self.deep:
-            self._rule_cost.term_allocs += \
-                self._pool.misses - self._pool_mark
-            self._h_eval.observe(elapsed * 1000.0)
-            self.ir_unwind()
-            self.deep = False
+        cost = self._rule_cost
+        cost.eval_s += elapsed
+        cost.term_allocs += self._pool.misses - self._pool_mark
 
     def on_fork(self, count: int) -> None:
         self.forks += count
@@ -235,30 +151,6 @@ class CostAttribution:
         site = self._site_cost
         if site is not None:
             site.forks += count
-
-    # -- IR probing (deep steps only) ----------------------------------------
-
-    def ir_enter(self, kind: str) -> None:
-        self._ir_stack.append([kind, time.perf_counter(), 0.0])
-
-    def ir_exit(self) -> None:
-        kind, start, child = self._ir_stack.pop()
-        elapsed = time.perf_counter() - start
-        table = self._rule_cost.ir
-        cost = table.get(kind)
-        if cost is None:
-            cost = table[kind] = _IrCost()
-        cost.calls += 1
-        cost.total += elapsed
-        cost.self_time += elapsed - child
-        if self._ir_stack:
-            self._ir_stack[-1][2] += elapsed
-
-    def ir_unwind(self) -> None:
-        """Close every open IR frame: the path ended mid-expression, so
-        the frames it entered will never see their ``ir_exit``."""
-        while self._ir_stack:
-            self.ir_exit()
 
     # -- solver-side charging (Solver.attach_attr) ---------------------------
 
@@ -275,15 +167,6 @@ class CostAttribution:
         if site is not None:
             site.solver_checks += 1
             site.solver_s += elapsed
-        if self._ir_stack:
-            frame = self._ir_stack[-1]
-            # Solver time inside an IR frame is the frame's child time,
-            # so IR self time stays pure term building.
-            frame[2] += elapsed
-            kind = frame[0]
-            cost.solver_by_ir[kind] = \
-                cost.solver_by_ir.get(kind, 0.0) + elapsed
-        self._h_solver.observe(elapsed * 1000.0)
 
     def on_solver_cache(self, layer: str) -> None:
         self.cache_hits += 1
@@ -319,29 +202,7 @@ class CostAttribution:
             if rule is not None:
                 entry["mnemonic"] = rule.mnemonic
                 entry["lines"] = [rule.line_lo, rule.line_hi]
-            if cost.ir:
-                entry["ir"] = {
-                    kind: {"calls": ir.calls, "total_s": ir.total,
-                           "self_s": ir.self_time}
-                    for kind, ir in sorted(cost.ir.items())}
-            if cost.solver_by_ir:
-                entry["solver_by_ir"] = dict(sorted(
-                    cost.solver_by_ir.items()))
             rules[name] = entry
-        ir_rollup: Dict[str, Dict[str, float]] = {}
-        for cost in self.rules.values():
-            for kind, ir in cost.ir.items():
-                agg = ir_rollup.setdefault(
-                    kind, {"calls": 0, "total_s": 0.0, "self_s": 0.0,
-                           "solver_s": 0.0})
-                agg["calls"] += ir.calls
-                agg["total_s"] += ir.total
-                agg["self_s"] += ir.self_time
-            for kind, seconds in cost.solver_by_ir.items():
-                agg = ir_rollup.setdefault(
-                    kind, {"calls": 0, "total_s": 0.0, "self_s": 0.0,
-                           "solver_s": 0.0})
-                agg["solver_s"] += seconds
         sites = {
             "%#x" % pc: {"rule": site.rule, "steps": site.steps,
                          "solver_s": site.solver_s,
@@ -354,10 +215,7 @@ class CostAttribution:
             "version": ATTR_SCHEMA_VERSION,
             "isa": self.isa,
             "source": self._source,
-            "mode": self.config.mode,
-            "sample_every": self.config.sample_every,
             "steps": self.steps,
-            "deep_steps": self.deep_steps,
             "eval_calls": self.eval_calls,
             "eval_s": self.eval_s,
             "solver_checks": self.solver_checks,
@@ -366,7 +224,6 @@ class CostAttribution:
             "cache_misses": self.cache_misses,
             "forks": self.forks,
             "rules": dict(sorted(rules.items())),
-            "ir": dict(sorted(ir_rollup.items())),
             "sites": sites,
         }
 
@@ -445,9 +302,8 @@ def hot_report(block, top: int = 10, min_share: float = 0.0) -> str:
     if not isinstance(block, dict) or not isinstance(
             block.get("rules"), dict):
         return "attr: no attribution block (run with --attr)"
-    header = ("== cost attribution: %s (mode=%s, %s/%s steps deep) =="
-              % (block.get("isa", "?"), block.get("mode", "?"),
-                 block.get("deep_steps", 0), block.get("steps", 0)))
+    header = ("== cost attribution: %s (%s steps) =="
+              % (block.get("isa", "?"), block.get("steps", 0)))
     lines = [header,
              "total: eval %.2fms  solver %.2fms over %s checks "
              "(%s cache hits, %s forks)"
@@ -459,22 +315,6 @@ def hot_report(block, top: int = 10, min_share: float = 0.0) -> str:
     if table:
         lines.append("hottest rules:")
         lines.extend(table)
-    ir = block.get("ir")
-    if isinstance(ir, dict) and ir:
-        rows = sorted(((kind, entry) for kind, entry in ir.items()
-                       if isinstance(entry, dict)),
-                      key=lambda kv: -(float(kv[1].get("self_s", 0.0))
-                                       + float(kv[1].get("solver_s",
-                                                         0.0))))
-        lines.append("hottest IR kinds (deep-step sample):")
-        lines.append("  %-16s %8s %9s %9s %9s"
-                     % ("kind", "calls", "total", "self", "solver"))
-        for kind, entry in rows[:max(0, top)]:
-            lines.append("  %-16s %8d %8.2fms %8.2fms %8.2fms"
-                         % (kind, int(entry.get("calls", 0)),
-                            float(entry.get("total_s", 0.0)) * 1e3,
-                            float(entry.get("self_s", 0.0)) * 1e3,
-                            float(entry.get("solver_s", 0.0)) * 1e3))
     sites = block.get("sites")
     if isinstance(sites, dict) and sites:
         def _site_cost(item):

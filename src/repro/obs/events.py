@@ -44,8 +44,8 @@ version, platform, package version, spec digests — see
 :func:`repro.runstore.provenance.environment_snapshot`).  Version 5
 (this release) adds the optional ``attr`` cost-attribution block inside
 the ``run_summary`` meta record's ``telemetry`` payload (per-rule /
-per-IR-kind / per-site cost shares; see :mod:`repro.obs.attr` and
-``repro hot``) — no new event kinds.  All bumps are
+per-site cost shares; see :mod:`repro.obs.attr` and ``repro hot``) —
+no new event kinds.  All bumps are
 additive: readers of version-1/2/3/4 files keep working — sidecars
 without the ``env`` block simply report no provenance — and readers
 that dispatch on known kinds ignore the new ones (sinks, the flight

@@ -7,9 +7,10 @@ run-store ``attr.json`` artifact — the ``repro hot --flame/--trace``
 round trip.
 
 * :func:`collapsed_stacks` emits Brendan-Gregg collapsed-stack lines
-  (``frame;frame;frame weight``) with ``isa;rule[;ir_kind][;solver]``
-  frames and integer microsecond weights — feed the output straight to
-  ``flamegraph.pl`` or any collapsed-stack viewer (speedscope, etc.).
+  (``frame;frame;frame weight``) with ``isa;rule`` and
+  ``isa;rule;solver`` frames and integer microsecond weights — feed
+  the output straight to ``flamegraph.pl`` or any collapsed-stack
+  viewer (speedscope, etc.).
 * :func:`chrome_trace` emits a Chrome ``trace_event`` JSON object
   (synthetic sequential complete events) for ``chrome://tracing`` /
   Perfetto.
@@ -33,11 +34,8 @@ def collapsed_stacks(block) -> List[Dict[str, object]]:
     """Collapsed-stack rows (``{"stack": [...], "us": N}``) for one
     attribution snapshot; zero-weight rows are dropped.
 
-    Per rule: IR-kind self time becomes ``isa;rule;kind``, solver time
-    attributed inside an IR kind becomes ``isa;rule;kind;solver``,
-    remaining (un-probed) solver time ``isa;rule;solver``, and the
-    eval-time residual not covered by probed IR frames stays at
-    ``isa;rule`` — so the flamegraph total equals the attributed
+    Per rule: eval time becomes ``isa;rule`` and solver time
+    ``isa;rule;solver``, so the flamegraph total equals the attributed
     eval+solver total.
     """
     if not isinstance(block, dict) or not isinstance(
@@ -54,27 +52,8 @@ def collapsed_stacks(block) -> List[Dict[str, object]]:
         if not isinstance(entry, dict):
             continue
         rule = str(name)
-        ir = entry.get("ir") if isinstance(entry.get("ir"), dict) else {}
-        solver_by_ir = entry.get("solver_by_ir") \
-            if isinstance(entry.get("solver_by_ir"), dict) else {}
-        ir_self_us = 0
-        for kind, cost in sorted(ir.items()):
-            if not isinstance(cost, dict):
-                continue
-            us = _us(cost.get("self_s"))
-            ir_self_us += us
-            add([isa, rule, str(kind)], us)
-        probed_solver_us = 0
-        for kind, seconds in sorted(solver_by_ir.items()):
-            us = _us(seconds)
-            probed_solver_us += us
-            add([isa, rule, str(kind), "solver"], us)
-        add([isa, rule, "solver"],
-            _us(entry.get("solver_s")) - probed_solver_us)
-        # Eval residual: wall time the (sampled) IR probe did not cover.
-        # IR frames exclude solver child time by construction, so the
-        # residual is eval minus probed IR self time.
-        add([isa, rule], _us(entry.get("eval_s")) - ir_self_us)
+        add([isa, rule, "solver"], _us(entry.get("solver_s")))
+        add([isa, rule], _us(entry.get("eval_s")))
     return rows
 
 
@@ -88,16 +67,15 @@ def chrome_trace(block) -> Dict[str, object]:
     """Chrome ``trace_event`` JSON (synthetic sequential timeline).
 
     Wall-clock layout is reconstructed, not replayed: each rule gets a
-    contiguous span sized by its attributed cost, with its IR kinds and
-    solver time nested inside — the *shares* are faithful, the
-    ordering is synthetic.
+    contiguous span sized by its attributed cost, with its solver time
+    nested inside — the *shares* are faithful, the ordering is
+    synthetic.
     """
     events: List[Dict[str, object]] = []
     cursor = 0
-    meta = {"isa": "?", "mode": "?"}
+    meta = {"isa": "?"}
     if isinstance(block, dict):
         meta = {"isa": block.get("isa", "?"),
-                "mode": block.get("mode", "?"),
                 "steps": block.get("steps", 0)}
     rows = collapsed_stacks(block)
     by_rule: Dict[str, List[Dict[str, object]]] = {}
@@ -113,7 +91,7 @@ def chrome_trace(block) -> Dict[str, object]:
         for row in children:
             frames = row["stack"][2:]
             if frames:
-                events.append({"name": ";".join(frames), "cat": "ir",
+                events.append({"name": ";".join(frames), "cat": "solver",
                                "ph": "X", "ts": child_cursor,
                                "dur": row["us"], "pid": 1, "tid": 1})
             child_cursor += row["us"]

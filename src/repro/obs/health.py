@@ -204,11 +204,6 @@ class HealthMonitor:
             return      # too soon in wall time; re-armed a window out
         self._sample(now)
 
-    def sample_now(self) -> Dict[str, object]:
-        """Force an immediate sample (tests / examples / final flush)."""
-        self._sample(time.perf_counter())
-        return self.samples[-1]
-
     def finish(self) -> Dict[str, object]:
         """Seal the run and return the summary dict (stored by the
         engine under ``result.telemetry["health"]``)."""

@@ -211,9 +211,10 @@ class StoredRun:
 
     def attr(self) -> Optional[Dict[str, object]]:
         """The cost-attribution profile (``repro.obs.attr`` snapshot
-        block), or None — runs recorded without ``--attr`` (or by older
-        code) simply have no profile; a corrupt artifact degrades to
-        None, never errors (``repro hot`` reports it as missing)."""
+        block), or None — runs stored without attribution (``explore
+        --store`` without ``--attr``, or older code) simply have no
+        profile; a corrupt artifact degrades to None, never errors
+        (``repro hot`` reports it as missing)."""
         path = os.path.join(self.path, ATTR)
         try:
             with open(path) as handle:

@@ -162,7 +162,7 @@ class Solver:
         """Wire a :class:`repro.obs.attr.CostAttribution` accumulator.
 
         Every *solved* query charges the elapsed time its ``solver``
-        phase gets to the engine's current rule/pc/IR context
+        phase gets to the engine's current rule and pc
         (``on_solver_check``); query-cache answers and frame reuse
         charge only a cache hit (``on_solver_cache``), never solver
         time."""

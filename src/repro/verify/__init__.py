@@ -1,10 +1,10 @@
 """Translation validation for compiled transfer functions.
 
-Statically proves the plans :mod:`repro.compile` emits, and their
-probed twins, equivalent to the reference IR semantics, rule by rule,
-over a fully symbolic pre-state — walked by the same plan driver the
-engine and the concrete simulator run.  Surfaces as the
-``transval-symbolic`` lint pass; see ``docs/LINT.md``.
+Statically proves the plans :mod:`repro.compile` emits equivalent to
+the reference IR semantics, rule by rule, over a fully symbolic
+pre-state — walked by the same plan driver the engine and the concrete
+simulator run.  Surfaces as the ``transval-symbolic`` lint pass; see
+``docs/LINT.md``.
 """
 
 from .core import (

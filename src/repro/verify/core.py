@@ -1,13 +1,11 @@
 """Translation validation: prove compiled transfer functions equal the IR.
 
-For one rule, :func:`verify_rule` runs three artifacts over one shared
+For one rule, :func:`verify_rule` runs two artifacts over one shared
 symbolic pre-state (:class:`~repro.verify.state.PreState`):
 
 * the reference IR block via :mod:`repro.ir.symexec`,
-* the generated plan and its probed twin via
-  :mod:`repro.verify.planeval`, walked by the plan driver the engine and
-  the concrete simulator run (the engine runs the twin on deep
-  attribution steps, so it is proved like the plan),
+* the generated plan via :mod:`repro.verify.planeval`, walked by the
+  plan driver the engine and the concrete simulator run,
 
 and discharges the resulting per-destination equivalence obligations
 through :mod:`repro.verify.obligations`.  Operand fields are free
@@ -31,7 +29,7 @@ from __future__ import annotations
 
 import itertools
 import re
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional
 
 from ..adl import ast as A
 from ..compile.errors import CompileError
@@ -178,9 +176,6 @@ def _rule_environment(model, instr):
 
 _UID_PREFIX = re.compile(r"tv\d+_")
 
-#: Counterexample label prefixes for a symbolic rule's plans, in order.
-_PLAN_LABELS = ("", "probed twin: ")
-
 
 def _render(instr, pre: PreState, field_terms: Dict[str, T.Term],
             mismatch: Mismatch) -> Counterexample:
@@ -210,33 +205,21 @@ def _render(instr, pre: PreState, field_terms: Dict[str, T.Term],
         mismatch.detail)
 
 
-def verify_rule(model, instr, solver, check: Callable,
-                plans: Sequence[tuple] = (),
+def verify_rule(model, instr, solver, check: Callable, plan: tuple,
                 max_pairs: int = 512) -> RuleResult:
-    """Prove every plan in ``plans`` — the rule's plan, then its probed
-    twin — equivalent to the rule's IR, against one reference run."""
+    """Prove the rule's ``plan`` equivalent to its IR."""
     tiers = {key: 0 for key in TIERS}
     try:
         pre, reg_widths, fields, field_terms, assumptions = \
             _rule_environment(model, instr)
         ref_paths = symexec.exec_block(
             instr.semantics, MachineState(pre, reg_widths), fields)
-        if not plans:
-            raise symexec.SymExecError("no compiled plan for rule")
-        candidates = [
-            (_PLAN_LABELS[position], planeval.exec_plan(
-                plan, MachineState(pre, reg_widths), fields))
-            for position, plan in enumerate(plans)]
-        mismatches: List[Mismatch] = []
-        for label, cand_paths in candidates:
-            found = compare_paths(
-                ref_paths, cand_paths, pre, assumptions,
-                set(model.registers), solver, check, tiers,
-                max_pairs=max_pairs)
-            for mismatch in found:
-                mismatch.label = label + mismatch.label
-            mismatches.extend(found)
-        cand_paths = candidates[0][1]
+        cand_paths = planeval.exec_plan(
+            plan, MachineState(pre, reg_widths), fields)
+        mismatches = compare_paths(
+            ref_paths, cand_paths, pre, assumptions,
+            set(model.registers), solver, check, tiers,
+            max_pairs=max_pairs)
     except (symexec.SymExecError, CompileError, ComparisonError,
             T.SmtError) as error:
         return RuleResult(instr.name, UNSUPPORTED, tiers, [],
@@ -271,7 +254,7 @@ def verify_model(model, solver_factory: Optional[Callable] = None,
         from ..smt.solver import Solver
         solver = Solver()
     try:
-        plans, probed = planeval.load_plans(
+        plans = planeval.load_plans(
             compiled_for(model).symbolic_source(model, source_overrides),
             model.name)
     except (CompileError, symexec.SymExecError) as error:
@@ -280,8 +263,7 @@ def verify_model(model, solver_factory: Optional[Callable] = None,
                            detail="codegen failed: %s" % error)
                 for instr in model.instructions]
     return [verify_rule(model, instr, solver, check,
-                        plans=(plans[instr.name], probed[instr.name]),
-                        max_pairs=max_pairs)
+                        plan=plans[instr.name], max_pairs=max_pairs)
             for instr in model.instructions]
 
 

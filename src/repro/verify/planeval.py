@@ -22,8 +22,7 @@ fork arm order and arm guards:
   symbolic, every fork arm is feasible (the validator refutes
   infeasible path pairs during obligation matching instead) and the
   guard each arm assumes goes into the path's guard tuple — mirroring
-  :func:`repro.ir.symexec.exec_block` path for path.  ``E.attr`` is a
-  stub, so probed twins run the same way,
+  :func:`repro.ir.symexec.exec_block` path for path,
 * values cross the state boundary as the engine's do: fields, register
   reads and loads reach the plan as ints when constant, and ints the
   plan produces are lifted to terms before the machine records them.
@@ -92,16 +91,6 @@ class _HarnessConfig:
     check_div_zero = False
 
 
-class _NullAttr:
-    """Probed twins' ``E.attr``: probes are timing, not semantics."""
-
-    def ir_enter(self, kind: str) -> None:
-        pass
-
-    def ir_exit(self) -> None:
-        pass
-
-
 class _HarnessState:
     """The driver's ``S``: one path of the shared machine, plus the
     guards its fork arms assumed."""
@@ -134,10 +123,9 @@ class _HarnessState:
 
 class _Harness:
     """The driver's ``E``: no pruning, no concretization, and nothing
-    that ends a path (so no ``_arm_ended``)."""
+    that ends a path (so no ``_dead_end``)."""
 
     config = _HarnessConfig()
-    attr = _NullAttr()
 
     def _load(self, S: _HarnessState, addr: Value, size: int, guards,
               D) -> Value:
@@ -187,18 +175,16 @@ def _lifted(outcome: Outcome) -> Outcome:
     return outcome
 
 
-def load_plans(symbolic_source: str,
-               isa: str) -> Tuple[Dict[str, tuple], Dict[str, tuple]]:
+def load_plans(symbolic_source: str, isa: str) -> Dict[str, tuple]:
     """Compile the generated symbolic module for harness execution:
-    ``(plans, probed twins)``, each rule name -> plan."""
+    rule name -> plan."""
     namespace: Dict[str, object] = dict(CHECKED_OPS)
     exec(compile(symbolic_source, "<repro.verify:%s:plans>" % isa, "exec"),
          namespace)
-    plans, probed = namespace.get("PLANS"), namespace.get("PROBED")
-    if not isinstance(plans, dict) or not isinstance(probed, dict):
-        raise SymExecError("generated symbolic module has no "
-                           "PLANS/PROBED tables")
-    return plans, probed
+    plans = namespace.get("PLANS")
+    if not isinstance(plans, dict):
+        raise SymExecError("generated symbolic module has no PLANS table")
+    return plans
 
 
 def exec_plan(plan: tuple, machine: MachineState,

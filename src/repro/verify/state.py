@@ -1,12 +1,12 @@
 """Shared symbolic pre-state and effect-logging machine states.
 
 Translation validation compares executions of one rule — the
-reference IR evaluation (:mod:`repro.ir.symexec`) and the compiled plan
-and its probed twin, each run through the plan driver — and the
-comparison is only meaningful if all of them observe the *same*
-symbolic pre-state.  :class:`PreState` owns that sharing: every read of a
-machine location resolves to a memoized variable keyed on the
-*canonicalized* location term (:func:`repro.smt.normalize.canon`), so
+reference IR evaluation (:mod:`repro.ir.symexec`) and the compiled
+plan, run through the plan driver — and the comparison is only
+meaningful if both observe the *same* symbolic pre-state.
+:class:`PreState` owns that sharing: every read of a machine location
+resolves to a memoized variable keyed on the *canonicalized* location
+term (:func:`repro.smt.normalize.canon`), so
 "register ``x[rs1]``" is one variable no matter which evaluator asks,
 at which ambient width, or on which path.
 

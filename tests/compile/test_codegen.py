@@ -117,8 +117,7 @@ class TestTableCoverage:
         compiled = compiled_for(model)
         source = compiled.symbolic_source(model)
         assert "generated by repro.compile" in source
-        for table in (compiled.plan, compiled.probed_plan):
-            assert set(table.generated()) == set(model.by_name)
+        assert set(compiled.plan.generated()) == set(model.by_name)
 
     @pytest.mark.parametrize("target", ALL_TARGETS)
     def test_symbolic_plans_are_plain_tuples(self, target):
@@ -136,7 +135,6 @@ class TestTableCoverage:
         compiled = compiled_for(model)
         for instr in model.instructions:
             scan(compiled.plan(instr))
-            scan(compiled.probed_plan(instr))
 
 
 class TestCache:

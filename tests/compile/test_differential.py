@@ -2,21 +2,14 @@
 concrete simulator's compiled plans against IR interpretation.
 
 The engine executes every rule through its compiled symbolic plan
-(:mod:`repro.compile.symbolic`); deep cost-attribution steps run the
-plan's probed twin.  Neither may change what a run computes, so every
-exploration below must reproduce the tree, leaf and defect fingerprints
-(the hashes the run store verifies on replay) pinned in
-``pinned_fingerprints.json`` — with attribution off, sampled every 3rd
-step, and full.  The pins were recorded with the engine's former
-interpreted IR walk; running this module as a script prints them
-again from the code at hand::
+(:mod:`repro.compile.symbolic`).  Cost attribution only observes it, so
+every exploration below must reproduce the tree, leaf and defect
+fingerprints (the hashes the run store verifies on replay) pinned in
+``pinned_fingerprints.json`` — with attribution off and on.  The pins
+were recorded with the engine's former interpreted IR walk; running
+this module as a script prints them again from the code at hand::
 
     PYTHONPATH=src python -m tests.compile.test_differential
-
-The pin file also holds the ``calls`` of full-mode attribution blocks —
-per rule and IR kind on the exerciser, per IR kind on each defect-suite
-run: the probed twins must count exactly the nodes the interpreted
-walk's probe counted.
 
 The concrete simulator keeps both evaluators — the IR interpreter (the
 default and the reference) and the engine's plans, run by the same
@@ -35,7 +28,6 @@ import pytest
 
 from repro.core import Engine, EngineConfig
 from repro.obs import Obs
-from repro.obs.attr import AttrConfig
 from repro.obs.sinks import RingBufferSink
 from repro.programs import all_cases, build_kernel, run_case
 from repro.runstore.fingerprint import (defects_fingerprint,
@@ -48,19 +40,15 @@ PINS_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                          "pinned_fingerprints.json")
 
 #: Attribution settings every pinned exploration is repeated under.
-ATTR_MODES = {
-    "off": None,
-    "sampled-3": lambda: AttrConfig(mode="sampled", sample_every=3),
-    "full": lambda: AttrConfig(mode="full"),
-}
+ATTR_MODES = {"off": False, "on": True}
 
 
-def _config(attr=None, **kwargs):
+def _config(attr=False, **kwargs):
     ring = RingBufferSink(capacity=200000)
     obs = Obs(metrics=True)
     obs.add_sink(ring)
-    config = EngineConfig(collect_coverage=True, obs=obs,
-                          attr=attr() if attr else None, **kwargs)
+    config = EngineConfig(collect_coverage=True, obs=obs, attr=attr,
+                          **kwargs)
     return config, ring
 
 
@@ -71,56 +59,34 @@ def _fingerprints(ring, result):
             defects_fingerprint(serialized["defects"])]
 
 
-def _explore_exerciser(target, attr=None):
-    """``(fingerprints, result)`` of the exerciser kernel on ``target``."""
+def _explore_exerciser(target, attr=False):
+    """The fingerprints of the exerciser kernel on ``target``."""
     model, image = build_kernel("exerciser", target)
     config, ring = _config(attr)
     engine = Engine(model, config=config)
     engine.load_image(image)
-    result = engine.explore()
-    return _fingerprints(ring, result), result
+    return _fingerprints(ring, engine.explore())
 
 
-def _explore_case(case, target, variant, attr=None):
-    """``(pinned outcome, result)`` of one defect-suite run, as
-    ``run_case`` runs it."""
+def _explore_case(case, target, variant, attr=False):
+    """The pinned outcome of one defect-suite run, as ``run_case``
+    runs it."""
     config, ring = _config(attr, max_steps_per_path=4096)
     detected, result, _image = run_case(case, target, variant,
                                         config=config)
-    return ([detected, result.stop_reason] + _fingerprints(ring, result),
-            result)
-
-
-def _ir_calls(result):
-    """rule -> IR kind -> calls, from a result's attribution block."""
-    rules = result.telemetry["attr"]["rules"]
-    return {rule: {kind: cost["calls"]
-                   for kind, cost in entry.get("ir", {}).items()}
-            for rule, entry in rules.items() if entry.get("ir")}
-
-
-def _ir_kind_calls(result):
-    """IR kind -> calls over all rules, from the attribution block."""
-    return {kind: cost["calls"]
-            for kind, cost in result.telemetry["attr"]["ir"].items()}
+    return [detected, result.stop_reason] + _fingerprints(ring, result)
 
 
 def collect_pins():
     """Every pinned value, computed by the code at hand."""
-    pins = {"exerciser": {}, "defect_suite": {}, "attr_ir_calls": {},
-            "defect_suite_ir_calls": {}}
+    pins = {"exerciser": {}, "defect_suite": {}}
     for target in ALL_TARGETS:
-        pins["exerciser"][target], _ = _explore_exerciser(target)
-        _, result = _explore_exerciser(target, ATTR_MODES["full"])
-        pins["attr_ir_calls"][target] = _ir_calls(result)
+        pins["exerciser"][target] = _explore_exerciser(target)
         for case in all_cases():
             for variant in ("bad", "good"):
                 key = "%s/%s/%s" % (target, case.name, variant)
-                pins["defect_suite"][key], _ = _explore_case(
+                pins["defect_suite"][key] = _explore_case(
                     case, target, variant)
-                _, result = _explore_case(case, target, variant,
-                                          ATTR_MODES["full"])
-                pins["defect_suite_ir_calls"][key] = _ir_kind_calls(result)
     return pins
 
 
@@ -133,67 +99,28 @@ def pins():
 @pytest.mark.parametrize("target", ALL_TARGETS)
 def test_exerciser_fingerprints_identical(pins, target):
     for mode, attr in ATTR_MODES.items():
-        found, _result = _explore_exerciser(target, attr)
-        assert found == pins["exerciser"][target], (target, mode)
-
-
-def test_deep_attr_step_falls_back_without_changing_fingerprints(pins):
-    """Deep cost-attribution steps fall back from the plain plan to its
-    probed twin; attribution being observe-only, fingerprints must not
-    move.  Sampled mode is the risky interleaving: plain steps alternate
-    with probed deep steps inside one exploration."""
-    pinned = pins["exerciser"]["rv32"]
-    found, full = _explore_exerciser("rv32", ATTR_MODES["full"])
-    assert found == pinned
-    full_attr = full.telemetry["attr"]
-    assert full_attr["deep_steps"] == full_attr["steps"] > 0
-    full_calls = sum(cost["calls"] for cost in full_attr["ir"].values())
-
-    found, sampled = _explore_exerciser("rv32", ATTR_MODES["sampled-3"])
-    assert found == pinned
-    sampled_attr = sampled.telemetry["attr"]
-    # Both kinds of step ran, and the per-IR-kind rows prove the deep
-    # ones went through the probed twin.
-    assert 0 < sampled_attr["deep_steps"] < sampled_attr["steps"]
-    sampled_calls = sum(cost["calls"]
-                        for cost in sampled_attr["ir"].values())
-    assert 0 < sampled_calls < full_calls
+        assert _explore_exerciser(target, attr) \
+            == pins["exerciser"][target], (target, mode)
 
 
 @pytest.mark.parametrize("target", ALL_TARGETS)
 def test_defect_suite_fingerprints_identical(pins, target):
-    """Also pins each run's full-mode per-kind attribution calls, so the
-    probed twins of every rule the suite executes count as the
-    interpreted walk counted."""
     cases = 0
     for case in all_cases():
         for variant in ("bad", "good"):
             key = "%s/%s/%s" % (target, case.name, variant)
             for mode, attr in ATTR_MODES.items():
-                found, result = _explore_case(case, target, variant, attr)
-                assert found == pins["defect_suite"][key], (key, mode)
-                if mode == "full":
-                    assert _ir_kind_calls(result) \
-                        == pins["defect_suite_ir_calls"][key], key
+                assert _explore_case(case, target, variant, attr) \
+                    == pins["defect_suite"][key], (key, mode)
             cases += 1
     assert cases == 16
 
 
 def test_every_pin_is_checked(pins):
     """The pin file covers exactly the runs the tests here make."""
+    assert sorted(pins) == ["defect_suite", "exerciser"]
     assert sorted(pins["exerciser"]) == sorted(ALL_TARGETS)
-    assert sorted(pins["attr_ir_calls"]) == sorted(ALL_TARGETS)
     assert len(pins["defect_suite"]) == len(ALL_TARGETS) * 16
-    assert sorted(pins["defect_suite_ir_calls"]) \
-        == sorted(pins["defect_suite"])
-
-
-@pytest.mark.parametrize("target", ALL_TARGETS)
-def test_probed_twins_count_every_ir_node(pins, target):
-    """Full-mode attribution charges the same per-rule, per-kind calls
-    the interpreted walk's probe charged."""
-    _, result = _explore_exerciser(target, ATTR_MODES["full"])
-    assert _ir_calls(result) == pins["attr_ir_calls"][target]
 
 
 #: rv32 rules with operands that separate a right plan from a plausible

@@ -3,7 +3,7 @@
 ``compiled_for`` hands out an empty entry; each rule's code is
 generated the first time it is looked up.  So constructing an engine
 generates nothing, an exploration generates exactly the plans of the
-rules it executes (probed twins only on deep attribution steps), and a
+rules it executes (and an attributed one runs the same plans), and a
 cache entry never keeps a model alive.
 """
 
@@ -17,7 +17,6 @@ from repro.compile import symbolic
 from repro.core import Engine, EngineConfig
 from repro.isa import build
 from repro.obs import Obs
-from repro.obs.attr import AttrConfig
 from repro.obs.sinks import RingBufferSink
 from repro.programs import build_kernel
 
@@ -26,13 +25,13 @@ ALL_TARGETS = ["rv32", "mips32", "armlite", "pred32", "vlx"]
 
 @pytest.fixture
 def generations(monkeypatch):
-    """Every call of the code generators, as (kind, rule) pairs."""
+    """The rule of every call of the code generator."""
     calls = []
     rule_plan = symbolic.rule_plan
 
-    def counting_plan(isa, instr, probe=False):
-        calls.append(("probed" if probe else "plan", instr.name))
-        return rule_plan(isa, instr, probe)
+    def counting_plan(isa, instr):
+        calls.append(instr.name)
+        return rule_plan(isa, instr)
 
     monkeypatch.setattr(symbolic, "rule_plan", counting_plan)
     compile_mod.clear_cache()
@@ -40,7 +39,7 @@ def generations(monkeypatch):
     compile_mod.clear_cache()
 
 
-def _explore(target, attr=None):
+def _explore(target, attr=False):
     """Explore the exerciser; returns (engine, executed rule names)."""
     model, image = build_kernel("exerciser", target)
     ring = RingBufferSink(capacity=200000)
@@ -57,8 +56,7 @@ def _explore(target, attr=None):
 def test_engine_construction_generates_no_code(generations):
     for target in ALL_TARGETS:
         compiled = Engine(build(target, fresh=True))._compiled
-        for table in (compiled.plan, compiled.probed_plan):
-            assert table.generated() == []
+        assert compiled.plan.generated() == []
     assert generations == []
 
 
@@ -67,20 +65,12 @@ def test_exploring_generates_only_executed_rules(generations, target):
     engine, executed = _explore(target)
     assert executed
     assert sorted(engine._compiled.plan.generated()) == sorted(executed)
-    assert sorted(generations) == sorted(("plan", name)
-                                         for name in executed)
-    # A second exploration finds every plan already generated.
+    assert sorted(generations) == sorted(executed)
+    # A second exploration, attributed, finds every plan already
+    # generated: attribution runs the same plans.
     del generations[:]
-    _explore(target)
+    _explore(target, attr=True)
     assert generations == []
-
-
-def test_deep_steps_generate_probed_twins_on_first_use(generations):
-    engine, executed = _explore("rv32", AttrConfig(mode="full"))
-    compiled = engine._compiled
-    assert sorted(compiled.probed_plan.generated()) == sorted(executed)
-    # Every step was deep, so no plain plan was ever needed.
-    assert compiled.plan.generated() == []
 
 
 def test_cache_entry_holds_no_model():

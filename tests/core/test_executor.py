@@ -75,6 +75,40 @@ class TestBasicExploration:
         assert sim.exit_code == 1
         assert by_code[1].input_bytes[0] == 77
 
+    def test_fork_arm_that_dies_is_a_dead_end(self):
+        """The plan driver hands a fork arm that raises ``PathEnd`` to
+        the engine's ``_dead_end`` (a ``prune`` event naming the fork
+        parent) and keeps its sibling."""
+        from repro.compile.driver import Outcome, PathEnd, drive
+        from repro.compile.symbolic import S_IF, S_LOCAL
+        from repro.obs import Obs
+        from repro.obs.sinks import RingBufferSink
+        from repro.smt import terms as T
+
+        ring = RingBufferSink()
+        obs = Obs(metrics=True)
+        obs.add_sink(ring)
+        engine, _, _ = engine_for("rv32", ".org 0x1000\nhalt 0\n",
+                                  config=EngineConfig(obs=obs))
+        state = engine.initial_state()
+
+        def cond(E, S, FT, L, D):
+            return T.eq(T.var("in_0", 8), T.bv(0, 8))
+
+        def dies(E, S, FT, L, D):
+            raise PathEnd("oob-load")
+
+        def survives(E, S, FT, L, D):
+            return 0
+
+        plan = ((S_IF, cond, ((S_LOCAL, "x", dies),),
+                 ((S_LOCAL, "x", survives),)),)
+        finished = drive(engine, state, plan, {}, None, Outcome())
+        assert [survivor for survivor, _outcome in finished] == [state]
+        pruned = ring.events("prune")
+        assert [event.data["reason"] for event in pruned] == ["oob-load"]
+        assert pruned[0].data["parent"] == state.state_id
+
     def test_infeasible_branch_not_explored(self):
         engine, _, _ = engine_for("rv32", """
         .org 0x1000

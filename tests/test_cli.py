@@ -1,5 +1,9 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
+import errno
+import os
+import sys
+
 import pytest
 
 from repro.cli import main
@@ -365,15 +369,19 @@ class TestHealthCLI:
 
 class TestRemovedOptions:
     """The watchdog's actions, the live metrics endpoint, Prometheus
-    output and ``repro top`` are gone: asking for them is argparse's
-    usage error, not a traceback."""
+    output, ``repro top`` and attribution's sampling knobs are gone:
+    asking for them is argparse's usage error, not a traceback."""
 
     @pytest.mark.parametrize("argv", [
         ["explore", "rv32", "{source}", "--on-pressure", "stop"],
         ["explore", "rv32", "{source}", "--serve-metrics", "0"],
         ["top", "{run}"],
         ["metrics", "{run}", "--prom"],
-    ], ids=["on-pressure", "serve-metrics", "top", "metrics-prom"])
+        ["explore", "rv32", "{source}", "--attr", "full"],
+        ["explore", "rv32", "{source}", "--attr-every", "4"],
+        ["record", "rv32", "{source}", "--attr", "off"],
+    ], ids=["on-pressure", "serve-metrics", "top", "metrics-prom",
+            "attr-full", "attr-every", "record-attr-off"])
     def test_usage_error(self, argv, clean_file, run_file, capsys):
         argv = [arg.format(source=clean_file, run=run_file)
                 for arg in argv]
@@ -383,6 +391,56 @@ class TestRemovedOptions:
         err = capsys.readouterr().err
         assert "usage:" in err
         assert "Traceback" not in err
+
+
+class _ClosedPipe:
+    """A stdout whose reader has gone: every write fails as a write to a
+    pipe closed at the far end does."""
+
+    def __init__(self, fd):
+        self._fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+    def flush(self):
+        pass
+
+    def fileno(self):
+        return self._fd
+
+
+class TestBrokenPipe:
+    """A reader piped into a consumer that closes early (``repro stats
+    run.jsonl | head -1``) exits 1 without a traceback, its stdout
+    pointed at the null device so the flush at exit cannot fail."""
+
+    @pytest.fixture
+    def attr_run(self, tmp_path):
+        source = tmp_path / "branchy.s"
+        source.write_text(BRANCHY)
+        run = tmp_path / "attr.jsonl"
+        assert main(["explore", "rv32", str(source), "--attr",
+                     "--telemetry-out", str(run)]) == 0
+        return str(run)
+
+    @pytest.mark.parametrize("command", ["stats", "tree", "metrics", "hot"])
+    def test_reader_exits_quietly(self, command, attr_run, tmp_path,
+                                  capsys):
+        capsys.readouterr()
+        fd = os.open(str(tmp_path / "stdout"), os.O_WRONLY | os.O_CREAT)
+        saved = sys.stdout
+        sys.stdout = _ClosedPipe(fd)
+        try:
+            code = main([command, attr_run])
+            redirected = os.path.samestat(os.fstat(fd),
+                                          os.stat(os.devnull))
+        finally:
+            sys.stdout = saved
+            os.close(fd)
+        assert code == 1
+        assert redirected
+        assert capsys.readouterr().err == ""
 
 
 class TestMetricsCLI:

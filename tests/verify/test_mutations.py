@@ -121,10 +121,10 @@ def test_validator_catches_what_dynamic_harness_misses(monkeypatch):
     mutated = _mutate_mask(source)
     generate = symbolic.rule_plan
 
-    def mutant_generator(isa, instr, probe=False):
-        if instr.name == rule and not probe:
+    def mutant_generator(isa, instr):
+        if instr.name == rule:
             return _compile_plan(rule, mutated), mutated
-        return generate(isa, instr, probe)
+        return generate(isa, instr)
 
     def final_state(compiled):
         sim = run_image(model, image,
@@ -163,10 +163,9 @@ def _check(solver, extra):
 def _verify_rv32(rule):
     model = build("rv32")
     instr = model.by_name[rule]
-    plans, probed = planeval.load_plans(
+    plans = planeval.load_plans(
         compiled_for(model).symbolic_source(model), model.name)
-    return verify_rule(model, instr, Solver(), _check,
-                       plans=(plans[rule], probed[rule]))
+    return verify_rule(model, instr, Solver(), _check, plans[rule])
 
 
 DRIVER_MUTATIONS = [
@@ -219,46 +218,23 @@ def test_dropped_code_mutation_caught(monkeypatch, rule, old, new):
     assert result.counterexamples[0].word is not None
 
 
-def test_probed_twin_mutation_caught():
-    """transval-symbolic proves each plan's probed twin as well: a bug
-    present only in the twin (the code deep attribution steps run) is
-    a counterexample labelled as the twin's."""
-    model = build("rv32")
-    instr = model.by_name["add"]
-    compiled = compiled_for(model)
-    source = compiled.symbolic_source(model)
-    twin = compiled.probed_plan.source(instr)
-    mutated = source.replace(twin, twin.replace(" = add(", " = sub(", 1))
-    assert mutated != source
-    plans, probed = planeval.load_plans(mutated, model.name)
-    result = verify_rule(model, instr, Solver(), _check,
-                         plans=(plans["add"], probed["add"]))
-    assert result.status == COUNTEREXAMPLE
-    assert result.counterexamples[0].label.startswith("probed twin: ")
-    clean = verify_rule(model, instr, Solver(), _check,
-                        plans=(plans["add"], plans["add"]))
-    assert clean.status == "proved"
-
-
 def test_wrong_width_literal_caught():
     """Only a plan's int path reads its width literals, so the harness
     runs the emitted source with operators that reject a literal
     disagreeing with a term operand: a width bug the term path alone
-    would hide fails the proof, in the plan and in its twin."""
+    would hide fails the proof."""
     from repro.verify import UNSUPPORTED
 
     model = build("rv32")
     instr = model.by_name["add"]
     compiled = compiled_for(model)
     source = compiled.symbolic_source(model)
-    for table in (compiled.plan, compiled.probed_plan):
-        text = table.source(instr)
-        assert text.count(", 32)") == 1
-        mutated = source.replace(text, text.replace(", 32)", ", 31)"))
-        assert mutated != source
-        plans, probed = planeval.load_plans(mutated, model.name)
-        result = verify_rule(model, instr, Solver(), _check,
-                             plans=(plans["add"], probed["add"]))
-        assert result.status == UNSUPPORTED
-        assert "width literal 31 disagrees with a 32-bit operand" \
-            in result.detail
+    text = compiled.plan.source(instr)
+    assert text.count(", 32)") == 1
+    mutated = source.replace(text, text.replace(", 32)", ", 31)"))
+    assert mutated != source
+    plans = planeval.load_plans(mutated, model.name)
+    result = verify_rule(model, instr, Solver(), _check, plans["add"])
+    assert result.status == UNSUPPORTED
+    assert "width literal 31 disagrees with a 32-bit operand" \
+        in result.detail

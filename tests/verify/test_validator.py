@@ -1,9 +1,9 @@
 """End-to-end translation validation: every shipped ISA verifies clean.
 
 The acceptance bar for the ``transval-symbolic`` pass: the compiled
-plan of every rule of every shipped spec, and its probed twin, run by
-the plan driver the engine and the concrete simulator run, are
-statically proved equivalent to the reference IR — no
+plan of every rule of every shipped spec, run by the plan driver the
+engine and the concrete simulator run, is statically proved
+equivalent to the reference IR — no
 counterexamples, and no silently skipped rules (an unsupported rule
 would surface as an explicit non-proved verdict and fail here).
 """
