@@ -1,8 +1,9 @@
 """Telemetry overhead guard.
 
 Runs the quickstart-shaped workload (maze kernel: forks, solver checks,
-memory traffic; depth 8, about 0.35 s per exploration, long enough that
-a scheduling hiccup on a shared host is a small share of one run) with
+memory traffic; depth 8, about 0.2 s per exploration on a 2-core shared
+x86-64 host, long enough that a scheduling hiccup is a small share of
+one run) with
 several Obs configurations and asserts that the
 engine default — **enabled counters, no event sink, no profiler** —
 stays within ``MAX_OVERHEAD`` of a fully disabled Obs.  CI runs this on

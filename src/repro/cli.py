@@ -289,15 +289,7 @@ def cmd_explore(args) -> int:
     if attr_block:
         print(hot_report(attr_block, top=5))
     if sink is not None:
-        summary = {"record": "run_summary",
-                   "isa": model.name,
-                   "paths": len(result.paths),
-                   "defects": len(result.defects),
-                   "instructions": result.instructions_executed,
-                   "wall_time": result.wall_time,
-                   "stop_reason": result.stop_reason,
-                   "telemetry": result.telemetry}
-        sink.write_meta(summary)
+        sink.write_meta(result.run_summary(model.name))
         obs.close()
         print("telemetry: %d events -> %s"
               % (obs.tracer.emitted, telemetry_out))
@@ -1156,7 +1148,7 @@ def main(argv=None) -> int:
                              "$REPRO_STORE)")
     record.add_argument("--force", action="store_true",
                         help="re-explore even when the store already "
-                             "holds this run")
+                             "holds this run, and replace it")
     record.add_argument("--warm-start", metavar="RUN_ID", default=None,
                         help="preload the solver cache from a stored "
                              "run (recorded in the manifest so replay "

@@ -59,6 +59,8 @@ class ConcolicExplorer:
         """Run generational search from ``seed``; returns merged results."""
         engine = self.engine
         engine._result = self.result
+        if engine.attr is not None:
+            engine.attr.begin_run(self.result)
         engine._defect_sites = set()
         solver_before = engine.solver.stats.as_dict()
         try:

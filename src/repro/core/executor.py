@@ -145,10 +145,10 @@ class EngineConfig:
         # HealthConfig to attach the periodic sampler + stall/pressure
         # watchdog to the exploration loop.  Observe-only.
         self.health = health
-        # Cost attribution (repro.obs.attr).  True charges wall/solver
-        # time, cache traffic, forks and term allocations to individual
-        # ADL rules and branch sites (CLI --attr; repro hot).
-        # Observe-only.
+        # Cost attribution (repro.obs.attr).  True charges each step's
+        # eval time, and the change in the solver, fork and term-pool
+        # counts since the last step, to individual ADL rules and branch
+        # sites (CLI --attr; repro hot).  Observe-only.
         self.attr = attr
 
     # Every field that shapes the exploration *outcome* — the run-store
@@ -201,24 +201,17 @@ class Engine:
         self._tracer = self.obs.tracer
         self._profiler = self.obs.profiler
         self._profile_on = self.obs.profiler.enabled
-        # Cost attribution (repro.obs.attr): charges eval/solver time,
-        # cache traffic, forks and term allocations to rules and branch
-        # sites.  Observe-only, like the profiler.
+        # Cost attribution (repro.obs.attr): charges eval time and
+        # counter deltas to rules and branch sites.  Observe-only, like
+        # the profiler.
         self.attr = None
         if self.config.attr:
             from ..obs.attr import CostAttribution
-            self.attr = CostAttribution(model)
-            self.solver.attach_attr(self.attr)
+            self.attr = CostAttribution(model, self.solver.stats)
         # Steps read the clock only when the profiler or attribution
         # will charge the reading (_timed_exec).
         self._time_steps = self._profile_on or self.attr is not None
-        metrics = self.obs.metrics
-        self._c_steps = metrics.counter("engine.steps")
-        self._c_forks = metrics.counter("engine.forks")
-        self._c_paths = metrics.counter("engine.paths")
-        self._c_defects = metrics.counter("engine.defects")
-        self._c_pruned = metrics.counter("engine.pruned")
-        self._c_decode_hit = metrics.counter("decode.cache_hit")
+        self._c_decode_hit = self.obs.metrics.counter("decode.cache_hit")
         self.strategy: Strategy = make_strategy(strategy, seed)
         self._coverage_feedback = (self.strategy
                                    if isinstance(self.strategy,
@@ -320,6 +313,8 @@ class Engine:
         """
         result = R.ExplorationResult()
         self._result = result
+        if self.attr is not None:
+            self.attr.begin_run(result)
         self._defect_sites = set()
         solver_before = self.solver.stats.as_dict()
         counters_before = self.obs.metrics.counters_snapshot()
@@ -340,7 +335,6 @@ class Engine:
                 for successor in self._step(current, result):
                     if len(self.strategy) >= self.config.max_states:
                         result.states_pruned += 1
-                        self._c_pruned.inc()
                         self._dead_end(successor, "max-states")
                         continue
                     self.strategy.push(successor)
@@ -349,8 +343,6 @@ class Engine:
             result.solver_stats = self.solver.stats.delta_since(
                 solver_before)
             telemetry = self.obs.snapshot(counters_since=counters_before)
-            telemetry["solver"] = dict(result.solver_stats)
-            telemetry["wall_time"] = result.wall_time
             if monitor is not None:
                 telemetry["health"] = monitor.finish()
             if self.attr is not None:
@@ -384,7 +376,6 @@ class Engine:
     def _step(self, state: SymState,
               result: R.ExplorationResult) -> List[SymState]:
         """Execute one instruction of ``state``; returns live successors."""
-        self._c_steps.inc()
         tracer = self._tracer
         if tracer.enabled:
             tracer.set_context(state.state_id, state.pc)
@@ -397,7 +388,6 @@ class Engine:
             if visits > self.config.max_visits_per_pc:
                 self._end_path(state, "loop-limit", result)
                 result.states_pruned += 1
-                self._c_pruned.inc()
                 return []
             state.visit_counts[state.pc] = visits
         hook = self._hooks.get(state.pc)
@@ -459,11 +449,7 @@ class Engine:
                 successors.extend(
                     self._indirect_jump(sub_state, target, decoded, result))
         if len(finished) > 1:
-            forked = len(finished) - 1
-            result.states_forked += forked
-            self._c_forks.inc(forked)
-            if self.attr is not None:
-                self.attr.on_fork(forked)
+            result.states_forked += len(finished) - 1
             if tracer.enabled:
                 tracer.emit("fork", state_id=state.state_id, pc=state.pc,
                             children=[sub.state_id
@@ -568,7 +554,6 @@ class Engine:
         result list — the acceptance invariant paths == path_end)."""
         result.paths.append(R.PathResult(
             status, state, self._path_input(state), exit_code))
-        self._c_paths.inc()
         if self._tracer.enabled:
             data = {"status": status}
             if exit_code is not None:
@@ -605,11 +590,7 @@ class Engine:
             branch.pc = value
             successors.append(branch)
         if len(successors) > 1:
-            forked = len(successors) - 1
-            result.states_forked += forked
-            self._c_forks.inc(forked)
-            if self.attr is not None:
-                self.attr.on_fork(forked)
+            result.states_forked += len(successors) - 1
             if self._tracer.enabled:
                 self._tracer.emit("fork", state_id=state.state_id,
                                   pc=state.pc, indirect=True,
@@ -784,7 +765,6 @@ class Engine:
             kind, state.pc, instruction, message,
             state.input_bytes_from_model(model), model,
             state.state_id, state.steps))
-        self._c_defects.inc()
         if self._tracer.enabled:
             self._tracer.emit("defect", state_id=state.state_id,
                               pc=state.pc, defect_kind=kind,

@@ -119,13 +119,8 @@ class MergingFrontier(Strategy):
         self._dead: set = set()
         self._live = 0
         self.merges = 0
-        # Observability (see repro.obs): merge counter + 'merge' events.
+        # Observability (see repro.obs): one 'merge' event per merge.
         self._obs = obs
-        if obs is not None:
-            self._merge_counter = obs.metrics.counter("engine.merges")
-        else:
-            from ..obs.metrics import NULL_COUNTER
-            self._merge_counter = NULL_COUNTER
 
     def push(self, state: SymState) -> None:
         candidate = self._by_pc.get(state.pc)
@@ -135,7 +130,6 @@ class MergingFrontier(Strategy):
                 self._dead.add(candidate.state_id)
                 self._live -= 1
                 self.merges += 1
-                self._merge_counter.inc()
                 if (self._obs is not None
                         and self._obs.tracer.enabled):
                     self._obs.tracer.emit(

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
+from ..smt.solver import cache_answers, cache_hit_ratio
+
 __all__ = ["Defect", "PathResult", "ExplorationResult",
            "solver_cache_summary",
            "DIV_BY_ZERO", "OOB_ACCESS", "UNINIT_READ", "TRAP",
@@ -23,23 +25,21 @@ def solver_cache_summary(stats) -> Optional[str]:
     """One-line digest of the solver-cache portion of a solver stats
     delta (``SolverStats.as_dict`` shape), or None when the cache layer
     never fired (e.g. under ``--no-solver-cache``).  Shared by
-    :meth:`ExplorationResult.solver_cache_line` and ``repro stats``.
+    :meth:`ExplorationResult.solver_cache_line` and ``repro stats``;
+    ``hit_ratio`` is :func:`repro.smt.solver.cache_hit_ratio`.
     """
     if not isinstance(stats, dict):
         return None
-    hits = int(stats.get("cache_hit_sat", 0)
-               + stats.get("cache_hit_unsat", 0))
-    model_reuse = int(stats.get("cache_model_reuse", 0))
-    subsumed = int(stats.get("cache_subsumed_unsat", 0))
-    frame = int(stats.get("frame_reuse", 0))
-    misses = int(stats.get("cache_misses", 0))
-    if hits + model_reuse + subsumed + frame + misses == 0:
+    misses = int(stats.get("cache_misses") or 0)
+    if cache_answers(stats) + misses == 0:
         return None
-    probes = hits + model_reuse + subsumed + misses
-    ratio = (hits + model_reuse + subsumed) / probes if probes else 0.0
     return ("solver cache: hits=%d model_reuse=%d subsumed=%d "
             "misses=%d frame_reuse=%d hit_ratio=%.2f"
-            % (hits, model_reuse, subsumed, misses, frame, ratio))
+            % ((stats.get("cache_hit_sat") or 0)
+               + (stats.get("cache_hit_unsat") or 0),
+               stats.get("cache_model_reuse") or 0,
+               stats.get("cache_subsumed_unsat") or 0, misses,
+               stats.get("frame_reuse") or 0, cache_hit_ratio(stats)))
 
 
 class Defect:
@@ -134,7 +134,8 @@ class ExplorationResult:
         # with collect_coverage=True); feeds repro.core.coverage.
         self.visited_pcs: set = set()
         # Telemetry snapshot from the engine's Obs handle (repro.obs):
-        # {"isa", "metrics", "phases", "solver", "events_emitted", ...}.
+        # {"isa", "metrics", "phases", "events_emitted"}, plus "health"
+        # and "attr" when those observers ran.
         self.telemetry: Dict[str, object] = {}
 
     def to_dict(self) -> Dict[str, object]:
@@ -174,6 +175,23 @@ class ExplorationResult:
         result.visited_pcs = set(record.get("visited_pcs") or ())
         result.telemetry = record.get("telemetry") or {}
         return result
+
+    def run_summary(self, isa: str) -> Dict[str, object]:
+        """The ``run_summary`` meta record a telemetry sidecar ends
+        with (``explore --telemetry-out``, the run store's
+        ``events.jsonl.gz``): each count of the run once, the solver
+        stats under ``telemetry.solver``."""
+        return {"record": "run_summary",
+                "isa": isa,
+                "paths": len(self.paths),
+                "defects": len(self.defects),
+                "instructions": self.instructions_executed,
+                "forks": self.states_forked,
+                "pruned": self.states_pruned,
+                "wall_time": self.wall_time,
+                "stop_reason": self.stop_reason,
+                "telemetry": dict(self.telemetry,
+                                  solver=dict(self.solver_stats))}
 
     def defects_by_kind(self) -> Dict[str, List[Defect]]:
         grouped: Dict[str, List[Defect]] = {}

@@ -9,21 +9,31 @@ spent on.  Every step is charged at two granularities:
   rule (the ``instruction`` block, via the
   :class:`~repro.adl.translate.RuleProvenance` table the translator
   threads into the :class:`~repro.isa.model.ArchModel`), accumulating
-  evaluation wall time, solver check time, cache hits/misses, forks and
-  term-pool allocations per rule;
+  evaluation wall time, solver check time, cache answers and misses,
+  forks and term-construction requests per rule;
 * **branch sites** — solver time is blamed on the guest pc that issued
   the query, so one hot branch shows up as one hot address.
 
-**One timer** (pinned by ``tests/obs/test_attr.py``): attribution takes
-its eval and solver charges from the same clock readings as the phase
-profiler's ``eval`` and ``solver`` scopes (``Engine._timed_exec``,
-``Solver.check``), so with the profiler enabled the block's
-``eval_calls``/``eval_s`` and ``solver_checks``/``solver_s`` *equal*
-those phases' ``calls``/``total_s``.
+**Counter deltas.**  The solver has no attribution hook, and the
+engine only brackets steps.  Apart from eval time, every charge is the
+change in counts the run keeps anyway —
+:class:`~repro.smt.solver.SolverStats`, the exploration's fork count and
+the term pool's requests — since the last mark, taken at each step's
+start and at :meth:`CostAttribution.snapshot`.  It is charged to the
+(rule, pc) of the step that was running; work before the first step
+lands in :data:`ENGINE_BUCKET`.
+
+**One timer** (pinned by ``tests/obs/test_attr.py``): eval charges are
+the clock readings the profiler's ``eval`` scope gets
+(``Engine._timed_exec``), and solver charges come from
+``SolverStats.solve_time``, the sum of the readings its ``solver``
+scope gets (``Solver.check``).  So with the profiler enabled the
+block's ``eval_calls``/``eval_s`` and ``solver_checks``/``solver_s``
+*equal* those phases' ``calls``/``total_s``.
 
 The :meth:`CostAttribution.snapshot` dict is the wire format: it rides
-in ``result.telemetry["attr"]`` (schema-v5 sidecar ``run_summary``
-blocks), is persisted as ``attr.json`` in the run store, and is what
+in ``result.telemetry["attr"]`` (sidecar ``run_summary`` blocks since
+schema 5), is persisted as ``attr.json`` in the run store, and is what
 the offline renderers (:func:`hot_report`,
 :func:`annotate_spec_costs`, :mod:`repro.obs.flame`) and the
 ``repro hot`` CLI consume.  The renderers read only the rule and site
@@ -34,6 +44,9 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
+from ..smt import terms as T
+from ..smt.solver import SolverStats, cache_answers
+
 __all__ = ["CostAttribution", "ATTR_SCHEMA_VERSION", "hot_report",
            "hot_rules_lines", "annotate_spec_costs"]
 
@@ -41,176 +54,137 @@ __all__ = ["CostAttribution", "ATTR_SCHEMA_VERSION", "hot_report",
 #: schema version; bumped when the block's shape changes).  2: attr and
 #: the phase profiler share one timer, so the block no longer carries a
 #: section comparing their totals.  3: every step is charged alike, so
-#: the block has no per-IR-kind tables and no sampling fields.
-ATTR_SCHEMA_VERSION = 3
+#: the block has no per-IR-kind tables and no sampling fields.  4: rules
+#: count ``term_requests`` (constructions requested, which a fresh
+#: process reproduces) instead of ``term_allocs`` (pool misses).
+ATTR_SCHEMA_VERSION = 4
 
 #: Pseudo-rule charged for solver work issued outside any instruction
 #: (e.g. a feasibility probe before the first step).
 ENGINE_BUCKET = "(engine)"
 
-
-class _RuleCost:
-    """Everything charged to one semantic rule."""
-
-    __slots__ = ("steps", "eval_s", "solver_s", "solver_checks",
-                 "cache_hits", "cache_misses", "forks", "term_allocs")
-
-    def __init__(self):
-        self.steps = 0
-        self.eval_s = 0.0
-        self.solver_s = 0.0
-        self.solver_checks = 0
-        self.cache_hits = 0
-        self.cache_misses = 0
-        self.forks = 0
-        self.term_allocs = 0
-
-
-class _SiteCost:
-    """Costs blamed on one guest pc (branch/query site)."""
-
-    __slots__ = ("rule", "steps", "solver_s", "solver_checks",
-                 "cache_hits", "forks")
-
-    def __init__(self, rule: str):
-        self.rule = rule
-        self.steps = 0
-        self.solver_s = 0.0
-        self.solver_checks = 0
-        self.cache_hits = 0
-        self.forks = 0
+#: The counts charged by delta, in :meth:`CostAttribution._counts`
+#: order; a site ledger carries the ones it has a key for.
+_COUNTED = ("solver_s", "solver_checks", "cache_hits", "cache_misses",
+            "forks", "term_requests")
 
 
 class CostAttribution:
-    """The live accumulator the engine and solver charge into.
+    """The live accumulator the engine charges into.
 
-    Wired by :class:`~repro.core.executor.Engine` (context + eval/fork
-    charges) and :meth:`~repro.smt.solver.Solver.attach_attr` (solver
-    charges).  Like the profiler it accumulates over the engine's
-    lifetime; one ``explore()`` per engine (the common case) makes the
-    snapshot per-exploration.
+    :class:`~repro.core.executor.Engine` names the exploration whose
+    forks count (:meth:`begin_run`), opens each step
+    (:meth:`begin_step`) and charges its eval time (:meth:`end_step`).
+    Like the profiler it accumulates over the engine's lifetime; one
+    ``explore()`` per engine (the common case) makes the snapshot
+    per-exploration.
     """
 
-    def __init__(self, model=None):
+    def __init__(self, model=None, solver_stats=None):
         self.isa = getattr(model, "name", "?")
         self._provenance = dict(getattr(model, "rules", None) or {})
         self._source = getattr(model, "source_path", None)
-        self.rules: Dict[str, _RuleCost] = {}
-        self.sites: Dict[int, _SiteCost] = {}
+        self.rules: Dict[str, Dict[str, object]] = {}
+        self.sites: Dict[int, Dict[str, object]] = {}
         self.steps = 0
-        # Running totals (equal to the eval/solver phase totals).
         self.eval_calls = 0
         self.eval_s = 0.0
-        self.solver_checks = 0
-        self.solver_s = 0.0
-        self.cache_hits = 0
-        self.cache_misses = 0
-        self.forks = 0
         # The current step's ledgers: its rule's and its pc's.
         self._rule_cost = self._rule_for(ENGINE_BUCKET)
-        self._site_cost: Optional[_SiteCost] = None
-        self._pool = None                 # bound lazily (term pool)
-        self._pool_mark = 0
+        self._site_cost: Optional[Dict[str, object]] = None
+        self._stats = (solver_stats if solver_stats is not None
+                       else SolverStats())
+        self._solve_base = self._stats.solve_time
+        self._result = None
+        self._pool = T.get_pool()
+        self._mark = self._counts()
 
-    # -- engine-side charging ------------------------------------------------
+    # -- charging ------------------------------------------------------------
 
-    def _rule_for(self, name: str) -> _RuleCost:
+    def _rule_for(self, name: str) -> Dict[str, object]:
         cost = self.rules.get(name)
         if cost is None:
-            cost = self.rules[name] = _RuleCost()
+            cost = self.rules[name] = {
+                "steps": 0, "eval_s": 0.0, "solver_s": 0.0,
+                "solver_checks": 0, "cache_hits": 0, "cache_misses": 0,
+                "forks": 0, "term_requests": 0}
         return cost
 
+    def _counts(self) -> tuple:
+        """The :data:`_COUNTED` counts as the counters read now; solved
+        queries are the checks the query cache did not answer."""
+        stats = self._stats.__dict__
+        answers = cache_answers(stats)
+        pool = self._pool
+        result = self._result
+        return (stats["solve_time"],
+                stats["checks"] + stats["frame_reuse"] - answers,
+                answers, stats["cache_misses"],
+                result.states_forked if result is not None else 0,
+                pool.hits + pool.misses)
+
+    def _charge(self) -> None:
+        """Charge the counts since the last mark to the current step's
+        rule and site, and mark."""
+        now = self._counts()
+        mark = self._mark
+        if now == mark:
+            return
+        self._mark = now
+        rule, site = self._rule_cost, self._site_cost
+        for key, new, old in zip(_COUNTED, now, mark):
+            if new != old:
+                rule[key] += new - old
+                if site is not None and key in site:
+                    site[key] += new - old
+
+    def begin_run(self, result) -> None:
+        """Count forks in ``result`` (one exploration's) from now on."""
+        self._charge()
+        self._result = result
+        self._pool = T.get_pool()
+        self._mark = self._counts()
+
     def begin_step(self, rule: str, pc: int) -> None:
-        """Set the (rule, pc) context for one instruction."""
+        """Charge the previous step; set the (rule, pc) context for
+        one instruction."""
+        self._charge()
         self.steps += 1
-        cost = self._rule_for(rule)
-        cost.steps += 1
-        self._rule_cost = cost
+        cost = self._rule_cost = self._rule_for(rule)
+        cost["steps"] += 1
         site = self.sites.get(pc)
         if site is None:
-            site = self.sites[pc] = _SiteCost(rule)
-        site.steps += 1
+            site = self.sites[pc] = {
+                "rule": rule, "steps": 0, "solver_s": 0.0,
+                "solver_checks": 0, "cache_hits": 0, "forks": 0}
+        site["steps"] += 1
         self._site_cost = site
-        if self._pool is None:
-            from ..smt import terms as T
-            self._pool = T.get_pool()
-        self._pool_mark = self._pool.misses
 
     def end_step(self, elapsed: float) -> None:
         """Charge one instruction's evaluation wall time (the ``eval``
-        phase is charged the same reading) and its term allocations."""
+        phase is charged the same reading)."""
         self.eval_calls += 1
         self.eval_s += elapsed
-        cost = self._rule_cost
-        cost.eval_s += elapsed
-        cost.term_allocs += self._pool.misses - self._pool_mark
-
-    def on_fork(self, count: int) -> None:
-        self.forks += count
-        self._rule_cost.forks += count
-        site = self._site_cost
-        if site is not None:
-            site.forks += count
-
-    # -- solver-side charging (Solver.attach_attr) ---------------------------
-
-    def on_solver_check(self, elapsed: float, result: str) -> None:
-        """One *solved* query, charged the reading its ``solver`` phase
-        gets (cache answers go through :meth:`on_solver_cache`
-        instead)."""
-        self.solver_checks += 1
-        self.solver_s += elapsed
-        cost = self._rule_cost
-        cost.solver_checks += 1
-        cost.solver_s += elapsed
-        site = self._site_cost
-        if site is not None:
-            site.solver_checks += 1
-            site.solver_s += elapsed
-
-    def on_solver_cache(self, layer: str) -> None:
-        self.cache_hits += 1
-        self._rule_cost.cache_hits += 1
-        site = self._site_cost
-        if site is not None:
-            site.cache_hits += 1
-
-    def on_cache_miss(self) -> None:
-        self.cache_misses += 1
-        self._rule_cost.cache_misses += 1
+        self._rule_cost["eval_s"] += elapsed
 
     # -- snapshot -------------------------------------------------------------
 
     def snapshot(self) -> Dict[str, object]:
-        """The JSON-able ``attr`` block (see module docstring)."""
+        """The JSON-able ``attr`` block (see module docstring); charges
+        the counts since the last mark first."""
+        self._charge()
         rules: Dict[str, Dict[str, object]] = {}
         for name, cost in self.rules.items():
-            if cost.steps == 0 and cost.solver_checks == 0 \
-                    and cost.cache_hits == 0:
+            if not (cost["steps"] or cost["solver_checks"]
+                    or cost["cache_hits"]):
                 continue
-            entry: Dict[str, object] = {
-                "steps": cost.steps,
-                "eval_s": cost.eval_s,
-                "solver_s": cost.solver_s,
-                "solver_checks": cost.solver_checks,
-                "cache_hits": cost.cache_hits,
-                "cache_misses": cost.cache_misses,
-                "forks": cost.forks,
-                "term_allocs": cost.term_allocs,
-            }
+            entry = dict(cost)
             rule = self._provenance.get(name)
             if rule is not None:
                 entry["mnemonic"] = rule.mnemonic
                 entry["lines"] = [rule.line_lo, rule.line_hi]
             rules[name] = entry
-        sites = {
-            "%#x" % pc: {"rule": site.rule, "steps": site.steps,
-                         "solver_s": site.solver_s,
-                         "solver_checks": site.solver_checks,
-                         "cache_hits": site.cache_hits,
-                         "forks": site.forks}
-            for pc, site in sorted(self.sites.items())
-            if site.solver_checks or site.forks or site.cache_hits}
+        ledgers = self.rules.values()
         return {
             "version": ATTR_SCHEMA_VERSION,
             "isa": self.isa,
@@ -218,21 +192,22 @@ class CostAttribution:
             "steps": self.steps,
             "eval_calls": self.eval_calls,
             "eval_s": self.eval_s,
-            "solver_checks": self.solver_checks,
-            "solver_s": self.solver_s,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "forks": self.forks,
+            "solver_checks": sum(c["solver_checks"] for c in ledgers),
+            # Read, not summed, so it stays equal to the solver phase.
+            "solver_s": self._mark[0] - self._solve_base,
+            "cache_hits": sum(c["cache_hits"] for c in ledgers),
+            "cache_misses": sum(c["cache_misses"] for c in ledgers),
+            "forks": sum(c["forks"] for c in ledgers),
             "rules": dict(sorted(rules.items())),
-            "sites": sites,
+            "sites": {"%#x" % pc: dict(site)
+                      for pc, site in sorted(self.sites.items())
+                      if site["solver_checks"] or site["forks"]
+                      or site["cache_hits"]},
         }
 
-    def report(self, top: int = 10) -> str:
-        return hot_report(self.snapshot(), top=top)
-
     def __repr__(self):
-        return ("<CostAttribution %s steps=%d rules=%d solver=%.4fs>"
-                % (self.isa, self.steps, len(self.rules), self.solver_s))
+        return ("<CostAttribution %s steps=%d rules=%d>"
+                % (self.isa, self.steps, len(self.rules)))
 
 
 # -- offline rendering (operates on snapshot dicts) ---------------------------
@@ -267,7 +242,6 @@ def _rule_rows(block: Dict[str, object]) -> List[dict]:
             "solver_checks": int(entry.get("solver_checks", 0) or 0),
             "cache_hits": int(entry.get("cache_hits", 0) or 0),
             "forks": int(entry.get("forks", 0) or 0),
-            "term_allocs": int(entry.get("term_allocs", 0) or 0),
             "cost_s": cost,
         })
     for row in rows:

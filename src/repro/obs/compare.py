@@ -20,7 +20,7 @@ cache hit ratios), ``lower`` is better (wall time, solver time), or
 regression — a defect-count difference is surfaced as ``changed``,
 never as a regression percentage).
 
-Works on schema v1/v2/v3 sidecars alike: anything a file does not
+Works on sidecars of every schema version: anything a file does not
 carry is simply not compared.
 """
 
@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
+from ..smt.solver import cache_hit_ratio
 from .events import HEALTH
 from .sinks import RunFile
 
@@ -131,13 +132,11 @@ def extract_metrics(run: RunFile) -> Dict[str, MetricValue]:
         put("solver.checks", solver["checks"], LOWER)
     if isinstance(solver.get("solve_time"), (int, float)):
         put("solver.solve_time_s", solver["solve_time"], LOWER)
-    checks = solver.get("checks") or 0
-    if checks:
-        cached = sum(float(solver.get(key, 0) or 0) for key in
-                     ("cache_hit_sat", "cache_hit_unsat",
-                      "cache_model_reuse", "cache_subsumed_unsat",
-                      "frame_reuse"))
-        put("solver.cache_hit_ratio", cached / checks, HIGHER)
+    if solver.get("checks"):
+        try:
+            put("solver.cache_hit_ratio", cache_hit_ratio(solver), HIGHER)
+        except TypeError:
+            pass        # a malformed count: no ratio, never a traceback
     phases = telemetry.get("phases") or {}
     for name, stats in phases.items():
         total = (stats or {}).get("total_s")

@@ -42,16 +42,20 @@ added the ``store`` kind (a run-store dedup probe:
 ``env`` provenance block on the leading ``schema`` meta record (python
 version, platform, package version, spec digests — see
 :func:`repro.runstore.provenance.environment_snapshot`).  Version 5
-(this release) adds the optional ``attr`` cost-attribution block inside
-the ``run_summary`` meta record's ``telemetry`` payload (per-rule /
+added the optional ``attr`` cost-attribution block inside the
+``run_summary`` meta record's ``telemetry`` payload (per-rule /
 per-site cost shares; see :mod:`repro.obs.attr` and ``repro hot``) —
-no new event kinds.  All bumps are
-additive: readers of version-1/2/3/4 files keep working — sidecars
-without the ``env`` block simply report no provenance — and readers
-that dispatch on known kinds ignore the new ones (sinks, the flight
-recorder and ``repro stats`` are tolerant of unknown kinds by design;
-:func:`~repro.obs.sinks.load_run` warns — but still loads — when a
-file carries a *newer* schema than this reader).
+no new event kinds.  Version 6 (this release) carries each count of a
+run once: the ``run_summary`` record gains ``forks`` and ``pruned``,
+its ``telemetry`` drops ``wall_time`` (the record's own stays), and the
+metrics drop the ``engine.*``, ``solver.cache_*``,
+``solver.frame_reuse`` and ``health.*`` instruments that repeated
+counts kept elsewhere.  Readers of version-1 to 5 files keep working —
+sidecars without the ``env`` block simply report no provenance — and
+readers that dispatch on known kinds ignore the new ones (sinks, the
+flight recorder and ``repro stats`` are tolerant of unknown kinds by
+design; :func:`~repro.obs.sinks.load_run` warns — but still loads —
+when a file carries a *newer* schema than this reader).
 """
 
 from __future__ import annotations
@@ -66,7 +70,7 @@ __all__ = ["Event", "EventTracer", "EVENT_KINDS", "SCHEMA_VERSION",
 
 #: Wire-format version stamped into JSONL run files (a ``meta`` record
 #: written by :class:`~repro.obs.sinks.JsonlSink`).
-SCHEMA_VERSION = 5
+SCHEMA_VERSION = 6
 
 STEP = "step"
 FORK = "fork"

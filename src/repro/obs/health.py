@@ -20,10 +20,9 @@ Two cooperating pieces, both driven from the executor main loop:
     progress and a top-k heaviest-states view built from
     :meth:`SymState.footprint <repro.core.state.SymState.footprint>`.
     Samples are schema-versioned dicts (``"v"`` key,
-    :data:`HEALTH_SCHEMA`), kept in a bounded in-memory history,
-    mirrored into gauges (``health.*``) and emitted as ``health``
-    events into the run's tracer (then flushed, so a killed run keeps
-    every sample it took).
+    :data:`HEALTH_SCHEMA`), kept in a bounded in-memory history and
+    emitted as ``health`` events into the run's tracer (then flushed,
+    so a killed run keeps every sample it took).
 
 watchdog (inside the monitor)
     Evaluated at each sample: detects **no-new-coverage windows**
@@ -32,7 +31,8 @@ watchdog (inside the monitor)
     share of wall time above ``solver_share_threshold``), **frontier
     growth** beyond ``frontier_budget`` and **term-pool growth**
     beyond ``pool_budget``.  Each firing produces a structured
-    diagnosis (recorded, counted, emitted as a ``watchdog`` event).
+    diagnosis (recorded in :attr:`HealthMonitor.diagnoses`, emitted as
+    a ``watchdog`` event).
     Diagnoses only report: the engine never acts on them.
 
 Determinism: sampling is read-only — with the default
@@ -55,8 +55,10 @@ __all__ = ["HealthConfig", "HealthMonitor", "health_summary_line",
            "POOL_PRESSURE"]
 
 #: Version of the ``health`` event payload / summary dict layout
-#: (2: diagnoses no longer carry an ``action``).
-HEALTH_SCHEMA = 2
+#: (2: diagnoses no longer carry an ``action``; 3: a sample's solver
+#: ``hit_ratio`` is :func:`repro.smt.solver.cache_hit_ratio`, whose
+#: denominator counts frame reuse too).
+HEALTH_SCHEMA = 3
 
 # -- diagnosis kinds ---------------------------------------------------------
 
@@ -128,35 +130,13 @@ class HealthMonitor:
 
     def __init__(self, config: Optional[HealthConfig] = None, obs=None):
         self.config = config if config is not None else HealthConfig()
-        self._obs = obs
         self.samples: deque = deque(maxlen=self.config.history)
         self.diagnoses: List[Dict[str, object]] = []
         self.total_samples = 0
         self._engine = None
         self._result = None
-        # Instruments (re-bound in begin() once obs is known).
-        self._bind_obs(obs)
+        self._tracer = obs.tracer if obs is not None else None
         self._reset_window()
-
-    def _bind_obs(self, obs) -> None:
-        if obs is None:
-            from .metrics import NULL_COUNTER, NULL_GAUGE
-            self._c_samples = NULL_COUNTER
-            self._c_diagnoses = NULL_COUNTER
-            self._g_frontier = NULL_GAUGE
-            self._g_sps = NULL_GAUGE
-            self._g_coverage = NULL_GAUGE
-            self._g_pool = NULL_GAUGE
-            self._tracer = None
-        else:
-            metrics = obs.metrics
-            self._c_samples = metrics.counter("health.samples")
-            self._c_diagnoses = metrics.counter("health.diagnoses")
-            self._g_frontier = metrics.gauge("health.frontier")
-            self._g_sps = metrics.gauge("health.steps_per_sec")
-            self._g_coverage = metrics.gauge("health.coverage")
-            self._g_pool = metrics.gauge("health.pool_interned")
-            self._tracer = obs.tracer
 
     def _reset_window(self) -> None:
         self._ticks = 0
@@ -177,9 +157,8 @@ class HealthMonitor:
         from ..smt import terms as T
         self._engine = engine
         self._result = result
-        if engine is not None and self._obs is not engine.obs:
-            self._obs = engine.obs
-            self._bind_obs(engine.obs)
+        if engine is not None:
+            self._tracer = engine.obs.tracer
         self.samples.clear()
         self.diagnoses = []
         self.total_samples = 0
@@ -213,6 +192,7 @@ class HealthMonitor:
 
     def _sample(self, now: float) -> None:
         from ..smt import terms as T
+        from ..smt.solver import cache_hit_ratio
         engine, result = self._engine, self._result
         if engine is None or result is None:
             return
@@ -225,17 +205,9 @@ class HealthMonitor:
         solver_delta = engine.solver.stats.delta_since(self._solver_last)
         solve_time = float(solver_delta.get("solve_time", 0.0))
         solver_share = solve_time / elapsed if elapsed > 0 else 0.0
-        checks = int(solver_delta.get("checks", 0))
-        cached = int(solver_delta.get("cache_hit_sat", 0)
-                     + solver_delta.get("cache_hit_unsat", 0)
-                     + solver_delta.get("cache_model_reuse", 0)
-                     + solver_delta.get("cache_subsumed_unsat", 0)
-                     + solver_delta.get("frame_reuse", 0))
-        hit_ratio = cached / checks if checks else 0.0
         pool_now = T.get_pool().stats()
         pool_grown = pool_now["interned"] - self._pool_begin.get(
             "interned", 0)
-        coverage = len(result.visited_pcs)
         sample: Dict[str, object] = {
             "v": HEALTH_SCHEMA,
             "seq": self.total_samples,
@@ -244,14 +216,14 @@ class HealthMonitor:
             "steps_per_sec": steps_per_sec,
             "instructions": result.instructions_executed,
             "frontier": frontier,
-            "coverage": coverage,
+            "coverage": len(result.visited_pcs),
             "paths": len(result.paths),
             "defects": len(result.defects),
             "solver": {
-                "checks": checks,
+                "checks": int(solver_delta.get("checks", 0)),
                 "solve_time": solve_time,
                 "share": solver_share,
-                "hit_ratio": hit_ratio,
+                "hit_ratio": cache_hit_ratio(solver_delta),
             },
             "pool": {
                 "interned": pool_now["interned"],
@@ -261,11 +233,6 @@ class HealthMonitor:
         }
         self.samples.append(sample)
         self.total_samples += 1
-        self._c_samples.inc()
-        self._g_frontier.set(frontier)
-        self._g_sps.set(int(steps_per_sec))
-        self._g_coverage.set(coverage)
-        self._g_pool.set(pool_now["interned"])
         tracer = self._tracer
         if tracer is not None and tracer.enabled:
             tracer.emit(HEALTH, state_id=-1, pc=0, sample=sample)
@@ -352,7 +319,6 @@ class HealthMonitor:
         if streak:
             diagnosis["streak"] = streak
         self.diagnoses.append(diagnosis)
-        self._c_diagnoses.inc()
         tracer = self._tracer
         if tracer is not None and tracer.enabled:
             tracer.emit(WATCHDOG, state_id=-1, pc=0, **diagnosis)

@@ -7,7 +7,7 @@ mutators are no-ops, so instrumented code never needs an ``if``.
 
 Conventions
 -----------
-* Metric names are dotted paths, ``engine.steps``, ``solver.check_ms``.
+* Metric names are dotted paths, ``decode.cache_hit``, ``solver.check_ms``.
 * Counters and gauges hold numbers; histograms record every observation
   and summarize with nearest-rank percentiles (p50/p90/p99).
 * ``snapshot()`` returns plain JSON-able dicts; ``counters_snapshot()`` /

@@ -314,9 +314,10 @@ class ExecutionTree:
 
     # -- renderers ----------------------------------------------------------
 
-    def to_json(self, indent: Optional[int] = None) -> str:
+    def to_json(self, indent: Optional[int] = None,
+                schema: int = SCHEMA_VERSION) -> str:
         payload = {
-            "schema": SCHEMA_VERSION,
+            "schema": schema,
             "isa": self.isa,
             "stats": self.stats(),
             "nodes": [self.nodes[key].to_dict()

@@ -84,10 +84,19 @@ def _digest(text: str) -> str:
     return "sha256:" + hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+#: The schema number written into the tree JSON that
+#: :func:`tree_fingerprint` digests: the event schema of the release
+#: that defined the digest, frozen so that a tree's fingerprint depends
+#: on the tree alone.  Following ``SCHEMA_VERSION`` would change every
+#: fingerprint on each wire-format bump, and stored runs would no longer
+#: verify on replay.
+TREE_DIGEST_SCHEMA = 5
+
+
 def tree_fingerprint(events: Iterable[Event]) -> str:
     """Digest of the execution tree rebuilt from canonical events."""
     tree = ExecutionTree.from_events(canonical_events(events))
-    return _digest(tree.to_json())
+    return _digest(tree.to_json(schema=TREE_DIGEST_SCHEMA))
 
 
 def leaves_fingerprint(paths: Iterable[Dict[str, object]]) -> str:

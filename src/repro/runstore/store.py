@@ -347,10 +347,15 @@ def record_exploration(store: RunStore, model, image,
                        config: EngineConfig, strategy: str = "dfs",
                        seed: int = 0, regions: Sequence = (),
                        argv: Optional[List[str]] = None,
-                       warm_start: Optional[str] = None
+                       warm_start: Optional[str] = None,
+                       replace: bool = False
                        ) -> Tuple[ExplorationResult, StoredRun]:
     """Explore and atomically persist the run; returns the *live*
     result plus the committed :class:`StoredRun` handle.
+
+    A run already committed under the same id is kept (a concurrent
+    recorder's run is identical by construction) unless ``replace``,
+    which swaps this run in (``repro record --force``).
 
     The event stream is written gzip-compressed while the engine runs;
     fingerprints are then computed by *re-loading* the written sidecar
@@ -379,14 +384,7 @@ def record_exploration(store: RunStore, model, image,
         warm_source, warm_loaded = _warm_start_engine(store, engine,
                                                       warm_start)
         result = engine.explore()
-        sink.write_meta({"record": "run_summary",
-                         "isa": model.name,
-                         "paths": len(result.paths),
-                         "defects": len(result.defects),
-                         "instructions": result.instructions_executed,
-                         "wall_time": result.wall_time,
-                         "stop_reason": result.stop_reason,
-                         "telemetry": result.telemetry})
+        sink.write_meta(result.run_summary(model.name))
     except Exception:
         obs.tracer.remove_sink(sink)
         sink.close()
@@ -435,6 +433,13 @@ def record_exploration(store: RunStore, model, image,
         json.dump(manifest, handle, sort_keys=True, indent=2)
 
     final = os.path.join(store.runs_dir, run_id)
+    stale = None
+    if replace and os.path.isdir(final):
+        # Move the committed run aside (a ``.tmp-`` name, so gc sweeps
+        # it if we crash), rename ours in, then drop the old one.
+        stale = os.path.join(store.runs_dir, ".tmp-replaced-%s-%d"
+                             % (run_id, os.getpid()))
+        os.rename(final, stale)
     try:
         os.rename(tmp, final)
     except OSError:
@@ -442,7 +447,11 @@ def record_exploration(store: RunStore, model, image,
         # is identical by construction — drop ours.
         shutil.rmtree(tmp, ignore_errors=True)
         if not os.path.isdir(final):
+            if stale is not None:
+                os.rename(stale, final)
             raise
+    if stale is not None:
+        shutil.rmtree(stale, ignore_errors=True)
     return result, StoredRun(store.root, run_id)
 
 
@@ -461,7 +470,8 @@ def cached_explore(store: RunStore, model, image, config: EngineConfig,
     ``store.hit`` counter, emits a ``store`` event, and never
     constructs an engine — zero new solver checks.  A miss increments
     ``store.miss`` and explores; with ``persist_on_miss`` the run is
-    committed so the next identical submission hits.
+    committed so the next identical submission hits.  ``force`` skips
+    the probe and replaces the stored run with the new one.
     """
     spec = spec_digest(model)
     key = run_key(model.name, spec, image, config, strategy, seed,
@@ -480,7 +490,7 @@ def cached_explore(store: RunStore, model, image, config: EngineConfig,
     if persist_on_miss:
         result, stored = record_exploration(
             store, model, image, config, strategy, seed, regions,
-            argv=argv, warm_start=warm_start)
+            argv=argv, warm_start=warm_start, replace=force)
         return result, stored, False
     engine = _build_engine(model, image, config, strategy, seed, regions)
     _warm_start_engine(store, engine, warm_start)

@@ -11,8 +11,8 @@ order on every :meth:`check` call, cheapest first:
    replayed against new queries (KLEE-style counterexample caching).
    Cache answers bypass the solving layers entirely: they are *not*
    counted as solver work (no ``solver_check`` event, no ``solver``
-   profiler phase, no ``solver.check_ms`` observation) — they emit
-   ``solver_cache`` events and ``solver.cache_*`` counters instead.
+   profiler phase, no ``solver.check_ms`` observation) — they count in
+   :class:`SolverStats` and emit ``solver_cache`` events instead.
 1. **Model cache** — recently found models (plus the all-zero assignment)
    are replayed through the term evaluator; symbolic-execution workloads
    re-ask very similar questions, so this answers a large share of SAT
@@ -40,7 +40,31 @@ from .cache import QueryCache
 from .interval import refute_conjunction
 from .sat import SAT, UNSAT, SatSolver
 
-__all__ = ["Solver", "SolverStats", "SAT", "UNSAT"]
+__all__ = ["Solver", "SolverStats", "SAT", "UNSAT", "cache_answers",
+           "cache_hit_ratio"]
+
+
+def cache_answers(stats) -> int:
+    """Feasibility questions answered without solving, from a stats
+    dict (:meth:`SolverStats.as_dict` shape; missing fields count 0):
+    the query cache's four answers plus the engine's frame reuse."""
+    get = stats.get
+    return ((get("cache_hit_sat") or 0) + (get("cache_hit_unsat") or 0)
+            + (get("cache_model_reuse") or 0)
+            + (get("cache_subsumed_unsat") or 0)
+            + (get("frame_reuse") or 0))
+
+
+def cache_hit_ratio(stats) -> float:
+    """The share of feasibility questions answered without solving.
+
+    A question is either a :meth:`Solver.check` call (``checks``) or a
+    branch check a state's frame model answered before any call
+    (``frame_reuse``); the ratio is :func:`cache_answers` over their
+    sum, so its numerator counts only questions its denominator counts.
+    0.0 when no question was asked."""
+    asked = (stats.get("checks") or 0) + (stats.get("frame_reuse") or 0)
+    return cache_answers(stats) / asked if asked else 0.0
 
 
 class SolverStats:
@@ -86,12 +110,6 @@ class SolverStats:
         return {key: value - before.get(key, 0)
                 for key, value in self.__dict__.items()}
 
-    def cache_hits_total(self) -> int:
-        """Queries answered by the cache layer (any sub-path)."""
-        return (self.cache_hit_sat + self.cache_hit_unsat
-                + self.cache_model_reuse + self.cache_subsumed_unsat
-                + self.frame_reuse)
-
     def __repr__(self):
         return "SolverStats(%s)" % ", ".join(
             "%s=%s" % item for item in sorted(self.__dict__.items()))
@@ -121,17 +139,11 @@ class Solver:
             if use_query_cache else None
         self.stats = SolverStats()
         # Observability (attached by the engine; see repro.obs).
-        from ..obs.metrics import NULL_COUNTER, NULL_HISTOGRAM
+        from ..obs.metrics import NULL_HISTOGRAM
         from ..obs.profile import PhaseProfiler
         self._obs_tracer = None
         self._obs_profiler = PhaseProfiler(enabled=False)
-        self._attr = None
         self._check_hist = NULL_HISTOGRAM
-        self._c_cache_hit = NULL_COUNTER
-        self._c_cache_model_reuse = NULL_COUNTER
-        self._c_cache_subsumed = NULL_COUNTER
-        self._c_cache_miss = NULL_COUNTER
-        self._c_frame_reuse = NULL_COUNTER
 
     def attach_obs(self, obs) -> None:
         """Wire an :class:`repro.obs.Obs` handle into this solver.
@@ -139,34 +151,16 @@ class Solver:
         Adds a ``solver`` profiler phase around every *solved* query, a
         ``solver.check_ms`` latency histogram, and (when the tracer has a
         sink) one ``solver_check`` event per solved query, attributed to
-        the engine's current state/pc context.  Query-cache answers are
-        counted separately — ``solver.cache_hit`` /
-        ``solver.cache_model_reuse`` / ``solver.cache_subsumed`` /
-        ``solver.cache_miss`` / ``solver.frame_reuse`` counters and one
-        ``solver_cache`` event per hit — and deliberately skip the
-        solver phase, histogram and ``solver_check`` event so cached
-        hits never inflate measured solver work.
+        the engine's current state/pc context.  A query-cache answer or
+        frame reuse emits one ``solver_cache`` event instead and skips
+        the phase, the histogram and the ``solver_check`` event, so
+        cached hits never inflate measured solver work.  Every count
+        stays in :attr:`stats`; readers (telemetry, health, cost
+        attribution) take it from there.
         """
         self._obs_tracer = obs.tracer
         self._obs_profiler = obs.profiler
         self._check_hist = obs.metrics.histogram("solver.check_ms")
-        metrics = obs.metrics
-        self._c_cache_hit = metrics.counter("solver.cache_hit")
-        self._c_cache_model_reuse = metrics.counter(
-            "solver.cache_model_reuse")
-        self._c_cache_subsumed = metrics.counter("solver.cache_subsumed")
-        self._c_cache_miss = metrics.counter("solver.cache_miss")
-        self._c_frame_reuse = metrics.counter("solver.frame_reuse")
-
-    def attach_attr(self, attr) -> None:
-        """Wire a :class:`repro.obs.attr.CostAttribution` accumulator.
-
-        Every *solved* query charges the elapsed time its ``solver``
-        phase gets to the engine's current rule and pc
-        (``on_solver_check``); query-cache answers and frame reuse
-        charge only a cache hit (``on_solver_cache``), never solver
-        time."""
-        self._attr = attr
 
     # -- assertion management -------------------------------------------------
 
@@ -207,11 +201,9 @@ class Solver:
             if cached is not None:
                 return cached
             self.stats.cache_misses += 1
-            self._c_cache_miss.inc()
-            if self._attr is not None:
-                self._attr.on_cache_miss()
-        # One clock reading per solved query: solve_time, the solver
-        # phase, the check_ms histogram and attribution all get it.
+        # One clock reading per solved query: solve_time (which cost
+        # attribution reads), the solver phase and the check_ms
+        # histogram all get it.
         scope = self._obs_profiler.open("solver")
         start = time.perf_counter()
         skip_models = key is not None  # the cache probe already replayed them
@@ -229,8 +221,6 @@ class Solver:
         if key is not None:
             self.query_cache.store(
                 key, result, self._last_model if result == SAT else None)
-        if self._attr is not None:
-            self._attr.on_solver_check(elapsed, result)
         tracer = self._obs_tracer
         if tracer is not None and tracer.enabled:
             tracer.emit("solver_check", result=result,
@@ -259,13 +249,11 @@ class Solver:
                 self.stats.cache_hit_unsat += 1
             self.stats.sat_results += entry.verdict == SAT
             self.stats.unsat_results += entry.verdict == UNSAT
-            self._c_cache_hit.inc()
             self._emit_cache_event("exact", entry.verdict)
             return entry.verdict
         if cache.subsumes_unsat(key):
             self.stats.cache_subsumed_unsat += 1
             self.stats.unsat_results += 1
-            self._c_cache_subsumed.inc()
             # Promote to an exact entry so the repeat is an O(1) hit.
             cache.store(key, UNSAT)
             self._emit_cache_event("subsume", UNSAT)
@@ -281,15 +269,12 @@ class Solver:
                 self.stats.cache_sat += 1
                 self.stats.sat_results += 1
                 self._last_model = model
-                self._c_cache_model_reuse.inc()
                 cache.store(key, SAT, model)
                 self._emit_cache_event("model", SAT)
                 return SAT
         return None
 
     def _emit_cache_event(self, layer: str, result: str) -> None:
-        if self._attr is not None:
-            self._attr.on_solver_cache(layer)
         tracer = self._obs_tracer
         if tracer is not None and tracer.enabled:
             tracer.emit("solver_cache", layer=layer, result=result)
@@ -299,7 +284,6 @@ class Solver:
         frame model answered a branch feasibility query, so no solver
         call was made at all (see ``Engine._frame_probe``)."""
         self.stats.frame_reuse += 1
-        self._c_frame_reuse.inc()
         self._emit_cache_event("frame", SAT)
 
     # -- solving layers 1..3 ------------------------------------------------------

@@ -209,7 +209,9 @@ class TermPool:
     """Interning pool plus construction-time simplification switches.
 
     ``hash_consing`` and ``simplify`` exist so the ablation benchmarks
-    (DESIGN.md Table 5) can measure what each buys.
+    (DESIGN.md Table 5) can measure what each buys.  ``hits + misses``
+    counts the constructions requested (including :func:`var` lookups
+    of a declared name); ``misses`` counts the terms built.
     """
 
     def __init__(self, hash_consing: bool = True, simplify: bool = True):
@@ -309,6 +311,9 @@ def var(name: str, width: int) -> Term:
             raise WidthError(
                 "variable %r already declared with width %d (asked for %d)"
                 % (name, existing.width, width))
+        # A pool hit, like make()'s: hits + misses is then the number of
+        # constructions requested, whatever the process built before.
+        _pool.hits += 1
         return existing
     term = _pool.make(VAR, width, name=name)
     _pool._vars[name] = term

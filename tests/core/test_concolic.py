@@ -7,6 +7,7 @@ from repro.core import Engine, EngineConfig
 from repro.core.concolic import ConcolicExplorer
 from repro.isa import assemble, build
 from repro.programs import build_kernel
+from repro.smt.solver import cache_answers
 
 
 def concolic_for(target, source):
@@ -96,6 +97,18 @@ class TestConcolicKernels:
         assert "halted" in repr(explorer.runs[0])
 
 
+class TestConcolicAttribution:
+    def test_forks_charged_from_the_search_result(self):
+        """Attribution counts the forks the concolic result counts."""
+        model, image = build_kernel("maze", "rv32", depth=4)
+        engine = Engine(model, config=EngineConfig(attr=True))
+        engine.load_image(image)
+        result = ConcolicExplorer(engine).explore(seed=bytes(4))
+        block = engine.attr.snapshot()
+        assert sum(rule["forks"] for rule in block["rules"].values()) \
+            == block["forks"] == result.states_forked > 0
+
+
 class TestConcolicSolverCache:
     """Sibling-flip queries ride the solver query cache (and must not
     change what generational search finds)."""
@@ -120,6 +133,5 @@ class TestConcolicSolverCache:
         assert len(cached_result.paths) == len(plain_result.paths)
         assert len(cached_result.defects) == len(plain_result.defects)
         # The repeated sibling queries actually hit the cache.
-        stats = engine.solver.stats
-        assert stats.cache_hits_total() + stats.cache_model_reuse > 0
+        assert cache_answers(engine.solver.stats.as_dict()) > 0
         assert cached_result.solver_cache_line() is not None

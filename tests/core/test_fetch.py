@@ -143,9 +143,8 @@ def test_reloading_an_image_drops_cached_sites():
 
 def test_site_hits_count_as_decode_cache_hits():
     engine = _engine("rv32", SELF_MODIFYING)
-    engine.explore()
+    result = engine.explore()
     counters = engine.obs.metrics.counters_snapshot()
-    steps = counters["engine.steps"]
     assert counters["decode.cache_hit"] + counters["decode.cache_miss"] \
-        == steps
+        == result.instructions_executed
     assert counters["decode.cache_hit"] > 0

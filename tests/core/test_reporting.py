@@ -87,7 +87,8 @@ class TestSolverCacheLine:
         assert "subsumed=1" in line
         assert "misses=3" in line
         assert "frame_reuse=4" in line
-        assert "hit_ratio=0.70" in line       # (4+2+1) / (4+2+1+3)
+        # (4+2+1 query-cache answers + 4 frame reuses) / (10 checks + 4)
+        assert "hit_ratio=0.79" in line
         assert line in result.details()
 
     def test_shared_summary_helper_matches_method(self):

@@ -6,6 +6,11 @@ Acceptance pins:
   call counts and seconds EQUAL the ``eval``/``solver`` phase totals;
 * every step is charged: each rule's steps equal the ``step`` events
   of its instruction;
+* attribution reads the one counter set: the rules' forks, cache hits
+  and solver checks sum to the result's forks, the solver stats' cache
+  answers and the ``solver`` phase's calls;
+* a second exploration in the same process charges the same integer
+  tables, term requests included, on all five ISAs;
 * flamegraph weights sum to the attributed total;
 * the heat map / flamegraph / report round-trip through JSON (the
   sidecar wire format) unchanged;
@@ -31,6 +36,10 @@ from repro.obs.attr import (ATTR_SCHEMA_VERSION, ENGINE_BUCKET,
 from repro.obs.flame import chrome_trace, collapsed_stacks, render_collapsed
 from repro.obs.sinks import RingBufferSink
 from repro.programs import build_kernel
+from repro.smt import Solver
+from repro.smt.solver import cache_answers
+
+ALL_TARGETS = ["rv32", "mips32", "armlite", "pred32", "vlx"]
 
 #: A version-2 ``attr`` block: the rv32 exerciser explored with the
 #: default sampled attribution of that schema (every 16th step deep).
@@ -41,6 +50,16 @@ V2_BLOCK_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
 
 #: Keys of a version-2 block that version 3 no longer writes.
 V2_ONLY_KEYS = {"ir", "mode", "sample_every", "deep_steps"}
+
+
+def integer_tables(block):
+    """A block's integer fields: totals, every rule and every site."""
+    def ints(entry):
+        return {key: value for key, value in entry.items()
+                if type(value) is int}
+    return (ints(block),
+            {name: ints(entry) for name, entry in block["rules"].items()},
+            {pc: ints(entry) for pc, entry in block["sites"].items()})
 
 
 def explore_attr(target, profile=True, sink=None):
@@ -103,9 +122,32 @@ class TestReconciliation:
         assert sum(rule["steps"] for rule in rules) == block["steps"] \
             == sum(events.values()) == block["eval_calls"] > 0
 
+    def test_rules_sum_to_the_one_counter_set(self, attr_run):
+        """Every rule charge is a delta of the counts the run keeps."""
+        _, (engine, result, block) = attr_run
+        rules = block["rules"].values()
+        assert sum(rule["forks"] for rule in rules) \
+            == result.states_forked > 0
+        assert sum(rule["cache_hits"] for rule in rules) \
+            == cache_answers(result.solver_stats) > 0
+        assert sum(rule["cache_misses"] for rule in rules) \
+            == result.solver_stats["cache_misses"]
+        assert sum(rule["solver_checks"] for rule in rules) \
+            == result.telemetry["phases"]["solver"]["calls"] > 0
+
+    def test_second_exploration_charges_the_same_counts(self):
+        """Term requests, unlike pool misses, do not depend on what the
+        process built before: exploring twice charges equal tables."""
+        for target in ALL_TARGETS:
+            _, _, first = explore_attr(target, profile=False)
+            _, _, second = explore_attr(target, profile=False)
+            assert integer_tables(first) == integer_tables(second), target
+            assert any(entry["term_requests"]
+                       for entry in second["rules"].values()), target
+
     def test_snapshot_shape_and_provenance(self, attr_run):
         target, (engine, _, block) = attr_run
-        assert block["version"] == ATTR_SCHEMA_VERSION == 3
+        assert block["version"] == ATTR_SCHEMA_VERSION == 4
         assert block["isa"] == target
         assert not V2_ONLY_KEYS & set(block)
         assert block["rules"], "exerciser must attribute rules"
@@ -136,14 +178,23 @@ class TestUnitCharging:
     """CostAttribution in isolation: the ledger arithmetic."""
 
     def test_out_of_step_solver_work_hits_engine_bucket(self):
-        attr = CostAttribution()
-        attr.on_solver_check(0.25, "sat")
-        attr.on_solver_cache("exact")
+        from repro.smt import terms as T
+        solver = Solver()
+        attr = CostAttribution(solver_stats=solver.stats)
+        cond = T.ult(T.bv(9, 8), T.var("attr_x", 8))
+        assert solver.check(extra=[cond]) == "sat"      # solved
+        assert solver.check(extra=[cond]) == "sat"      # exact hit
         block = attr.snapshot()
-        assert block["rules"][ENGINE_BUCKET]["solver_s"] == 0.25
-        assert block["rules"][ENGINE_BUCKET]["cache_hits"] == 1
+        engine = block["rules"][ENGINE_BUCKET]
+        assert engine["solver_s"] == solver.stats.solve_time \
+            == block["solver_s"] > 0
+        assert engine["solver_checks"] == block["solver_checks"] == 1
+        assert engine["cache_hits"] == block["cache_hits"] == 1
+        assert engine["cache_misses"] == 1
+        assert engine["steps"] == 0
+        assert block["sites"] == {}
 
-    def test_term_allocations_charged_on_every_step(self):
+    def test_term_requests_charged_on_every_step(self):
         from repro.smt import terms as T
         previous = T.set_pool(T.TermPool())
         try:
@@ -151,10 +202,12 @@ class TestUnitCharging:
             for step in range(3):
                 attr.begin_step("add", 0x1000 + 4 * step)
                 T.bv(step + 2, 8)       # one new term per step
+                T.bv(step + 2, 8)       # and one the pool already has
                 attr.end_step(0.001)
+            block = attr.snapshot()
         finally:
             T.set_pool(previous)
-        assert attr.rules["add"].term_allocs == 3
+        assert block["rules"]["add"]["term_requests"] == 6
 
     def test_zero_activity_rules_dropped_from_snapshot(self):
         attr = CostAttribution()

@@ -77,14 +77,6 @@ class TestSampler:
         assert all(event.data["sample"]["v"] == HEALTH_SCHEMA
                    for event in events)
 
-    def test_metrics_mirrored(self):
-        health = HealthConfig(sample_every_steps=64)
-        engine, result, _ = run_maze(health=health)
-        counters = engine.obs.metrics.counters_snapshot()
-        assert counters["health.samples"] == engine.health.total_samples
-        gauges = engine.obs.metrics.snapshot()["gauges"]
-        assert gauges["health.coverage"] == len(result.visited_pcs)
-
     def test_top_states_bounded_and_sorted(self):
         health = HealthConfig(sample_every_steps=16, top_k=3)
         engine, _, _ = run_maze(health=health, strategy="bfs")

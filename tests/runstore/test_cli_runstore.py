@@ -65,6 +65,26 @@ class TestRecord:
                      "--store", store_dir]) == 2
         assert "store: hit" in capsys.readouterr().out
 
+    def test_force_replaces_the_stored_run(self, demo_file, store_dir,
+                                           capsys):
+        """A run first stored without attribution gains its profile
+        from ``record --force``, and still replays."""
+        assert main(["explore", "rv32", demo_file,
+                     "--store", store_dir]) == 2
+        run_id = only_run_id(store_dir)
+        run_dir = os.path.join(store_dir, "runs", run_id)
+        assert not os.path.exists(os.path.join(run_dir, "attr.json"))
+        capsys.readouterr()
+        assert main(["record", "rv32", demo_file, "--store", store_dir,
+                     "--force"]) == 2
+        assert "store: recorded %s" % run_id in capsys.readouterr().out
+        assert only_run_id(store_dir) == run_id
+        assert os.path.exists(os.path.join(run_dir, "attr.json"))
+        assert main(["hot", run_id, "--store", store_dir]) == 0
+        assert "cost attribution" in capsys.readouterr().out
+        assert main(["replay", run_id, "--store", store_dir]) == 0
+        assert "VERIFIED" in capsys.readouterr().out
+
     def test_warm_start_flag(self, demo_file, store_dir, capsys):
         main(["record", "rv32", demo_file, "--store", store_dir])
         source = only_run_id(store_dir)

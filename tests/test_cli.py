@@ -448,8 +448,12 @@ class TestMetricsCLI:
         assert main(["metrics", health_run]) == 0
         out = capsys.readouterr().out
         assert "counters:" in out
-        assert "engine.steps" in out
-        assert "health.samples" in out
+        assert "decode.cache_hit" in out
+        assert "solver.check_ms" in out
+        # The counts the run summary carries are not repeated here.
+        assert "engine." not in out
+        assert "health." not in out
+        assert "solver.cache" not in out
 
     def test_metrics_without_summary_is_graceful(self, tmp_path,
                                                  capsys):
@@ -462,6 +466,73 @@ class TestMetricsCLI:
         err = capsys.readouterr().err
         assert "no metrics section" in err
         assert "Traceback" not in err
+
+
+#: A schema-v5 sidecar: ``repro explore rv32 <exerciser> --attr
+#: --telemetry-out``, recorded before the run summary carried each count
+#: once.  Its attr block's ``source`` and its ``env.platform`` are
+#: cleared; they named the recording checkout and host.
+V5_SIDECAR = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                          "obs", "sidecar_v5_rv32.jsonl")
+
+
+@pytest.fixture
+def exerciser_file(tmp_path):
+    from repro.programs.kernels import exerciser
+    from repro.programs.portable import lower
+    path = tmp_path / "exerciser.s"
+    path.write_text(lower(exerciser(), "rv32"))
+    return str(path)
+
+
+def _explore_sidecar(exerciser_file, path, *flags):
+    assert main(["explore", "rv32", exerciser_file,
+                 "--telemetry-out", path] + list(flags)) == 2
+    from repro.obs import load_run
+    return load_run(path)
+
+
+class TestSidecarCountsOnce:
+    def test_default_sidecar_carries_each_count_once(
+            self, exerciser_file, tmp_path, capsys):
+        from repro.obs.events import SCHEMA_VERSION
+        run = _explore_sidecar(exerciser_file, str(tmp_path / "run.jsonl"))
+        capsys.readouterr()
+        assert SCHEMA_VERSION == run.schema_version == 6
+        summary = run.run_summary()
+        telemetry = summary["telemetry"]
+        counters = telemetry["metrics"]["counters"]
+        assert telemetry["solver"]["checks"] > 0
+        assert not [name for name in counters
+                    if name.split(".")[0] in ("engine", "solver",
+                                              "health")]
+        assert "wall_time" in summary and "wall_time" not in telemetry
+        assert (summary["paths"], summary["defects"], summary["forks"],
+                summary["pruned"]) == (1, 1, 1, 0)
+
+    def test_v5_sidecar_still_reads(self, capsys):
+        from repro.obs import load_run
+        assert load_run(V5_SIDECAR).schema_version == 5
+        assert main(["stats", V5_SIDECAR]) == 0
+        out = capsys.readouterr().out
+        assert "run summary: paths=1 defects=1" in out
+        assert "solver cache: hits=2 model_reuse=1" in out
+        assert main(["metrics", V5_SIDECAR]) == 0
+        assert "engine.steps" in capsys.readouterr().out
+        assert main(["hot", V5_SIDECAR]) == 0
+        assert "hottest rules:" in capsys.readouterr().out
+
+    def test_diffstats_v5_against_v6(self, exerciser_file, tmp_path,
+                                     capsys):
+        current = str(tmp_path / "v6.jsonl")
+        _explore_sidecar(exerciser_file, current, "--attr")
+        capsys.readouterr()
+        assert main(["diffstats", V5_SIDECAR, current,
+                     "--threshold", "1000"]) == 0
+        captured = capsys.readouterr()
+        assert "solver.checks" in captured.out
+        assert "solver.cache_hit_ratio" in captured.out
+        assert "Traceback" not in captured.err
 
 
 class TestDiffstatsCLI:
