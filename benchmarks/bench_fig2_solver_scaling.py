@@ -5,9 +5,11 @@ Two series:
 * **End-to-end**: time to solve the checksum kernel's trap query as the
   input length (and hence the multiply-accumulate constraint chain)
   grows — the solver-bound workload.
-* **Ablation**: the same engine runs with the model cache and interval
-  pre-filter disabled, isolating what the cheap layers buy before
-  bit-blasting (DESIGN.md lists this as a design-choice experiment).
+* **Ablation**: the same engine runs with every layer in front of CDCL
+  disabled — the query cache (exact hits, unsat subsumption, model
+  replay), the engine's frame reuse and the interval pre-filter —
+  isolating what the cheap layers buy before bit-blasting (DESIGN.md
+  lists this as a design-choice experiment).
 
 Paper-shape expectation: solve time grows superlinearly with constraint
 size; the filter layers give a constant-factor win that grows with the
@@ -21,6 +23,7 @@ from repro.core import Engine, EngineConfig
 from repro.programs import build_kernel
 from repro.smt import Solver
 from repro.smt import terms as T
+from repro.smt.solver import cache_answers
 
 from _util import print_table, timed
 
@@ -29,9 +32,10 @@ LENGTHS = [2, 3, 4, 5, 6]
 
 def run_point(kernel, use_filters, **params):
     model, image = build_kernel(kernel, "rv32", **params)
-    solver = Solver(use_intervals=use_filters, use_model_cache=use_filters)
+    solver = Solver(use_intervals=use_filters, use_query_cache=use_filters)
     engine = Engine(model, solver=solver,
-                    config=EngineConfig(collect_path_inputs=False))
+                    config=EngineConfig(collect_path_inputs=False,
+                                        use_solver_cache=use_filters))
     engine.load_image(image)
     result, wall = timed(engine.explore)
     return result, wall
@@ -41,8 +45,8 @@ def run_point(kernel, use_filters, **params):
            title="solver filters: cheap-layer speedup on checksum",
            suite="full", isas=("rv32",), unit="x", direction="higher",
            reps=3, warmup=0,
-           workload="checksum(len 4) with intervals+model-cache on vs "
-                    "off")
+           workload="checksum(len 4) with query cache, frame reuse and "
+                    "intervals on vs off")
 def _observatory_sample():
     full, full_time = run_point("checksum", True, length=4, magic=0x2d2d)
     _bare, bare_time = run_point("checksum", False, length=4,
@@ -64,13 +68,13 @@ def figure_rows():
             "checksum", length,
             int(stats["checks"]),
             int(stats["sat_calls"]),
-            int(stats["cache_sat"]),
+            cache_answers(stats),
             "%.3fs" % full_time,
             "%.3fs" % bare_time,
             "%.2fx" % (bare_time / full_time if full_time else 0),
         ])
-    # Branch-heavy counterpoint: the filters answer most of the (easy)
-    # branch-feasibility queries before the SAT solver is ever invoked.
+    # Branch-heavy counterpoint: many easy branch-feasibility queries,
+    # the shape the cheap layers are meant to answer before CDCL.
     for depth in (4, 6, 8):
         full, full_time = run_point("maze", True, depth=depth)
         bare, bare_time = run_point("maze", False, depth=depth)
@@ -79,7 +83,7 @@ def figure_rows():
             "maze", depth,
             int(stats["checks"]),
             int(stats["sat_calls"]),
-            int(stats["cache_sat"]),
+            cache_answers(stats),
             "%.3fs" % full_time,
             "%.3fs" % bare_time,
             "%.2fx" % (bare_time / full_time if full_time else 0),
@@ -109,8 +113,8 @@ def constraint_family_rows():
 def print_report():
     print_table(
         "Figure 2a (series): exploration time with and without the "
-        "filter layers (model cache + intervals)",
-        ["kernel", "size", "checks", "SAT calls", "cache hits",
+        "filter layers (query cache + frame reuse + intervals)",
+        ["kernel", "size", "checks", "SAT calls", "cache answers",
          "filters on", "filters off", "speedup"],
         figure_rows())
     print_table(

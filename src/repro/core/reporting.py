@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from ..smt.solver import cache_answers, cache_hit_ratio
+from ..smt.solver import cache_answers, cache_hit_ratio, solved_queries
 
 __all__ = ["Defect", "PathResult", "ExplorationResult",
            "solver_cache_summary",
@@ -206,8 +206,10 @@ class ExplorationResult:
         return None
 
     def summary(self) -> str:
-        """One-line digest: paths, defects, steps, solver checks, time."""
-        solver_checks = int(self.solver_stats.get("checks", 0))
+        """One-line digest: paths, defects, steps, solved queries (the
+        count the attribution block and the ``solver`` phase show),
+        time."""
+        solver_checks = int(solved_queries(self.solver_stats))
         return ("paths=%d defects=%d instructions=%d forks=%d "
                 "solver_checks=%d time=%.3fs stop=%s"
                 % (len(self.paths), len(self.defects),

@@ -45,7 +45,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from ..smt import terms as T
-from ..smt.solver import SolverStats, cache_answers
+from ..smt.solver import SolverStats, cache_answers, solved_queries
 
 __all__ = ["CostAttribution", "ATTR_SCHEMA_VERSION", "hot_report",
            "hot_rules_lines", "annotate_spec_costs"]
@@ -111,15 +111,12 @@ class CostAttribution:
         return cost
 
     def _counts(self) -> tuple:
-        """The :data:`_COUNTED` counts as the counters read now; solved
-        queries are the checks the query cache did not answer."""
+        """The :data:`_COUNTED` counts as the counters read now."""
         stats = self._stats.__dict__
-        answers = cache_answers(stats)
         pool = self._pool
         result = self._result
-        return (stats["solve_time"],
-                stats["checks"] + stats["frame_reuse"] - answers,
-                answers, stats["cache_misses"],
+        return (stats["solve_time"], solved_queries(stats),
+                cache_answers(stats), stats["cache_misses"],
                 result.states_forked if result is not None else 0,
                 pool.hits + pool.misses)
 

@@ -64,11 +64,5 @@ from .terms import (  # noqa: F401
     zext,
 )
 from .bitblast import BitBlaster  # noqa: F401
-from .interval import (  # noqa: F401
-    definitely_false,
-    definitely_true,
-    interval,
-    refute_conjunction,
-)
 from .sat import SAT, UNSAT, SatSolver  # noqa: F401
 from .solver import Solver, SolverStats  # noqa: F401

@@ -13,8 +13,7 @@ from typing import Dict, Tuple
 
 from . import terms as T
 
-__all__ = ["interval", "definitely_false", "definitely_true",
-           "refute_conjunction"]
+__all__ = ["interval", "refute_conjunction"]
 
 Interval = Tuple[int, int]
 
@@ -146,16 +145,6 @@ def _combine(node: T.Term, argv) -> Interval:
             return (0, 0)
         return (0, 1)
     return _full(w)
-
-
-def definitely_false(term: T.Term) -> bool:
-    """True when interval analysis proves a boolean term is 0."""
-    return interval(term) == (0, 0)
-
-
-def definitely_true(term: T.Term) -> bool:
-    """True when interval analysis proves a boolean term is 1."""
-    return interval(term) == (1, 1)
 
 
 def _atom_bounds(cond: T.Term, bounds: Dict[int, Interval]) -> None:

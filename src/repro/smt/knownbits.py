@@ -11,9 +11,8 @@ facts the translation validator needs:
   to its significant width (so ``(a + b) & 0xffffffff`` computed at 33
   bits and the reference ``add`` at 32 bits meet at the same width),
 * two terms whose known bits disagree somewhere are *definitely
-  unequal* — an equivalence obligation refuted without the solver,
-* two fully-known equal terms are *definitely equal* — proved without
-  the solver.
+  unequal*, so their equality is a known 0 (which in turn decides an
+  ``ite`` it guards).
 
 Soundness direction: ``known`` may always be an under-approximation
 (claiming fewer bits known is safe); it must never claim a bit known
@@ -26,8 +25,7 @@ from typing import Dict, Optional, Tuple
 
 from . import terms as T
 
-__all__ = ["known_bits", "significant_width", "definitely_equal",
-           "definitely_unequal"]
+__all__ = ["known_bits", "significant_width", "definitely_unequal"]
 
 #: (known mask, value) — ``value`` is always normalized to ``value & known``.
 Bits = Tuple[int, int]
@@ -210,21 +208,6 @@ def significant_width(term: T.Term,
         else:
             break
     return width
-
-
-def definitely_equal(a: T.Term, b: T.Term,
-                     cache: Optional[Dict[int, Bits]] = None) -> bool:
-    """Both terms fully known and equal (or identical nodes)."""
-    if a is b:
-        return True
-    if a.width != b.width:
-        return False
-    if cache is None:
-        cache = {}
-    ka, va = known_bits(a, cache)
-    kb, vb = known_bits(b, cache)
-    full = T.mask(a.width)
-    return ka == full and kb == full and va == vb
 
 
 def definitely_unequal(a: T.Term, b: T.Term,

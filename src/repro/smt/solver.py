@@ -1,7 +1,7 @@
 """The SMT solver front end used by the execution engine.
 
 :class:`Solver` exposes the conventional assert / push / pop / check / model
-interface over the bit-blaster and CDCL core.  Four layers are tried in
+interface over the bit-blaster and CDCL core.  Three layers are tried in
 order on every :meth:`check` call, cheapest first:
 
 0. **Query cache** — every decided query is memoized under a canonical,
@@ -13,25 +13,21 @@ order on every :meth:`check` call, cheapest first:
    counted as solver work (no ``solver_check`` event, no ``solver``
    profiler phase, no ``solver.check_ms`` observation) — they count in
    :class:`SolverStats` and emit ``solver_cache`` events instead.
-1. **Model cache** — recently found models (plus the all-zero assignment)
-   are replayed through the term evaluator; symbolic-execution workloads
-   re-ask very similar questions, so this answers a large share of SAT
-   queries without touching the SAT solver.
-2. **Interval pre-filter** — conservative range analysis proves easy
+1. **Interval pre-filter** — conservative range analysis proves easy
    unsats (e.g. contradictory equalities on the same variable).
-3. **Bit-blast + CDCL** — the complete decision procedure.  Assertions are
+2. **Bit-blast + CDCL** — the complete decision procedure.  Assertions are
    blasted into one persistent CNF and each check solves under assumptions,
    so learned clauses carry over between path-feasibility queries.
 
-Layers 0–2 can be disabled (``use_query_cache`` / ``use_model_cache`` /
-``use_intervals``) for the Figure 2 / Table 5 ablations; the engine's
-``--no-solver-cache`` flag maps to ``use_query_cache=False``.
+Layers 0 and 1 can be disabled (``use_query_cache`` / ``use_intervals``)
+for the Figure 2 / Table 5 ablations; the engine's ``--no-solver-cache``
+flag maps to ``use_query_cache=False``, which leaves no model replay of
+any kind.
 """
 
 from __future__ import annotations
 
 import time
-from collections import OrderedDict
 from typing import Dict, Iterable, List, Optional
 
 from . import terms as T
@@ -41,7 +37,7 @@ from .interval import refute_conjunction
 from .sat import SAT, UNSAT, SatSolver
 
 __all__ = ["Solver", "SolverStats", "SAT", "UNSAT", "cache_answers",
-           "cache_hit_ratio"]
+           "cache_hit_ratio", "solved_queries"]
 
 
 def cache_answers(stats) -> int:
@@ -53,6 +49,14 @@ def cache_answers(stats) -> int:
             + (get("cache_model_reuse") or 0)
             + (get("cache_subsumed_unsat") or 0)
             + (get("frame_reuse") or 0))
+
+
+def solved_queries(stats) -> int:
+    """:meth:`Solver.check` calls the query cache did not answer, from a
+    stats dict (same shape as :func:`cache_answers`): the count the
+    ``solver`` profiler phase and cost attribution see."""
+    return ((stats.get("checks") or 0) + (stats.get("frame_reuse") or 0)
+            - cache_answers(stats))
 
 
 def cache_hit_ratio(stats) -> float:
@@ -85,7 +89,6 @@ class SolverStats:
 
     def __init__(self):
         self.checks = 0
-        self.cache_sat = 0
         self.interval_unsat = 0
         self.sat_calls = 0
         self.sat_results = 0
@@ -119,24 +122,12 @@ class Solver:
     """Incremental QF_BV solver (assert / push / pop / check / model)."""
 
     def __init__(self, use_intervals: bool = True,
-                 use_model_cache: bool = True,
-                 model_cache_size: int = 3,
-                 use_query_cache: bool = True,
-                 query_cache_size: int = 2048):
+                 use_query_cache: bool = True):
         self.use_intervals = use_intervals
-        self.use_model_cache = use_model_cache
-        self.use_query_cache = use_query_cache
         self._blaster = BitBlaster(SatSolver())
         self._frames: List[List[T.Term]] = [[]]
-        # Model-replay layer: bounded LRU keyed on the model's sorted
-        # item tuple.  OrderedDict gives O(1) insert/evict/refresh (the
-        # old list form evicted FIFO via pop(0), an O(n) shift).
-        self._model_cache: "OrderedDict[tuple, Dict[str, int]]" = \
-            OrderedDict()
-        self._model_cache_size = model_cache_size
         self._last_model: Optional[Dict[str, int]] = None
-        self.query_cache = QueryCache(max_entries=query_cache_size) \
-            if use_query_cache else None
+        self.query_cache = QueryCache() if use_query_cache else None
         self.stats = SolverStats()
         # Observability (attached by the engine; see repro.obs).
         from ..obs.metrics import NULL_HISTOGRAM
@@ -206,9 +197,8 @@ class Solver:
         # histogram all get it.
         scope = self._obs_profiler.open("solver")
         start = time.perf_counter()
-        skip_models = key is not None  # the cache probe already replayed them
         try:
-            result = self._check(conds, skip_models)
+            result = self._check(conds)
         finally:
             elapsed = time.perf_counter() - start
             self.stats.solve_time += elapsed
@@ -243,7 +233,6 @@ class Solver:
         if entry is not None:
             if entry.verdict == SAT:
                 self.stats.cache_hit_sat += 1
-                self.stats.cache_sat += 1
                 self._last_model = entry.model
             else:
                 self.stats.cache_hit_unsat += 1
@@ -258,15 +247,9 @@ class Solver:
             cache.store(key, UNSAT)
             self._emit_cache_event("subsume", UNSAT)
             return UNSAT
-        if not self.use_model_cache:
-            # Model replay (here and in _check) is one ablation switch:
-            # with the model cache disabled the probe is exact+subsume
-            # only, so layer-ablation tests still reach the SAT core.
-            return None
         for model, memo in cache.recent_models():
             if T.all_true(conds, model, memo):
                 self.stats.cache_model_reuse += 1
-                self.stats.cache_sat += 1
                 self.stats.sat_results += 1
                 self._last_model = model
                 cache.store(key, SAT, model)
@@ -286,23 +269,15 @@ class Solver:
         self.stats.frame_reuse += 1
         self._emit_cache_event("frame", SAT)
 
-    # -- solving layers 1..3 ------------------------------------------------------
+    # -- solving layers 1..2 ------------------------------------------------------
 
-    def _check(self, conds: List[T.Term], skip_model_layer: bool = False
-               ) -> str:
+    def _check(self, conds: List[T.Term]) -> str:
         if any(T.is_false(term) for term in conds):
             return UNSAT
         conds = [term for term in conds if not T.is_true(term)]
         if not conds:
             self._last_model = {}
             return SAT
-        if self.use_model_cache and not skip_model_layer:
-            for candidate in self._candidate_models():
-                if T.all_true(conds, candidate):
-                    self.stats.cache_sat += 1
-                    self._remember(candidate)
-                    self._last_model = candidate
-                    return SAT
         if self.use_intervals and refute_conjunction(conds):
             self.stats.interval_unsat += 1
             return UNSAT
@@ -312,7 +287,6 @@ class Solver:
             return UNSAT
         model = self._blaster.extract_model(self._blaster.sat.model())
         self._last_model = model
-        self._remember(model)
         # Internal consistency check: the model must actually satisfy the
         # query (catches bit-blaster bugs immediately).
         if not T.all_true(conds, model):
@@ -320,28 +294,8 @@ class Solver:
                              "the query; this is a bug in the bit-blaster")
         return SAT
 
-    def _candidate_models(self):
-        yield {}
-        for model in reversed(self._model_cache.values()):
-            yield model
-
-    def _remember(self, model: Dict[str, int]) -> None:
-        fingerprint = tuple(sorted(model.items()))
-        if fingerprint in self._model_cache:
-            # Refresh recency (LRU, not FIFO): a model answering again
-            # should outlive colder entries.
-            self._model_cache.move_to_end(fingerprint)
-            return
-        self._model_cache[fingerprint] = dict(model)
-        if len(self._model_cache) > self._model_cache_size:
-            self._model_cache.popitem(last=False)
-
     def model(self) -> Dict[str, int]:
         """The model of the last SAT answer (var name -> unsigned int)."""
         if self._last_model is None:
             raise T.SmtError("no model available; call check() first")
         return dict(self._last_model)
-
-    def eval_term(self, term: T.Term) -> int:
-        """Evaluate ``term`` under the last model."""
-        return T.evaluate(term, self.model())

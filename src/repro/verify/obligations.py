@@ -12,18 +12,17 @@ reported so the lint summary can show how little solver work a clean
 spec needs:
 
 1. **syntactic**  — infeasible pairs whose canonical guard sets contain
-   a literal contradiction (``g`` and ``not g``) are dropped without
-   any reasoning; this kills the off-diagonal pairs of structurally
-   aligned forks.
+   a literal contradiction (``g`` and ``not g``, or a constant false)
+   are dropped without any reasoning; this kills the off-diagonal pairs
+   of structurally aligned forks.
 2. **identity**   — both sides canonicalize
-   (:func:`repro.smt.normalize.canon`) to the same hash-consed term.
-3. **knownbits**  — :mod:`repro.smt.knownbits` proves or refutes the
-   aligned equality bit-wise.
-4. **interval**   — :mod:`repro.smt.interval` refutes the pair's guard
-   conjunction, or decides the equality.
-5. **solver**     — a single query per leftover obligation,
+   (:func:`repro.smt.normalize.canon`) to the same hash-consed term,
+   once zero-extended to a common width.
+3. **solver**     — a single query per leftover obligation,
    ``guards ∧ lhs ≠ rhs``, batched through one solver (and its
    QueryCache) per rule; SAT models become concrete counterexamples.
+   Bit-blasting plus CDCL is a complete decision procedure, so a
+   cheaper abstract tier could only save time, never change a verdict.
 
 A mismatch only counts once its pair is proven reachable (the guard
 conjunction alone is SAT), so infeasible-path disagreements can never
@@ -32,25 +31,16 @@ produce false findings.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
-import sys
-
-from ..smt import knownbits
-from ..smt import terms as T
-from ..smt import interval as _  # noqa: F401  (package attr is the fn)
-
-#: ``repro.smt`` re-exports the :func:`interval` *function* as a
-#: package attribute, shadowing the submodule — fetch the module.
-interval = sys.modules["repro.smt.interval"]
 from ..ir.symexec import Path
+from ..smt import terms as T
 from .state import MachineState, PreState
 
 __all__ = ["Mismatch", "ComparisonError", "compare_paths", "TIERS"]
 
 #: Tier-counter keys, in discharge order.
-TIERS = ("syntactic", "identity", "knownbits", "interval", "solver",
-         "refuted_pairs")
+TIERS = ("syntactic", "identity", "solver", "refuted_pairs")
 
 #: Observation-index width for register-file final-state comparison
 #: (any width at least as wide as every real index term works).
@@ -87,13 +77,12 @@ class _Comparer:
         self.solver = solver
         self.check = check
         self.tiers = tiers
-        self._kb: Dict[int, Tuple[int, int]] = pre._kb_cache
 
     # -- guard handling ------------------------------------------------------
 
     def _guards(self, ref: Path, cand: Path) -> Optional[List[T.Term]]:
-        """Joint canonical guard list, or None when syntactically or
-        abstractly infeasible."""
+        """Joint canonical guard list, or None when syntactically
+        infeasible."""
         canon = self.pre.canon
         conds = [canon(g) for g in
                  tuple(self.assumptions) + ref[2] + cand[2]]
@@ -107,13 +96,6 @@ class _Comparer:
             if T.digest(T.not_(cond)) in seen:
                 self.tiers["syntactic"] += 1
                 return None
-            known, value = knownbits.known_bits(cond, self._kb)
-            if known & 1 and not (value & 1):
-                self.tiers["knownbits"] += 1
-                return None
-        if interval.refute_conjunction(conds):
-            self.tiers["interval"] += 1
-            return None
         return [c for c in conds if not c.is_const()]
 
     def _pair_reachable(self, guards: List[T.Term]) -> bool:
@@ -132,23 +114,16 @@ class _Comparer:
                    mismatches: List[Mismatch]) -> None:
         a = self.pre.canon(ref_term)
         b = self.pre.canon(cand_term)
-        if a is b:
-            self.tiers["identity"] += 1
-            return
         width = max(a.width, b.width)
         if a.width < width:
             a = T.zext(a, width - a.width)
         if b.width < width:
             b = T.zext(b, width - b.width)
-        if a is b or knownbits.definitely_equal(a, b, self._kb):
-            self.tiers["knownbits"] += 1
-            return
-        equal = T.eq(a, b)
-        if interval.definitely_true(equal):
-            self.tiers["interval"] += 1
+        if a is b:
+            self.tiers["identity"] += 1
             return
         self.tiers["solver"] += 1
-        verdict = self.check(self.solver, guards + [T.not_(equal)])
+        verdict = self.check(self.solver, guards + [T.not_(T.eq(a, b))])
         if verdict != "sat":
             return
         model = self.solver.model()

@@ -87,6 +87,11 @@ class TestReconciliation:
         phases = result.telemetry["phases"]
         assert block["eval_calls"] == phases["eval"]["calls"] > 0
         assert block["solver_checks"] == phases["solver"]["calls"] > 0
+        # The summary line names the same count: solved queries, not
+        # every check() call (the query cache answers the rest).
+        assert " solver_checks=%d " % block["solver_checks"] \
+            in result.summary()
+        assert result.solver_stats["checks"] > block["solver_checks"]
 
     def test_times_reconcile_exactly(self, attr_run):
         """One clock reading feeds both ledgers, so the seconds are

@@ -53,9 +53,8 @@ class CacheTwinMachine(RuleBasedStateMachine):
 
     def __init__(self):
         super().__init__()
-        self.cached = Solver()  # query cache + model cache + intervals
-        self.reference = Solver(use_query_cache=False,
-                                use_model_cache=False)
+        self.cached = Solver()  # query cache + intervals
+        self.reference = Solver(use_query_cache=False)
         self.last_extra = []
 
     @rule(cond=predicates())

@@ -4,10 +4,9 @@ The ISSUE-3 centerpiece correctness artifact.  Every stream of
 assert / push / pop / check operations is replayed in lockstep against
 
 * a **cached** solver — every layer on (query cache with exact hits,
-  unsat subsumption and model reuse, plus the model cache and interval
-  pre-filter), and
-* a **reference** solver — query cache *and* model cache off, so every
-  check reaches the interval/bit-blast core,
+  unsat subsumption and model reuse, plus the interval pre-filter), and
+* a **reference** solver — query cache off, so every check reaches the
+  interval/bit-blast core,
 
 and on every single check the two verdicts must be identical, and any
 SAT answer's model must concretely satisfy every asserted conjunct
@@ -59,7 +58,7 @@ class _Twins:
 
     def __init__(self):
         self.cached = Solver()  # all layers on (the engine default)
-        self.reference = Solver(use_query_cache=False, use_model_cache=False)
+        self.reference = Solver(use_query_cache=False)
         self.checks = 0
 
     def add(self, cond: T.Term) -> None:

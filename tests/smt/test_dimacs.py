@@ -29,7 +29,7 @@ class TestDimacsExport:
 
     def test_export_is_satisfiable_consistent(self):
         """A model from our solver satisfies the exported CNF."""
-        solver = Solver(use_model_cache=False, use_intervals=False)
+        solver = Solver(use_query_cache=False, use_intervals=False)
         x = T.var("dim_x", 8)
         cond = T.eq(T.add(x, T.bv(1, 8)), T.bv(0x80, 8))
         solver.add(cond)

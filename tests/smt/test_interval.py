@@ -1,12 +1,7 @@
 """Unit tests for the interval pre-filter (soundness is the key property)."""
 
 from repro.smt import terms as T
-from repro.smt.interval import (
-    definitely_false,
-    definitely_true,
-    interval,
-    refute_conjunction,
-)
+from repro.smt.interval import interval, refute_conjunction
 
 
 def bv8(value):
@@ -53,17 +48,15 @@ class TestBasicIntervals:
 class TestDefiniteness:
     def test_definitely_false(self):
         sel = T.ite(T.var("iv_d", 1), bv8(1), bv8(2))
-        assert definitely_false(T.ugt(sel, bv8(100)))
+        assert interval(T.ugt(sel, bv8(100))) == (0, 0)
 
     def test_definitely_true(self):
         sel = T.ite(T.var("iv_d", 1), bv8(1), bv8(2))
-        assert definitely_true(T.ule(sel, bv8(2)))
+        assert interval(T.ule(sel, bv8(2))) == (1, 1)
 
     def test_unknown_is_neither(self):
         x = T.var("iv_e", 8)
-        cond = T.ult(x, bv8(10))
-        assert not definitely_false(cond)
-        assert not definitely_true(cond)
+        assert interval(T.ult(x, bv8(10))) == (0, 1)
 
 
 class TestRefuteConjunction:

@@ -1,7 +1,5 @@
 """Unit tests for the solver query cache (repro.smt.cache) and the
-canonical query digests (terms.digest / terms.query_key), plus the
-regression pinning the model-cache LRU fix (bounded OrderedDict with
-O(1) eviction replacing the old ``list.pop(0)`` FIFO)."""
+canonical query digests (terms.digest / terms.query_key)."""
 
 from repro.smt import SAT, UNSAT, Solver
 from repro.smt import terms as T
@@ -112,6 +110,23 @@ class TestQueryCache:
         cache.store(T.query_key([pred("qc", 200)]), SAT, {"qc": 3})
         assert len(list(cache.recent_models())) == 3
 
+    def test_recent_models_evict_least_recently_used(self):
+        """Storing a model again refreshes its recency (LRU, not FIFO)
+        and keeps the evaluation memo it has accumulated."""
+        cache = QueryCache(model_probe=2)
+        cond = pred("qa", 200)
+        cache.store(T.query_key([pred("qa", 5)]), SAT, {"qa": 1})  # A
+        cache.store(T.query_key([pred("qa", 6)]), SAT, {"qa": 2})  # B
+        _zero, _b, (model_a, memo_a) = cache.recent_models()
+        assert T.all_true([cond], model_a, memo_a)
+        cache.store(T.query_key([pred("qa", 7)]), SAT, {"qa": 1})  # A
+        cache.store(T.query_key([pred("qa", 8)]), SAT, {"qa": 3})  # C
+        _zero, newest, kept = cache.recent_models()
+        assert newest[0] == {"qa": 3}
+        assert kept[0] == {"qa": 1}      # B was evicted, A kept...
+        assert kept[1] is memo_a         # ...with its evaluation memo
+        assert memo_a[cond._id] == 1
+
     def test_model_memo_persists_across_replays(self):
         cache = QueryCache()
         cond = pred("qa", 200)
@@ -193,48 +208,3 @@ class TestSolverQueryCacheLayer:
         solver.pop()
         assert solver.check() == SAT  # exact hit on the outer frame key
         assert solver.stats.cache_hit_sat == 1
-
-
-class TestModelCacheLRURegression:
-    """Satellite fix: Solver._model_cache is a bounded OrderedDict.
-
-    The old implementation kept a list and evicted with ``pop(0)`` —
-    FIFO order and an O(n) shift per eviction.  These tests pin the new
-    contract: the bound holds exactly, eviction is least-recently-*used*
-    (a re-found model survives), and re-remembering refreshes recency.
-    """
-
-    @staticmethod
-    def _solver():
-        # Isolate the model-cache layer from the query-cache layer.
-        return Solver(use_intervals=False, use_query_cache=False,
-                      model_cache_size=2)
-
-    def test_bound_is_exact(self):
-        solver = self._solver()
-        for value in (3, 7, 11, 13, 17):
-            assert solver.check(
-                extra=[T.eq(T.var("qa", 8), T.bv(value, 8))]) == SAT
-        assert len(solver._model_cache) == 2
-
-    def test_eviction_is_lru_not_fifo(self):
-        solver = self._solver()
-        x = T.var("qa", 8)
-        assert solver.check(extra=[T.eq(x, T.bv(3, 8))]) == SAT   # A
-        assert solver.check(extra=[T.eq(x, T.bv(7, 8))]) == SAT   # B
-        # Re-use A (model replay refreshes its recency via _remember).
-        sat_calls = solver.stats.sat_calls
-        assert solver.check(extra=[T.eq(x, T.bv(3, 8))]) == SAT
-        assert solver.stats.sat_calls == sat_calls  # served from cache
-        # Inserting C must now evict B (LRU), not A (FIFO head).
-        assert solver.check(extra=[T.eq(x, T.bv(11, 8))]) == SAT  # C
-        cached_values = [dict(model)["qa"]
-                         for model in solver._model_cache.values()]
-        assert 3 in cached_values, "LRU evicted the recently-used model"
-        assert 7 not in cached_values, "expected the stale model evicted"
-
-    def test_remember_is_idempotent(self):
-        solver = self._solver()
-        solver._remember({"qa": 1})
-        solver._remember({"qa": 1})
-        assert len(solver._model_cache) == 1

@@ -199,19 +199,22 @@ class TestPushPop:
 
 
 class TestFilterLayers:
-    def test_model_cache_hits(self):
+    def test_query_cache_replays_models(self):
         s = Solver()
         x = T.var("fc_x", 8)
-        s.add(T.ult(x, bv8(200)))
+        s.add(T.ugt(x, bv8(200)))
         assert s.check() == SAT
-        before = s.stats.sat_calls
-        # Same question again: answered from the model cache.
+        assert s.stats.sat_calls == 1
+        # A superset query the stored model satisfies: model replay.
+        assert s.check(extra=[T.ugt(x, bv8(100))]) == SAT
+        # The same question again: an exact hit, verdict and model.
         assert s.check() == SAT
-        assert s.stats.sat_calls == before
-        assert s.stats.cache_sat >= 1
+        assert s.stats.sat_calls == 1
+        assert s.stats.cache_model_reuse == 1
+        assert s.stats.cache_hit_sat == 1
 
     def test_interval_filter_avoids_sat(self):
-        s = Solver(use_model_cache=False)
+        s = Solver()
         x = T.var("fi_x", 8)
         s.add(T.ult(x, bv8(5)))
         s.add(T.ugt(x, bv8(250)))
@@ -220,15 +223,25 @@ class TestFilterLayers:
         assert s.stats.sat_calls == 0
 
     def test_filters_disabled_still_correct(self):
-        s = Solver(use_intervals=False, use_model_cache=False)
+        s = Solver(use_intervals=False, use_query_cache=False)
         x = T.var("fd_x", 8)
         s.add(T.ult(x, bv8(5)))
         s.add(T.ugt(x, bv8(250)))
         assert s.check() == UNSAT
-        s2 = Solver(use_intervals=False, use_model_cache=False)
+        s2 = Solver(use_intervals=False, use_query_cache=False)
         s2.add(T.ult(x, bv8(5)))
         assert s2.check() == SAT
         assert s2.stats.sat_calls == 1
+
+    def test_no_query_cache_means_no_replay(self):
+        """Without the query cache nothing replays a model: asking the
+        same satisfiable question twice reaches CDCL twice."""
+        s = Solver(use_query_cache=False)
+        x = T.var("fn_x", 8)
+        s.add(T.ult(x, bv8(5)))
+        assert s.check() == SAT
+        assert s.check() == SAT
+        assert s.stats.sat_calls == 2
 
     def test_stats_dict(self):
         s = Solver()

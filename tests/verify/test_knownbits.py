@@ -2,7 +2,7 @@
 
 For every term and every concrete assignment, a bit the domain claims
 to know must match the evaluated value — the one-sided guarantee the
-validator's cheap pre-pass tiers rely on.
+canonicalizer's width shrinking (``normalize.canon``) relies on.
 """
 
 import random
@@ -10,8 +10,8 @@ import random
 import pytest
 
 from repro.smt import terms as T
-from repro.smt.knownbits import (definitely_equal, definitely_unequal,
-                                 known_bits, significant_width)
+from repro.smt.knownbits import (definitely_unequal, known_bits,
+                                 significant_width)
 
 
 def _vars():
@@ -77,9 +77,11 @@ def test_constant_fully_known():
 def test_definite_equality_decisions_sound():
     a, _ = _vars()
     low = T.and_(a, T.bv(0x0F, 8))
-    assert definitely_equal(low, T.and_(a, T.bv(0x0F, 8)), {})
-    # Disjoint known bits: 0x10 | low can never equal low.
-    assert definitely_unequal(T.or_(low, T.bv(0x10, 8)), low, {})
+    # Disjoint known bits: 0x10 | low can never equal low, so the EQ
+    # rule makes their equality a known 0.
+    high = T.or_(low, T.bv(0x10, 8))
+    assert definitely_unequal(high, low, {})
+    assert known_bits(T.eq(high, low), {}) == (1, 0)
     # A free variable is never definitely anything vs a constant.
-    assert not definitely_equal(a, T.bv(0, 8), {})
     assert not definitely_unequal(a, T.bv(0, 8), {})
+    assert known_bits(T.eq(a, T.bv(0, 8)), {}) == (0, 0)
