@@ -80,39 +80,6 @@ def timed(fn, *args, **kwargs):
     return value, time.perf_counter() - start
 
 
-# -- CI guard discipline -------------------------------------------------------
-#
-# Three modules carry absolute wall-clock guards (solver cache, run
-# store, compiled semantics).  The printing / FAIL / exit-code shape and
-# the best-of-N retry discipline used to be copy-pasted into each; they
-# live here now.  The guard *thresholds* themselves are declared on the
-# benchmark registrations (``repro.bench`` ``expect_min``) so ``repro
-# bench run --check`` gates on the same numbers.
-
-def report_guard(label, observed, required, check=False, fmt="%.2fx"):
-    """Print the observed-vs-required guard line; under ``check``,
-    print FAIL and return exit code 1 when the guard is missed."""
-    print("\n%s: %s (required %s)" % (label, fmt % observed,
-                                      fmt % required))
-    if check and observed < required:
-        print("FAIL: %s %s below the %s guard"
-              % (label, fmt % observed, fmt % required))
-        return 1
-    return 0
-
-
-def best_of_attempts(fn, required, attempts=3):
-    """Best value of ``fn()`` over up to ``attempts`` tries, stopping
-    early once ``required`` is met — the retry discipline of the
-    wall-clock pytest guards on noisy shared runners."""
-    best = 0.0
-    for _attempt in range(attempts):
-        best = max(best, fn())
-        if best >= required:
-            break
-    return best
-
-
 # -- telemetry sidecars --------------------------------------------------------
 #
 # When run as scripts, the table/figure benchmarks dump a machine-readable

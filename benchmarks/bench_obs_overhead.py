@@ -1,39 +1,40 @@
-"""Telemetry overhead guard.
+"""Telemetry overhead: each observer's cost against a disabled Obs.
 
 Runs the quickstart-shaped workload (maze kernel: forks, solver checks,
 memory traffic; depth 8, about 0.2 s per exploration on a 2-core shared
 x86-64 host, long enough that a scheduling hiccup is a small share of
-one run) with
-several Obs configurations and asserts that the
-engine default — **enabled counters, no event sink, no profiler** —
-stays within ``MAX_OVERHEAD`` of a fully disabled Obs.  CI runs this on
-every push so instrumentation creep is caught before it lands.
+one run) under one observer configuration and under a fully disabled
+Obs, and registers one benchmark per configuration:
 
-Usage::
+* ``obs.counters_overhead`` — the engine default (enabled counters, no
+  event sink, no profiler); bar ``expect_max=0.15``;
+* ``obs.health_overhead`` — counters + the health monitor at its
+  default cadence; bar 0.15;
+* ``obs.attr_overhead`` — counters + cost attribution, which adds two
+  clock reads to every step by design; bar 0.20;
+* ``obs.profiler_overhead`` and ``obs.recorder_overhead`` — counters +
+  the phase profiler, counters + a live FlightRecorder sink; measured,
+  no bar (both are opt-in).
 
-    python benchmarks/bench_obs_overhead.py            # assert + report
-    python benchmarks/bench_obs_overhead.py --report   # report only
+CI enforces the three bars with ``repro bench run --bench
+obs.counters_overhead --bench obs.health_overhead --bench
+obs.attr_overhead --check``.
 
-Exit status 1 when the budget is exceeded.
-
-Every round runs the configurations in turn (round-robin) with the
-disabled configuration before each of them and once more at the end, so
-each run sits between two disabled runs; its ratio is its time over the
-mean of those two, and a configuration's overhead is the median of its
-ratios over the rounds.  A shared host's speed drifts by tens of percent
-between stretches of a few seconds; neighbouring runs see the same
-drift, so the bracketed ratio cancels it, where comparing each
-configuration's best time across all rounds does not (one lucky fast
-run sets a minimum: two identical configurations read up to ±30% apart
-that way).
+The measured configuration runs ``REPEATS`` times, each run between
+two disabled runs (the disabled run that closes one round opens the
+next); a run's ratio is its time over the mean of those two, and the
+overhead is the median of the ratios, minus one.  A shared host's speed
+drifts by tens of percent between stretches of a few seconds;
+neighbouring runs see the same drift, so the bracketed ratio cancels
+it, where comparing each configuration's best time across all rounds
+does not (one lucky fast run sets a minimum: two identical
+configurations read up to ±30% apart that way).
 
 (Not a pytest module on purpose: single-shot wall-clock assertions are
-too noisy for the unit suite; repeated rounds in a dedicated CI job are
-the right home.)
+too noisy for the unit suite.)
 """
 
 import statistics
-import sys
 import time
 from typing import List, Tuple
 
@@ -42,16 +43,16 @@ from repro.core import Engine, EngineConfig
 from repro.obs import FlightRecorder, HealthConfig, Obs
 from repro.programs import build_kernel
 
-MAX_OVERHEAD = 0.15     # counters (and +health) must cost < 15% vs. disabled
-MAX_ATTR_OVERHEAD = 0.20  # cost attribution must cost < 20%
-REPEATS = 7             # round-robin rounds; overheads are medians
+MAX_OVERHEAD = 0.15       # counters, and counters + health
+MAX_ATTR_OVERHEAD = 0.20  # cost attribution
+REPEATS = 7               # bracketed rounds; the overhead is a median
 WORKLOAD = ("maze", {"depth": 8, "solution": 0b10110010})
+DISABLED = (Obs.disabled, None, False)
 
 
 def _recording() -> Obs:
     """Counters + a live FlightRecorder sink (the in-process execution
-    tree).  Measured and reported, but NOT part of the guard: the
-    recorder is default-off like every sink, so its cost is opt-in."""
+    tree)."""
     obs = Obs.default()
     obs.add_sink(FlightRecorder())
     return obs
@@ -71,100 +72,46 @@ def run_once(obs_factory, health_factory=None, attr=False) -> float:
     return elapsed
 
 
-def round_robin(configs, repeats: int = REPEATS
-                ) -> Tuple[List[float], List[List[float]]]:
-    """``(overheads, times)`` for ``(obs factory, health factory,
-    attr)`` triples: each configuration after the first (the baseline)
-    gets its median ratio over ``repeats`` rounds, minus one; ``times``
-    holds every configuration's run times, the baseline's first."""
-    baseline, others = configs[0], configs[1:]
-    times: List[List[float]] = [[] for _ in configs]
-    ratios: List[List[float]] = [[] for _ in others]
+def bracketed_overhead(config, repeats: int = REPEATS
+                       ) -> Tuple[float, float]:
+    """``(overhead, wall_s)`` of an ``(obs factory, health factory,
+    attr)`` configuration: the median over ``repeats`` rounds of its
+    run time over the mean of the disabled runs around it, minus one;
+    ``wall_s`` is the time of every run."""
+    run_once(*DISABLED)         # warm model/decoder caches
+    before = run_once(*DISABLED)
+    wall = before
+    ratios: List[float] = []
     for _ in range(repeats):
-        before = run_once(*baseline)
-        times[0].append(before)
-        for index, factories in enumerate(others):
-            elapsed = run_once(*factories)
-            after = run_once(*baseline)
-            times[index + 1].append(elapsed)
-            times[0].append(after)
-            ratios[index].append(2 * elapsed / (before + after))
-            before = after
-    return [statistics.median(runs) - 1.0 for runs in ratios], times
+        elapsed = run_once(*config)
+        after = run_once(*DISABLED)
+        ratios.append(2 * elapsed / (before + after))
+        wall += elapsed + after
+        before = after
+    return statistics.median(ratios) - 1.0, wall
 
 
-@benchmark("obs.counters_overhead",
-           title="telemetry: default-counters overhead vs disabled Obs",
-           suite="full", isas=("rv32",), unit="ratio", direction="lower",
-           expect_max=MAX_OVERHEAD, reps=1, warmup=0,
-           workload="maze(depth %d), %d round-robin rounds, median "
-                    "ratio to the bracketing disabled runs"
-                    % (WORKLOAD[1]["depth"], REPEATS))
-def _observatory_sample():
-    run_once(Obs.disabled)      # warm model/decoder caches
-    (counters_overhead,), times = round_robin([(Obs.disabled, None, False),
-                                               (Obs.default, None, False)])
-    return Sample(counters_overhead, wall_s=sum(map(sum, times)))
+def _register(bench_id, observer, config, budget=None):
+    def sample():
+        overhead, wall = bracketed_overhead(config)
+        return Sample(overhead, wall_s=wall)
+
+    benchmark(bench_id,
+              title="telemetry: %s overhead vs disabled Obs" % observer,
+              suite="full", isas=("rv32",), unit="ratio",
+              direction="lower", expect_max=budget, reps=1, warmup=0,
+              workload="maze(depth %d), %d rounds, median ratio to the "
+                       "bracketing disabled runs"
+                       % (WORKLOAD[1]["depth"], REPEATS))(sample)
 
 
-def main(argv) -> int:
-    report_only = "--report" in argv
-    # Warm up model/decoder caches so the first config isn't penalized.
-    run_once(Obs.disabled)
-    # Health monitor at its default cadence (sample every 256 steps):
-    # guarded alongside the counters — a monitored run must stay cheap
-    # enough to leave on in CI.  Cost attribution: guarded under its
-    # own, looser, budget — attribution adds two clock reads to every
-    # step by design.
-    overheads, times = round_robin([
-        (Obs.disabled, None, False),
-        (Obs.default, None, False),
-        (lambda: Obs(metrics=True, profile=True), None, False),
-        (_recording, None, False),
-        (Obs.default, HealthConfig, False),
-        (Obs.default, None, True)])
-    (counters_overhead, profiled_overhead, recording_overhead,
-     health_overhead, attr_overhead) = overheads
-    disabled, counters, profiled, recording, monitored, attributed = [
-        statistics.median(config) for config in times]
-    print("== telemetry overhead (%d round-robin rounds, median ratio to "
-          "the bracketing disabled runs, maze depth=%d) =="
-          % (REPEATS, WORKLOAD[1]["depth"]))
-    print("disabled:          %8.4fs" % disabled)
-    print("counters (default):%8.4fs  (%+.1f%%)"
-          % (counters, 100 * counters_overhead))
-    print("counters+health:   %8.4fs  (%+.1f%%)"
-          % (monitored, 100 * health_overhead))
-    print("counters+profiler: %8.4fs  (%+.1f%%)"
-          % (profiled, 100 * profiled_overhead))
-    print("counters+attr:     %8.4fs  (%+.1f%%)"
-          % (attributed, 100 * attr_overhead))
-    print("counters+recorder: %8.4fs  (%+.1f%%)  [opt-in, not guarded]"
-          % (recording, 100 * recording_overhead))
-    if report_only:
-        return 0
-    failed = False
-    if counters_overhead >= MAX_OVERHEAD:
-        print("FAIL: default telemetry overhead %.1f%% >= %.0f%% budget"
-              % (100 * counters_overhead, 100 * MAX_OVERHEAD))
-        failed = True
-    if health_overhead >= MAX_OVERHEAD:
-        print("FAIL: health monitor overhead %.1f%% >= %.0f%% budget"
-              % (100 * health_overhead, 100 * MAX_OVERHEAD))
-        failed = True
-    if attr_overhead >= MAX_ATTR_OVERHEAD:
-        print("FAIL: attribution overhead %.1f%% >= %.0f%% budget"
-              % (100 * attr_overhead, 100 * MAX_ATTR_OVERHEAD))
-        failed = True
-    if failed:
-        return 1
-    print("OK: default telemetry %.1f%%, health monitor %.1f%% "
-          "< %.0f%% budget; attribution %.1f%% < %.0f%% budget"
-          % (100 * counters_overhead, 100 * health_overhead,
-             100 * MAX_OVERHEAD, 100 * attr_overhead,
-             100 * MAX_ATTR_OVERHEAD))
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+_register("obs.counters_overhead", "default-counters",
+          (Obs.default, None, False), MAX_OVERHEAD)
+_register("obs.health_overhead", "counters + health monitor",
+          (Obs.default, HealthConfig, False), MAX_OVERHEAD)
+_register("obs.attr_overhead", "counters + cost attribution",
+          (Obs.default, None, True), MAX_ATTR_OVERHEAD)
+_register("obs.profiler_overhead", "counters + phase profiler",
+          (lambda: Obs(metrics=True, profile=True), None, False))
+_register("obs.recorder_overhead", "counters + flight recorder",
+          (_recording, None, False))

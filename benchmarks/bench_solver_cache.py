@@ -14,14 +14,13 @@ shapes, each run with the cache on and off (``use_solver_cache`` — the
   The second pass replays the first pass's queries nearly verbatim, so
   the exact-hit layer answers most of them.
 
-The CI guard (``test_repeated_workload_speedup_guard`` /
-``--check`` when run as a script) requires a **>= 20% wall-clock
-improvement** on the repeated-branch maze+checksum workload, cache on
-vs off.  Run as a script it prints the full table and writes the
-``.telemetry.json`` sidecar.
+The speed guard is the ``solver_cache.repeated_speedup``
+registration: ``repro bench run --bench solver_cache.repeated_speedup
+--check`` requires a **>= 20% wall-clock improvement** on the
+repeated-branch maze+checksum workload, cache on vs off.  Run as a
+script (``python benchmarks/bench_solver_cache.py``) it prints the full
+table and writes the ``.telemetry.json`` sidecar.
 """
-
-import sys
 
 import pytest
 
@@ -30,8 +29,7 @@ from repro.core import Engine, EngineConfig
 from repro.programs import build_kernel
 from repro.smt import Solver
 
-from _util import (best_of_attempts, print_table, report_guard, timed,
-                   write_telemetry_sidecar)
+from _util import print_table, timed, write_telemetry_sidecar
 
 # The repeated-branch workloads named by the acceptance criterion.
 GUARD_WORKLOADS = [
@@ -121,12 +119,6 @@ def _guard_totals(explorations=2):
     return rows, on_total, off_total
 
 
-def guard_speedup(explorations=2):
-    """Aggregate cached speedup on the repeated-query guard workload."""
-    _rows, on_total, off_total = _guard_totals(explorations)
-    return off_total / on_total
-
-
 @benchmark("solver_cache.repeated_speedup",
            title="solver cache: repeated-query speedup (on vs off)",
            suite="quick", isas=("rv32",), unit="x", direction="higher",
@@ -144,7 +136,7 @@ def _observatory_sample():
                   solver_time_s=solver_s)
 
 
-def print_report(check=False):
+def print_report():
     print_table(
         "Solver query cache: cached vs --no-solver-cache (rv32)",
         ["kernel", "workload", "paths", "cache on", "cache off",
@@ -156,28 +148,16 @@ def print_report(check=False):
              "cache_on_s": round(on_wall, 4),
              "cache_off_s": round(off_wall, 4),
              "telemetry": result.telemetry}
-            for kernel, on_wall, off_wall, result, _engine in rows]
+            for kernel, on_wall, off_wall, result, _on, _off in rows]
     sidecar = write_telemetry_sidecar(__file__, runs,
                                       guard_speedup=round(speedup, 3),
                                       guard_required=GUARD_SPEEDUP)
+    print("\nrepeated-query guard workload speedup: %.2fx (bar %.2fx)"
+          % (speedup, GUARD_SPEEDUP))
     print("telemetry sidecar: %s" % sidecar)
-    return report_guard("repeated-query guard workload speedup",
-                        speedup, GUARD_SPEEDUP, check=check)
 
 
 # -- pytest entry points ------------------------------------------------------
-
-def test_repeated_workload_speedup_guard():
-    """CI guard: >= 20% cached speedup on the repeated-query workload.
-
-    Three attempts before failing: wall-clock guards on shared CI
-    runners are noisy, and the cache's advantage grows with each
-    attempt's retry cost on the uncached side anyway.
-    """
-    best = best_of_attempts(guard_speedup, GUARD_SPEEDUP)
-    assert best >= GUARD_SPEEDUP, (
-        "cached speedup %.2fx below the %.2fx guard" % (best, GUARD_SPEEDUP))
-
 
 def test_cache_layers_fire_on_guard_workload():
     """The guard workload must exercise every cache layer (no vacuous
@@ -204,4 +184,4 @@ def test_bench_maze(benchmark, use_cache):
 
 
 if __name__ == "__main__":
-    sys.exit(print_report(check="--check" in sys.argv[1:]))
+    print_report()

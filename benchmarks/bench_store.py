@@ -6,15 +6,16 @@ lookup plus a ``result.json`` load, skipping the engine entirely.  This
 benchmark quantifies that: each workload is recorded once (the miss,
 paying exploration + serialization), then resubmitted (the hit).
 
-The CI guard (``test_store_hit_speedup_guard`` / ``--check`` as a
-script) requires the hit to be **>= 5x faster** than the recorded miss
-on the aggregate workload.  The hit must also be *faithful*: same path
-count, defect kinds and coverage as the live result — a fast wrong
-answer fails the guard.
+The speed guard is the ``store.hit_speedup`` registration: ``repro
+bench run --bench store.hit_speedup --check`` requires the hit to be
+**>= 5x faster** than the recorded miss on the aggregate workload.  The
+hit must also be *faithful*: same path count, defect kinds and coverage
+as the live result — a fast wrong answer fails the measurement.  Run as
+a script (``python benchmarks/bench_store.py``) it prints the table and
+writes the ``.telemetry.json`` sidecar.
 """
 
 import shutil
-import sys
 import tempfile
 
 from repro.bench import Sample, benchmark
@@ -22,8 +23,7 @@ from repro.core import EngineConfig
 from repro.programs import build_kernel
 from repro.runstore import RunStore, cached_explore
 
-from _util import (best_of_attempts, print_table, report_guard, timed,
-                   write_telemetry_sidecar)
+from _util import print_table, timed, write_telemetry_sidecar
 
 # Workloads sized so the miss does real exploration work.
 WORKLOADS = [
@@ -66,12 +66,9 @@ def measure(workloads=WORKLOADS):
     return rows
 
 
-def guard_speedup(rows=None):
-    """Aggregate hit speedup across the guard workloads."""
-    rows = measure() if rows is None else rows
-    miss_total = sum(row[1] for row in rows)
-    hit_total = sum(row[2] for row in rows)
-    return miss_total / hit_total
+def _totals(rows):
+    """(miss_total, hit_total) across the guard workloads."""
+    return sum(row[1] for row in rows), sum(row[2] for row in rows)
 
 
 @benchmark("store.hit_speedup",
@@ -81,13 +78,11 @@ def guard_speedup(rows=None):
            workload="maze(depth 9) + checksum(len 5) + exerciser, "
                     "recorded once then resubmitted")
 def _observatory_sample():
-    rows = measure()
-    miss_total = sum(row[1] for row in rows)
-    hit_total = sum(row[2] for row in rows)
+    miss_total, hit_total = _totals(measure())
     return Sample(miss_total / hit_total, wall_s=miss_total + hit_total)
 
 
-def print_report(check=False):
+def print_report():
     rows = measure()
     print_table(
         "Run store: recorded miss vs content-addressed hit (rv32)",
@@ -97,7 +92,8 @@ def print_report(check=False):
           "%.3fs" % miss_wall, "%.4fs" % hit_wall,
           "%.1fx" % (miss_wall / hit_wall)]
          for kernel, miss_wall, hit_wall, live, _ in rows])
-    speedup = guard_speedup(rows)
+    miss_total, hit_total = _totals(rows)
+    speedup = miss_total / hit_total
     runs = [{"label": kernel,
              "record_s": round(miss_wall, 4),
              "hit_s": round(hit_wall, 4),
@@ -106,25 +102,12 @@ def print_report(check=False):
     sidecar = write_telemetry_sidecar(__file__, runs,
                                       guard_speedup=round(speedup, 2),
                                       guard_required=GUARD_SPEEDUP)
+    print("\nstore-hit guard speedup: %.1fx (bar %.1fx)"
+          % (speedup, GUARD_SPEEDUP))
     print("telemetry sidecar: %s" % sidecar)
-    return report_guard("store-hit guard speedup", speedup,
-                        GUARD_SPEEDUP, check=check, fmt="%.1fx")
 
 
 # -- pytest entry points ------------------------------------------------------
-
-def test_store_hit_speedup_guard():
-    """CI guard: the store hit is >= 5x faster than re-exploration.
-
-    Three attempts before failing: wall-clock guards on shared CI
-    runners are noisy, though the margin here is normally 100x+ (a
-    JSON load vs a full symbolic exploration).
-    """
-    best = best_of_attempts(guard_speedup, GUARD_SPEEDUP)
-    assert best >= GUARD_SPEEDUP, (
-        "store-hit speedup %.1fx below the %.1fx guard"
-        % (best, GUARD_SPEEDUP))
-
 
 def test_bench_store_hit(benchmark):
     root = tempfile.mkdtemp(prefix="bench-store-")
@@ -144,4 +127,4 @@ def test_bench_store_hit(benchmark):
 
 
 if __name__ == "__main__":
-    sys.exit(print_report(check="--check" in sys.argv[1:]))
+    print_report()

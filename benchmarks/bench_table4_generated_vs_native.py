@@ -13,15 +13,16 @@ exploration first compiles the rules a kernel executes, so the row
 times exploration, not code generation.  The concrete simulator keeps
 both evaluators — the IR interpreter and, with ``compiled=True``, the
 engine's own plans run through the same plan driver on its int state —
-and the CI guard (``test_compiled_concrete_speedup_guard`` /
-``--check`` as a script) requires its compiled stepping to be
-**>= 2.0x** faster than interpreted stepping on the exerciser kernel;
-``tests/compile`` separately guarantees the speedup changes nothing
-observable.
+and the speed guard, the ``compile.concrete_speedup`` registration
+(``repro bench run --bench compile.concrete_speedup --check``),
+requires its compiled stepping to be **>= 2.0x** faster than
+interpreted stepping on the exerciser kernel; ``tests/compile``
+separately guarantees the speedup changes nothing observable.  Run as
+a script (``python benchmarks/bench_table4_generated_vs_native.py``)
+it prints the table and writes the ``.telemetry.json`` sidecar.
 """
 
 import statistics
-import sys
 import time
 
 import pytest
@@ -32,8 +33,7 @@ from repro.core import Engine, EngineConfig
 from repro.isa.simulator import Simulator
 from repro.programs import build_kernel
 
-from _util import (best_of_attempts, print_table, report_guard, timed,
-                   write_telemetry_sidecar)
+from _util import print_table, timed, write_telemetry_sidecar
 
 WORKLOADS = [
     ("password", {"secret": b"adl!"}),
@@ -177,7 +177,7 @@ def _observatory_sample():
     return Sample(speedup, wall_s=interpreted_wall + compiled_wall)
 
 
-def print_report(check=False):
+def print_report():
     print_table(
         "Table 4: hand-written rv32 engine vs ADL-generated engine",
         ["kernel", "instrs", "native", "generated", "gen slowdown",
@@ -190,11 +190,11 @@ def print_report(check=False):
     sidecar = write_telemetry_sidecar(
         __file__, runs, compiled_speedup=round(speedup, 3),
         guard_required=GUARD_COMPILED_SPEEDUP)
+    print("\ncompiled concrete stepping speedup (exerciser, median of %d "
+          "rounds of %d runs): %.2fx (bar %.2fx)"
+          % (_CONCRETE_ROUNDS, _CONCRETE_REPS, speedup,
+             GUARD_COMPILED_SPEEDUP))
     print("telemetry sidecar: %s" % sidecar)
-    return report_guard(
-        "compiled concrete stepping speedup (exerciser, median of %d "
-        "rounds of %d runs)" % (_CONCRETE_ROUNDS, _CONCRETE_REPS),
-        speedup, GUARD_COMPILED_SPEEDUP, check=check)
 
 
 # -- pytest entry points ------------------------------------------------------
@@ -218,24 +218,9 @@ def test_maze_engines(benchmark, flavor):
     assert len(result.paths) == 63
 
 
-def test_compiled_concrete_speedup_guard():
-    """CI guard: compiled plans must buy >= 2.0x on concrete exerciser
-    stepping.
-
-    Three attempts before failing: wall-clock guards on shared CI
-    runners are noisy, and each attempt is already a median of
-    interleaved rounds.
-    """
-    best = best_of_attempts(lambda: concrete_speedup()[0],
-                            GUARD_COMPILED_SPEEDUP)
-    assert best >= GUARD_COMPILED_SPEEDUP, (
-        "compiled speedup %.2fx below the %.2fx guard"
-        % (best, GUARD_COMPILED_SPEEDUP))
-
-
 def test_print_table4():
     print_report()
 
 
 if __name__ == "__main__":
-    sys.exit(print_report(check="--check" in sys.argv[1:]))
+    print_report()

@@ -7,20 +7,20 @@ validator version).  This benchmark measures what the certificate
 cache buys: the same all-ISA transval lint run, cold store vs warmed
 store.
 
-The CI guard (``lint.transval_cold_vs_cached`` via ``repro bench run
---check``, or ``--check`` when run as a script) requires the cached
-re-validation to be **>= 5x** faster than the cold proof run.
+The speed guard is the ``lint.transval_cold_vs_cached`` registration:
+``repro bench run --bench lint.transval_cold_vs_cached --check``
+requires the cached re-validation to be **>= 5x** faster than the cold
+proof run.  Run as a script (``python benchmarks/bench_transval.py``)
+it prints the per-ISA table and writes the ``.telemetry.json`` sidecar.
 """
 
 import os
-import sys
 import tempfile
 
 from repro.bench import Sample, benchmark
 from repro.lint import LintConfig, run_lint
 
-from _util import (best_of_attempts, print_table, report_guard,
-                   write_telemetry_sidecar)
+from _util import print_table, write_telemetry_sidecar
 
 ALL_TARGETS = ["rv32", "mips32", "armlite", "pred32", "vlx"]
 
@@ -68,11 +68,6 @@ def cold_vs_cached():
     return cold_total, cached_total, cold_rows, cached_rows
 
 
-def speedup():
-    cold, cached, _cold_rows, _cached_rows = cold_vs_cached()
-    return cold / cached
-
-
 @benchmark("lint.transval_cold_vs_cached",
            title="translation validation: certificate-cached "
                  "re-validation speedup",
@@ -90,7 +85,7 @@ def _observatory_sample():
                                               for row in cold_rows)})
 
 
-def print_report(check=False):
+def print_report():
     cold, cached, cold_rows, cached_rows = cold_vs_cached()
     print_table(
         "Translation validation: cold proofs vs certificate hits",
@@ -99,19 +94,18 @@ def print_report(check=False):
           "%.1fx" % (cold_s / cached_s if cached_s else float("inf"))]
          for (target, cold_s, _f, checks), (_t, cached_s, _c, _n)
          in zip(cold_rows, cached_rows)])
-    observed = best_of_attempts(speedup, GUARD_SPEEDUP) \
-        if check else cold / cached
+    speedup = cold / cached
     sidecar = write_telemetry_sidecar(
         __file__,
         [{"label": target, "cold_s": round(cold_s, 4),
           "cached_s": round(cached_s, 4)}
          for (target, cold_s, _f, _ck), (_t, cached_s, _c, _n)
          in zip(cold_rows, cached_rows)],
-        guard_speedup=round(observed, 3), guard_required=GUARD_SPEEDUP)
+        guard_speedup=round(speedup, 3), guard_required=GUARD_SPEEDUP)
+    print("\ncertificate-cached re-validation speedup: %.2fx (bar %.2fx)"
+          % (speedup, GUARD_SPEEDUP))
     print("telemetry sidecar: %s" % sidecar)
-    return report_guard("certificate-cached re-validation speedup",
-                        observed, GUARD_SPEEDUP, check=check)
 
 
 if __name__ == "__main__":
-    sys.exit(print_report(check="--check" in sys.argv))
+    print_report()

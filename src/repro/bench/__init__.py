@@ -16,8 +16,8 @@ all register into:
   perf-history ledger under the run store, so trajectories survive
   across PRs and machines;
 * :mod:`repro.bench.stats` — median/MAD noise bands, direction-aware
-  verdicts and changepoint detection (no raw single-sample thresholds
-  anywhere).
+  verdicts and changepoint detection: the one regression rule, which
+  ``repro diffstats`` applies to telemetry sidecars too.
 
 CLI: ``repro bench list | run | compare | history`` — see
 ``docs/OBSERVABILITY.md`` ("Performance observatory").

@@ -11,7 +11,7 @@ instead of hand-rolling its own timing / printing / guard boilerplate::
                direction="higher", expect_min=1.20,
                workload="maze(depth 9)+checksum(len 5), explored twice")
     def _bench():
-        return guard_speedup()
+        return measure_speedup()
 
 The decorated function produces **one sample per repetition** — a bare
 number, a :class:`Sample`, or a dict.  The runner
@@ -21,12 +21,12 @@ noise bands; the registry only holds the *declaration*:
 * ``suite`` — ``"quick"`` benchmarks run in the CI observatory job on
   every push; ``"full"`` ones only when the full suite is requested
   (the full suite is a superset of quick).
-* ``direction`` — ``"higher"`` or ``"lower"`` is better, reusing the
-  vocabulary of :mod:`repro.obs.compare` so ``repro bench compare``
-  and ``repro diffstats`` flag regressions the same way.
+* ``direction`` — ``"higher"`` or ``"lower"`` is better
+  (:mod:`repro.bench.stats` judges every comparison by it).
 * ``expect_min`` / ``expect_max`` — declarative absolute expectations
-  on the *median* (the old hand-rolled CI guards, e.g. the >= 1.20x
-  solver-cache speedup, live here now).  Environment-independent, so
+  on the *median*, inclusive: a median exactly at its bar passes.
+  These are the repo's speed guards (e.g. the >= 1.20x solver-cache
+  speedup); ``repro bench run --check`` enforces them.  Being ratios,
   they gate on any machine; the statistical comparator handles the
   machine-relative part.
 """
@@ -38,14 +38,13 @@ import os
 import sys
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from .stats import HIGHER, LOWER
+
 __all__ = ["Benchmark", "Sample", "BenchError", "SUITES", "benchmark",
            "register", "get", "all_benchmarks", "suite_benchmarks",
            "clear_registry", "discover", "benchmarks_dir"]
 
 SUITES = ("quick", "full")
-
-HIGHER = "higher"
-LOWER = "lower"
 
 
 class BenchError(Exception):

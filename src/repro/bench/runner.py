@@ -31,10 +31,11 @@ entry per benchmark, to the perf-history ledger
 
 :func:`compare_reports` is the statistical regression gate: for every
 benchmark present in both reports it runs :func:`repro.bench.stats.classify`
-over the raw sample sets (median + MAD noise bands, direction-aware —
-no raw single-sample thresholds anywhere) and re-evaluates the
-candidate's declarative expectations.  ``repro bench compare`` exits 3
-when anything regresses, mirroring ``repro diffstats``.
+over the raw sample sets (median + MAD noise bands, direction-aware)
+and re-evaluates the candidate's declarative expectations.  ``repro
+bench compare`` exits 3 when anything regresses, and so does ``repro
+diffstats``, which feeds it two telemetry sidecars as one-sample
+reports (:func:`repro.obs.compare.extract_metrics`).
 """
 
 from __future__ import annotations
@@ -175,27 +176,20 @@ class BenchDiffRow:
 
     __slots__ = ("bench_id", "unit", "verdict", "expectations", "flag")
 
-    def __init__(self, bench_id: str, unit: str,
-                 verdict: Optional[stats.Verdict],
+    def __init__(self, bench_id: str, unit: str, verdict: stats.Verdict,
                  expectations: List[Dict[str, object]]):
         self.bench_id = bench_id
         self.unit = unit
-        self.verdict = verdict           # None: only in one report
+        self.verdict = verdict
         self.expectations = expectations
         failed = any(not e.get("passed") for e in expectations)
-        if failed:
-            self.flag = stats.REGRESSION
-        elif verdict is None:
-            self.flag = "unmatched"
-        else:
-            self.flag = verdict.flag
+        self.flag = stats.REGRESSION if failed else verdict.flag
 
     def to_dict(self) -> Dict[str, object]:
         row: Dict[str, object] = {"id": self.bench_id, "unit": self.unit,
-                                  "flag": self.flag,
                                   "expectations": self.expectations}
-        if self.verdict is not None:
-            row.update(self.verdict.to_dict())
+        row.update(self.verdict.to_dict())
+        row["flag"] = self.flag
         return row
 
 
@@ -236,6 +230,11 @@ class ReportComparison:
         }
 
 
+def _values(result: Optional[Dict[str, object]]) -> List[float]:
+    return [s.get("value") for s in (result or {}).get("samples") or []
+            if isinstance(s.get("value"), (int, float))]
+
+
 def compare_reports(report_a: Dict[str, object],
                     report_b: Dict[str, object],
                     path_a: str = "A", path_b: str = "B",
@@ -244,11 +243,12 @@ def compare_reports(report_a: Dict[str, object],
                     ) -> ReportComparison:
     """Statistical A (baseline) vs B (candidate) gate.
 
-    Per benchmark in both reports: classify B's samples against A's
-    noise band.  B-only benchmarks get their expectations evaluated
-    (they still gate) but no band; A-only benchmarks are reported as
-    unmatched.  Differing env digests don't block the comparison —
-    they're surfaced so a cross-machine diff reads as advisory.
+    Per benchmark measured in both reports: classify B's samples
+    against A's noise band.  A benchmark measured by one side only is
+    ``new`` (B only) or ``gone`` (A only), with that side's median and
+    no band; a B-only benchmark still gates on its expectations.
+    Differing env digests don't block the comparison — they're
+    surfaced so a cross-machine diff reads as advisory.
     """
     results_a = {r.get("id"): r for r in report_a.get("results") or []}
     results_b = {r.get("id"): r for r in report_b.get("results") or []}
@@ -256,21 +256,21 @@ def compare_reports(report_a: Dict[str, object],
     for bench_id in sorted(set(results_a) | set(results_b)):
         in_a, in_b = results_a.get(bench_id), results_b.get(bench_id)
         current = in_b if in_b is not None else in_a
-        expectations = list((in_b or {}).get("expectations") or [])
-        verdict = None
-        if in_a is not None and in_b is not None:
-            samples_a = [s.get("value") for s in in_a.get("samples") or []
-                         if isinstance(s.get("value"), (int, float))]
-            samples_b = [s.get("value") for s in in_b.get("samples") or []
-                         if isinstance(s.get("value"), (int, float))]
-            if samples_a and samples_b:
-                verdict = stats.classify(
-                    samples_a, samples_b,
-                    direction=current.get("direction", "lower"),
-                    k=k, min_rel=min_rel)
-        rows.append(BenchDiffRow(str(bench_id),
-                                 str(current.get("unit", "")),
-                                 verdict, expectations))
+        direction = str(current.get("direction", stats.LOWER))
+        samples_a, samples_b = _values(in_a), _values(in_b)
+        if samples_a and samples_b:
+            verdict = stats.classify(samples_a, samples_b,
+                                     direction=direction, k=k,
+                                     min_rel=min_rel)
+        else:
+            verdict = stats.Verdict(
+                stats.NEW if samples_b else stats.GONE,
+                stats.median(samples_a) if samples_a else None,
+                stats.median(samples_b) if samples_b else None,
+                direction, None, None, None)
+        rows.append(BenchDiffRow(
+            str(bench_id), str(current.get("unit", "")), verdict,
+            list((in_b or {}).get("expectations") or [])))
     env_match = (report_a.get("env_digest") == report_b.get("env_digest"))
     return ReportComparison(path_a, path_b, rows, k, min_rel, env_match)
 
@@ -313,8 +313,9 @@ def render_report(report: Dict[str, object]) -> str:
 
 
 def render_comparison(comparison: ReportComparison) -> str:
-    """Human-readable compare table (``repro bench compare``)."""
-    lines = ["bench comparison (noise band: max(%g*MAD, %.0f%%))"
+    """Human-readable compare table (``repro bench compare`` and
+    ``repro diffstats``)."""
+    lines = ["comparison (noise band: max(%g*MAD, %.0f%%))"
              % (comparison.k, 100 * comparison.min_rel),
              "  A (baseline):  %s" % comparison.path_a,
              "  B (candidate): %s" % comparison.path_b]
@@ -323,18 +324,15 @@ def render_comparison(comparison: ReportComparison) -> str:
                      "bands are advisory")
     lines += ["",
               "  %-34s %12s %12s %9s  %-22s %s"
-              % ("benchmark", "A median", "B median", "delta",
+              % ("id", "A median", "B median", "delta",
                  "band", "flag"),
               "  " + "-" * 100]
     for row in comparison.rows:
         verdict = row.verdict
-        if verdict is None:
-            lines.append("  %-34s %12s %12s %9s  %-22s %s"
-                         % (row.bench_id, "-", "-", "-", "-", row.flag))
-            continue
         delta = ("%+.1f%%" % (100 * verdict.delta_ratio)
                  if verdict.delta_ratio is not None else "-")
-        band = "[%.6g, %.6g]" % (verdict.band.lo, verdict.band.hi)
+        band = ("[%.6g, %.6g]" % (verdict.band.lo, verdict.band.hi)
+                if verdict.band is not None else "-")
         flag = "" if row.flag == stats.OK else row.flag.upper()
         lines.append("  %-34s %12s %12s %9s  %-22s %s"
                      % (row.bench_id, _fmt(verdict.baseline),

@@ -16,9 +16,12 @@ on the median / MAD pair instead:
   baseline.
 * **verdict** — direction-aware A/B classification
   (:func:`classify`): the candidate median must leave the baseline's
-  band *in the bad direction* and move by at least ``min_rel`` before
-  it counts as a regression.  Same vocabulary as
-  :mod:`repro.obs.compare` (``higher`` / ``lower`` is better).
+  band *in the bad direction* before it counts as a regression; a move
+  exactly at the band's edge is still inside it.  ``higher`` /
+  ``lower`` is better; an ``info`` metric, or any metric on a zero
+  baseline, is only ever ``changed``.  This is the one regression rule:
+  ``repro bench compare``, ``repro diffstats`` and ``repro bench run
+  --check`` all decide through this package.
 * **changepoint** (:func:`changepoint`): two-segment split of a
   history series minimizing the summed absolute deviation around each
   segment's median — the "when did this land" question for
@@ -29,12 +32,12 @@ on the median / MAD pair instead:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 __all__ = ["median", "mad", "Band", "noise_band", "Verdict", "classify",
            "Changepoint", "changepoint", "sparkline",
-           "DEFAULT_K", "DEFAULT_MIN_REL",
-           "OK", "REGRESSION", "IMPROVEMENT"]
+           "DEFAULT_K", "DEFAULT_MIN_REL", "HIGHER", "LOWER", "INFO",
+           "OK", "REGRESSION", "IMPROVEMENT", "CHANGED", "NEW", "GONE"]
 
 #: MAD multiplier for the noise band (3 * 1.4826*sigma-ish ~ very safe).
 DEFAULT_K = 3.0
@@ -43,10 +46,14 @@ DEFAULT_MIN_REL = 0.05
 
 HIGHER = "higher"
 LOWER = "lower"
+INFO = "info"           # a difference matters, but is not a perf axis
 
 OK = "ok"
 REGRESSION = "regression"
 IMPROVEMENT = "improvement"
+CHANGED = "changed"     # moved, on an axis with no better direction
+NEW = "new"             # measured by the candidate only
+GONE = "gone"           # measured by the baseline only
 
 
 def median(values: Sequence[float]) -> float:
@@ -113,16 +120,18 @@ class Verdict:
     __slots__ = ("flag", "baseline", "candidate", "direction",
                  "delta_ratio", "worse_ratio", "band")
 
-    def __init__(self, flag: str, baseline: float, candidate: float,
-                 direction: str, delta_ratio: Optional[float],
-                 worse_ratio: Optional[float], band: Band):
+    def __init__(self, flag: str, baseline: Optional[float],
+                 candidate: Optional[float], direction: str,
+                 delta_ratio: Optional[float],
+                 worse_ratio: Optional[float], band: Optional[Band]):
         self.flag = flag                 # ok | regression | improvement
-        self.baseline = baseline         # baseline median
-        self.candidate = candidate       # candidate median
+        #                                  | changed | new | gone
+        self.baseline = baseline         # baseline median (None: new)
+        self.candidate = candidate       # candidate median (None: gone)
         self.direction = direction
         self.delta_ratio = delta_ratio   # raw (B-A)/A, signed by value
         self.worse_ratio = worse_ratio   # signed toward "worse"
-        self.band = band
+        self.band = band                 # None when no band judged it
 
     def to_dict(self) -> Dict[str, object]:
         return {"flag": self.flag,
@@ -131,7 +140,8 @@ class Verdict:
                 "direction": self.direction,
                 "delta_ratio": self.delta_ratio,
                 "worse_ratio": self.worse_ratio,
-                "band": self.band.to_dict()}
+                "band": (self.band.to_dict() if self.band is not None
+                         else None)}
 
 
 def classify(baseline: Sequence[float], candidate: Sequence[float],
@@ -141,18 +151,22 @@ def classify(baseline: Sequence[float], candidate: Sequence[float],
 
     A *regression* needs both: the candidate median outside the
     baseline noise band in the bad direction, AND a relative move of at
-    least ``min_rel``.  Improvements are the mirror image.  Everything
-    else — including any move on a zero baseline — is ``ok``.
+    least ``min_rel``.  The band is closed, so a move exactly at its
+    edge is ``ok``.  Improvements are the mirror image.  An ``info``
+    metric, or any metric on a zero baseline (no relative move to
+    judge), is ``changed`` when the medians differ and ``ok`` when they
+    do not — never a regression.
     """
-    if direction not in (HIGHER, LOWER):
-        raise ValueError("direction must be 'higher' or 'lower', got %r"
-                         % (direction,))
+    if direction not in (HIGHER, LOWER, INFO):
+        raise ValueError("direction must be 'higher', 'lower' or "
+                         "'info', got %r" % (direction,))
     band = noise_band(baseline, k=k, min_rel=min_rel)
     cand = median(candidate)
     base = band.center
-    if base == 0:
-        return Verdict(OK, base, cand, direction, None, None, band)
-    raw = (cand - base) / abs(base)
+    raw = (cand - base) / abs(base) if base else None
+    if direction == INFO or raw is None:
+        return Verdict(CHANGED if cand != base else OK, base, cand,
+                       direction, raw, None, None)
     worse = -raw if direction == HIGHER else raw
     flag = OK
     if not band.contains(cand) and abs(raw) >= min_rel:

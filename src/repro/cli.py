@@ -22,10 +22,12 @@ Subcommands::
                                 semantic rules ran (``--min-ratio`` CI
                                 gate, ``--annotate`` spec margin view)
     metrics <run.jsonl>         metrics of a saved run
-    diffstats <A> <B>           diff two runs' metrics/health series;
-                                flags regressions above ``--threshold``
-                                (exit 3 when any are found; ``--json``
-                                for the machine-readable payload)
+    diffstats <A> <B>           diff two runs' metrics/health series
+                                with ``bench compare``'s rule; flags
+                                moves past ``--threshold`` in the bad
+                                direction (exit 3 when any are found;
+                                ``--json`` for ``bench compare``'s
+                                payload)
     bench list|run|compare|history
                                 the performance observatory: registered
                                 benchmark suites with declarative
@@ -73,7 +75,7 @@ from .core import (Engine, EngineConfig, measure, solver_cache_summary,
 from .isa import assemble, build, format_instruction, run_image
 from .isa.cfg import recover_cfg
 from .obs import (ExecutionTree, HealthConfig, JsonlSink, Obs,
-                  SpecCoverage, TelemetryError, compare_runs,
+                  SpecCoverage, TelemetryError, extract_metrics,
                   health_summary_line, load_run)
 from .obs.attr import annotate_spec_costs, hot_report, hot_rules_lines
 from .obs.flame import chrome_trace, render_collapsed
@@ -744,14 +746,22 @@ def cmd_metrics(args) -> int:
 
 
 def cmd_diffstats(args) -> int:
-    """Diff two runs' metrics; exit 3 when regressions are flagged."""
-    run_a = _open_run(args.a)
-    if run_a is None:
-        return 1
-    run_b = _open_run(args.b)
-    if run_b is None:
-        return 1
-    comparison = compare_runs(run_a, run_b, threshold=args.threshold)
+    """Diff two runs' metrics through the ``repro bench compare`` rule
+    (one sample per side); exit 3 when regressions are flagged."""
+    from . import bench
+
+    reports = []
+    for path in (args.a, args.b):
+        run = _open_run(path)
+        if run is None:
+            return 1
+        report = extract_metrics(run)
+        env = run.environment()
+        report["env_digest"] = bench.env_digest(env) if env else None
+        reports.append(report)
+    comparison = bench.compare_reports(*reports, path_a=args.a,
+                                       path_b=args.b,
+                                       min_rel=args.threshold)
     if not comparison.rows:
         sys.stderr.write("error: no comparable metrics between %s and %s "
                          "(were both recorded with --telemetry-out?)\n"
@@ -761,7 +771,7 @@ def cmd_diffstats(args) -> int:
         import json
         print(json.dumps(comparison.to_dict(), indent=2, sort_keys=True))
     else:
-        print(comparison.report())
+        print(bench.render_comparison(comparison))
     return 3 if comparison.regressions else 0
 
 
@@ -769,8 +779,8 @@ def cmd_bench(args) -> int:
     """The performance observatory: ``repro bench list|run|compare|
     history`` (see docs/OBSERVABILITY.md).
 
-    Exit codes mirror ``diffstats``: 0 clean, 1 unusable input, 3 a
-    confirmed regression or a failed declarative expectation.
+    Exit codes, shared with ``diffstats``: 0 clean, 1 unusable input,
+    3 a confirmed regression or a failed declarative expectation.
     """
     import json
 
@@ -1232,7 +1242,8 @@ def main(argv=None) -> int:
     diffstats.add_argument("b", help="candidate telemetry JSONL file")
     diffstats.add_argument("--threshold", type=float, default=0.20,
                            metavar="R",
-                           help="relative change flagged as regression "
+                           help="noise band: a move must exceed this "
+                                "relative change to be flagged "
                                 "(default 0.20 = 20%%)")
     diffstats.add_argument("--json", action="store_true",
                            help="emit the comparison as JSON (the exact "

@@ -27,12 +27,7 @@ from .attr import (  # noqa: F401
     hot_report,
     hot_rules_lines,
 )
-from .compare import (  # noqa: F401
-    DiffRow,
-    RunComparison,
-    compare_runs,
-    extract_metrics,
-)
+from .compare import extract_metrics  # noqa: F401
 from .events import (  # noqa: F401
     DECODE_CACHE,
     DEFECT,
@@ -100,7 +95,7 @@ __all__ = ["Obs", "MetricsRegistry", "Counter", "Gauge", "Histogram",
            "HealthConfig", "HealthMonitor", "health_summary_line",
            "DIAGNOSES", "STALL", "SOLVER_DOMINATED",
            "FRONTIER_PRESSURE", "POOL_PRESSURE",
-           "RunComparison", "DiffRow", "compare_runs", "extract_metrics",
+           "extract_metrics",
            "STEP", "FORK", "MERGE", "SOLVER_CHECK", "SOLVER_CACHE",
            "PATH_END", "DEFECT", "DECODE_CACHE", "PRUNE", "HEALTH",
            "WATCHDOG", "STORE"]

@@ -1,9 +1,12 @@
-"""Run comparison: diff two recorded telemetry runs, flag regressions.
+"""Metric extraction for ``repro diffstats``.
 
-``repro diffstats A.telemetry.json B.telemetry.json`` makes the
-benchmark sidecars actionable: A is the *baseline*, B the *candidate*,
-and any throughput/latency metric that moved in the bad direction by
-more than ``threshold`` (default 20%) is flagged as a regression.
+``repro diffstats A.jsonl B.jsonl`` compares two recorded telemetry
+runs: A is the *baseline*, B the *candidate*.  This module only reads
+the numbers; it judges nothing.  :func:`extract_metrics` turns one
+sidecar into a one-sample report in the shape
+:func:`repro.bench.compare_reports` reads, and the CLI hands both
+reports to that comparator, so diffstats and ``repro bench compare``
+share one rule, one table and one JSON format.
 
 Metric sources, in order of preference:
 
@@ -18,7 +21,7 @@ Every metric carries a *direction*: ``higher`` is better (throughput,
 cache hit ratios), ``lower`` is better (wall time, solver time), or
 ``info`` (counts that signal behavior change rather than a perf
 regression — a defect-count difference is surfaced as ``changed``,
-never as a regression percentage).
+never as a regression).
 
 Works on sidecars of every schema version: anything a file does not
 carry is simply not compared.
@@ -26,74 +29,31 @@ carry is simply not compared.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from ..smt.solver import cache_hit_ratio
 from .events import HEALTH
 from .sinks import RunFile
 
-__all__ = ["MetricValue", "DiffRow", "RunComparison", "extract_metrics",
-           "compare_runs", "DEFAULT_THRESHOLD"]
-
-DEFAULT_THRESHOLD = 0.20
+__all__ = ["extract_metrics"]
 
 HIGHER = "higher"      # bigger is better (steps/sec, hit ratio)
 LOWER = "lower"        # smaller is better (wall time, solve time)
 INFO = "info"          # differences matter, but are not a perf axis
 
 
-class MetricValue:
-    """One comparable number plus its goodness direction."""
-
-    __slots__ = ("name", "value", "direction")
-
-    def __init__(self, name: str, value: float, direction: str):
-        self.name = name
-        self.value = value
-        self.direction = direction
-
-    def __repr__(self):
-        return "<MetricValue %s=%s (%s)>" % (self.name, self.value,
-                                             self.direction)
-
-
-class DiffRow:
-    """One compared metric across the two runs."""
-
-    __slots__ = ("name", "a", "b", "direction", "delta_ratio", "flag")
-
-    def __init__(self, name: str, a: float, b: float, direction: str,
-                 delta_ratio: Optional[float], flag: str):
-        self.name = name
-        self.a = a
-        self.b = b
-        self.direction = direction
-        # Relative change of B against A, signed toward "worse":
-        # positive = B regressed, negative = B improved, None = no
-        # baseline to compare against (A == 0) or info-only.
-        self.delta_ratio = delta_ratio
-        self.flag = flag        # "ok" | "regression" | "improvement"
-        #                       | "changed" | "new" | "gone"
-
-    def to_dict(self) -> Dict[str, object]:
-        return {"name": self.name, "a": self.a, "b": self.b,
-                "direction": self.direction,
-                "delta_ratio": self.delta_ratio, "flag": self.flag}
-
-
-def _summary(run: RunFile) -> Dict[str, object]:
-    return run.run_summary() or {}
-
-
-def extract_metrics(run: RunFile) -> Dict[str, MetricValue]:
-    """Pull every comparable metric a run file carries."""
-    metrics: Dict[str, MetricValue] = {}
+def extract_metrics(run: RunFile) -> Dict[str, object]:
+    """Every comparable metric a run file carries, as a report with one
+    ``{"id", "direction", "samples": [{"value"}]}`` result per metric."""
+    results: List[Dict[str, object]] = []
 
     def put(name: str, value, direction: str) -> None:
         try:
-            metrics[name] = MetricValue(name, float(value), direction)
+            sample = {"value": float(value)}
         except (TypeError, ValueError):
-            pass
+            return
+        results.append({"id": name, "direction": direction,
+                        "samples": [sample]})
 
     # -- health series (live sampler) -----------------------------------
     health_events = run.events_of(HEALTH)
@@ -114,7 +74,7 @@ def extract_metrics(run: RunFile) -> Dict[str, MetricValue]:
         put("health.solver_share.mean", sum(shares) / len(shares), LOWER)
 
     # -- run summary ------------------------------------------------------
-    summary = _summary(run)
+    summary = run.run_summary() or {}
     wall = summary.get("wall_time")
     instructions = summary.get("instructions")
     if isinstance(wall, (int, float)) and wall > 0:
@@ -149,101 +109,4 @@ def extract_metrics(run: RunFile) -> Dict[str, MetricValue]:
         by_kind[event.kind] = by_kind.get(event.kind, 0) + 1
     for kind, count in by_kind.items():
         put("events.%s" % kind, count, INFO)
-    return metrics
-
-
-class RunComparison:
-    """The diff of two runs' metric sets."""
-
-    def __init__(self, path_a: str, path_b: str, rows: List[DiffRow],
-                 threshold: float):
-        self.path_a = path_a
-        self.path_b = path_b
-        self.rows = rows
-        self.threshold = threshold
-
-    @property
-    def regressions(self) -> List[DiffRow]:
-        return [row for row in self.rows if row.flag == "regression"]
-
-    @property
-    def improvements(self) -> List[DiffRow]:
-        return [row for row in self.rows if row.flag == "improvement"]
-
-    def to_dict(self) -> Dict[str, object]:
-        """The exact payload the exit-code logic sees — ``repro
-        diffstats --json`` and CI consume this one format."""
-        return {
-            "baseline": self.path_a,
-            "candidate": self.path_b,
-            "threshold": self.threshold,
-            "rows": [row.to_dict() for row in self.rows],
-            "regressions": len(self.regressions),
-            "improvements": len(self.improvements),
-        }
-
-    def report(self) -> str:
-        """Human-readable comparison table."""
-        lines = ["run comparison (threshold %.0f%%)"
-                 % (100 * self.threshold),
-                 "  A: %s" % self.path_a,
-                 "  B: %s" % self.path_b,
-                 "",
-                 "  %-32s %14s %14s %9s  %s"
-                 % ("metric", "A", "B", "delta", "flag"),
-                 "  " + "-" * 78]
-        for row in self.rows:
-            if row.delta_ratio is None:
-                delta = "-"
-            else:
-                # Render as raw relative change of B vs A (signed by
-                # value, not by badness) for readability.
-                raw = (row.b - row.a) / row.a if row.a else 0.0
-                delta = "%+.1f%%" % (100 * raw)
-            flag = "" if row.flag == "ok" else row.flag.upper()
-            lines.append("  %-32s %14.6g %14.6g %9s  %s"
-                         % (row.name, row.a, row.b, delta, flag))
-        lines.append("")
-        lines.append("  regressions: %d   improvements: %d   compared: %d"
-                     % (len(self.regressions), len(self.improvements),
-                        len(self.rows)))
-        return "\n".join(lines)
-
-
-def compare_runs(run_a: RunFile, run_b: RunFile,
-                 threshold: float = DEFAULT_THRESHOLD) -> RunComparison:
-    """Diff the metric sets of two loaded runs (A = baseline)."""
-    metrics_a = extract_metrics(run_a)
-    metrics_b = extract_metrics(run_b)
-    rows: List[DiffRow] = []
-    for name in sorted(set(metrics_a) | set(metrics_b)):
-        in_a, in_b = metrics_a.get(name), metrics_b.get(name)
-        if in_a is None:
-            rows.append(DiffRow(name, 0.0, in_b.value, in_b.direction,
-                                None, "new"))
-            continue
-        if in_b is None:
-            rows.append(DiffRow(name, in_a.value, 0.0, in_a.direction,
-                                None, "gone"))
-            continue
-        direction = in_a.direction
-        a, b = in_a.value, in_b.value
-        if direction == INFO:
-            flag = "ok" if a == b else "changed"
-            rows.append(DiffRow(name, a, b, direction, None, flag))
-            continue
-        if a == 0:
-            rows.append(DiffRow(name, a, b, direction, None,
-                                "ok" if b == 0 else "changed"))
-            continue
-        raw = (b - a) / a
-        # Signed toward "worse": positive means B is worse than A.
-        worse = -raw if direction == HIGHER else raw
-        if worse >= threshold:
-            flag = "regression"
-        elif worse <= -threshold:
-            flag = "improvement"
-        else:
-            flag = "ok"
-        rows.append(DiffRow(name, a, b, direction, worse, flag))
-    return RunComparison(run_a.path, run_b.path, rows, threshold)
+    return {"results": results}

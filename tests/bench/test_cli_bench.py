@@ -238,7 +238,7 @@ class TestDiffstatsJson:
         assert main(["diffstats", a, b, "--json"]) == 3
         payload = json.loads(capsys.readouterr().out)
         assert payload["regressions"] >= 1
-        flags = {row["name"]: row["flag"] for row in payload["rows"]}
+        flags = {row["id"]: row["flag"] for row in payload["rows"]}
         assert flags["health.steps_per_sec.mean"] == "regression"
 
     def test_json_clean_run(self, tmp_path, capsys):
@@ -247,3 +247,21 @@ class TestDiffstatsJson:
         payload = json.loads(capsys.readouterr().out)
         assert payload["regressions"] == 0
         assert payload["baseline"] == a
+        assert payload["min_rel"] == 0.20
+
+    def test_same_format_as_bench_compare(self, bench_dir, store_dir,
+                                          tmp_path, capsys):
+        # One format: a consumer of either payload reads both.
+        a = _write_sidecar(tmp_path / "a.jsonl", 1000.0)
+        b = _write_sidecar(tmp_path / "b.jsonl", 700.0)
+        assert main(["diffstats", a, b, "--json"]) == 3
+        diffstats = json.loads(capsys.readouterr().out)
+        report = str(tmp_path / "BENCH_a.json")
+        assert _run(bench_dir, store_dir, report, ["--no-ledger"]) == 0
+        capsys.readouterr()
+        assert main(["bench", "compare", report, report, "--json"]) == 0
+        compare = json.loads(capsys.readouterr().out)
+        assert set(diffstats) == set(compare)
+        row_keys = {frozenset(row) for payload in (diffstats, compare)
+                    for row in payload["rows"]}
+        assert len(row_keys) == 1

@@ -91,6 +91,10 @@ class TestRunReport:
         assert [r["passed"] for r in rows] == [True, True]
         rows = evaluate_expectations(bench, 4.0)
         assert [r["passed"] for r in rows] == [True, False]
+        # Inclusive: a reading exactly at either bar passes.
+        for observed in (1.0, 3.0):
+            rows = evaluate_expectations(bench, observed)
+            assert [r["passed"] for r in rows] == [True, True]
 
     def test_write_load_round_trip(self, tmp_path):
         from repro.bench import register
@@ -167,15 +171,25 @@ class TestCompareReports:
         (row,) = comparison.regressions
         assert row.flag == "regression"
         assert row.verdict.flag == "ok"
+        assert row.to_dict()["flag"] == "regression"
 
-    def test_unmatched_benchmark_reported_not_fatal(self):
+    def test_one_sided_benchmarks_are_new_or_gone(self):
         base = _report_with([2.0, 2.0, 2.0], bench_id="syn.old")
-        candidate = _report_with([2.0, 2.0, 2.0], bench_id="syn.new")
+        candidate = _report_with([3.0, 3.0, 3.0], bench_id="syn.new")
         comparison = compare_reports(base, candidate)
-        flags = {row.bench_id: row.flag for row in comparison.rows}
-        assert flags["syn.old"] == "unmatched"
-        assert flags["syn.new"] == "unmatched"
+        rows = {row.bench_id: row for row in comparison.rows}
+        assert rows["syn.old"].flag == "gone"
+        assert rows["syn.new"].flag == "new"
         assert comparison.regressions == []
+        # The measured side's median shows; nothing is judged.
+        old, new = rows["syn.old"].to_dict(), rows["syn.new"].to_dict()
+        assert (old["baseline_median"], old["candidate_median"]) == \
+            (2.0, None)
+        assert (new["baseline_median"], new["candidate_median"]) == \
+            (None, 3.0)
+        assert old["band"] is None and new["delta_ratio"] is None
+        table = render_comparison(comparison)
+        assert "GONE" in table and "NEW" in table
 
     def test_direction_lower_is_better(self):
         base = _report_with([1.0, 1.0, 1.0], direction="lower")

@@ -75,8 +75,26 @@ class TestClassify:
         assert classify([10.0], [10.3], "lower").flag == "ok"
         assert classify([10.0], [12.0], "lower").flag == "regression"
 
-    def test_zero_baseline_never_flags(self):
-        assert classify([0.0, 0.0, 0.0], [5.0], "lower").flag == "ok"
+    def test_zero_baseline_changed_never_regression(self):
+        # No relative move to judge: a moved zero baseline is
+        # "changed", an unmoved one "ok", neither a regression.
+        verdict = classify([0.0, 0.0, 0.0], [5.0], "lower")
+        assert verdict.flag == "changed"
+        assert verdict.delta_ratio is None
+        assert classify([0.0], [0.0], "higher").flag == "ok"
+
+    def test_info_direction_is_changed_or_ok(self):
+        verdict = classify([4.0], [9.0], "info")
+        assert verdict.flag == "changed"
+        assert verdict.worse_ratio is None
+        assert classify([4.0], [4.0], "info").flag == "ok"
+
+    def test_move_exactly_at_band_edge_is_ok(self):
+        # One sample: the band is the relative floor, 10 +- 2.5; a
+        # median on its edge is inside it.
+        assert classify([10.0], [12.5], "lower", min_rel=0.25).flag == "ok"
+        assert classify([10.0], [12.5], "lower",
+                        min_rel=0.2499).flag == "regression"
 
     def test_bad_direction_raises(self):
         with pytest.raises(ValueError):
