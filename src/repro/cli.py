@@ -8,6 +8,9 @@ Subcommands::
     run   <isa> <file.s>        run concretely on the simulator
     trace <isa> <file.s>        run concretely with a full execution trace
     explore <isa> <file.s>      symbolic execution; report paths + defects
+    record <isa> <file.s>       explore into the run store (the one way in)
+    replay <run-id>             re-execute a stored run; verify bit-for-bit
+    runs                        list, show or garbage-collect stored runs
     cfg   <isa> <file.s>        recover and print the control-flow graph
     stats <run.jsonl>           pretty-print a saved telemetry run
     hot <run.jsonl|run-id>      cost-attribution views: hottest ADL
@@ -44,15 +47,17 @@ Subcommands::
                                 errors; see docs/LINT.md)
 
 Common options: ``--input TEXT`` (program input; ``\\xNN`` escapes),
-``--base ADDR``, ``--max-steps N``.  ``explore`` adds ``--strategy``,
-``--merge``, ``--taint``, ``--uninit``, ``--region START:SIZE``,
-``--max-seconds`` (wall-clock deadline, honest ``deadline`` stop
-reason), plus the observability flags ``--telemetry-out FILE.jsonl``
-(structured event trace; see docs/OBSERVABILITY.md), ``--profile``
-(per-phase time breakdown), ``--attr`` (rule-level cost attribution)
-and ``--health`` (periodic sampler + observe-only watchdog, with
-``--health-every`` / ``--frontier-budget``).  ``record`` always stores
-a cost-attribution profile with the run.
+``--base ADDR``, ``--max-steps N``.  ``explore`` and ``record`` share
+the search options ``--strategy``, ``--seed``, ``--merge``,
+``--taint``, ``--uninit``, ``--region START:SIZE`` and
+``--no-solver-cache``.  ``explore`` adds ``--max-seconds`` (wall-clock
+deadline, honest ``deadline`` stop reason) and the observability flags
+``--telemetry-out FILE.jsonl`` (structured event trace; see
+docs/OBSERVABILITY.md), ``--profile`` (per-phase time breakdown),
+``--attr`` (rule-level cost attribution) and ``--health`` (periodic
+sampler + observe-only watchdog, with ``--health-every`` /
+``--frontier-budget``).  ``record`` always stores a cost-attribution
+profile with the run, and its event stream is a telemetry sidecar.
 
 The telemetry readers (``stats``, ``tree``, ``speccov``, ``metrics``,
 ``diffstats``) share one loader: a missing, empty or
@@ -104,6 +109,27 @@ def _add_common(parser):
     parser.add_argument("--input", default="",
                         help=r"program input bytes (supports \xNN escapes)")
     parser.add_argument("--max-steps", type=int, default=100000)
+
+
+def _add_search(parser):
+    """The search options ``explore`` and ``record`` share; each one
+    shapes the exploration, so each is run-store key material."""
+    parser.add_argument("--strategy", default="dfs",
+                        choices=["dfs", "bfs", "random", "coverage"])
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--merge", action="store_true",
+                        help="enable state merging (use with bfs)")
+    parser.add_argument("--taint", action="store_true",
+                        help="report input-dependent jump targets")
+    parser.add_argument("--uninit", action="store_true",
+                        help="track uninitialized reads in --region areas")
+    parser.add_argument("--region", action="append",
+                        metavar="START:SIZE",
+                        help="map extra memory (repeatable)")
+    parser.add_argument("--no-solver-cache", action="store_true",
+                        help="disable the solver query cache and the "
+                             "engine's incremental check reuse "
+                             "(ablation baseline)")
 
 
 def cmd_isas(_args) -> int:
@@ -198,13 +224,28 @@ def _parse_regions(args):
     return rows
 
 
+def _config(args, obs, attr, **extra) -> EngineConfig:
+    """The ``EngineConfig`` that ``explore`` and ``record`` build from
+    the options :func:`_add_search` defines."""
+    return EngineConfig(
+        max_steps_per_path=args.max_steps,
+        check_uninit=args.uninit,
+        check_tainted_control=args.taint,
+        merge_states=args.merge,
+        collect_coverage=True,
+        use_solver_cache=not args.no_solver_cache,
+        obs=obs,
+        attr=attr,
+        **extra)
+
+
 def cmd_explore(args) -> int:
     model, image = _load(args)
     # Observability: counters always; profiler with --profile (and with
     # --telemetry-out, so the saved run carries a per-phase breakdown);
     # JSONL event sink with --telemetry-out.
-    want_profile = getattr(args, "profile", False)
-    telemetry_out = getattr(args, "telemetry_out", None)
+    want_profile = args.profile
+    telemetry_out = args.telemetry_out
     obs = Obs(metrics=True, profile=want_profile or bool(telemetry_out))
     sink = None
     if telemetry_out:
@@ -220,54 +261,15 @@ def cmd_explore(args) -> int:
     if want_health:
         health = HealthConfig(sample_every_steps=args.health_every,
                               frontier_budget=args.frontier_budget)
-    config = EngineConfig(
-        max_steps_per_path=args.max_steps,
-        check_uninit=args.uninit,
-        check_tainted_control=args.taint,
-        merge_states=args.merge,
-        collect_coverage=True,
-        use_solver_cache=not getattr(args, "no_solver_cache", False),
-        max_wall_seconds=args.max_seconds,
-        health=health,
-        obs=obs,
-        attr=args.attr,
-    )
-    store_flag = getattr(args, "store", None)
-    engine = None
-    stored = None
-    store_hit = False
-    if store_flag is not None:
-        # Store-backed dedup: an identical submission (same spec,
-        # program, config, strategy, seed, regions) is answered from
-        # the content-addressed run store; a miss explores and records.
-        if args.max_seconds is not None or want_health:
-            sys.stderr.write(
-                "error: --store needs a deterministic run that a stored "
-                "one can stand in for; drop --max-seconds (it makes the "
-                "stop reason timing-dependent) and --health (it samples "
-                "a live exploration, which a store hit does not run)\n")
-            return 1
-        try:
-            result, stored, store_hit = cached_explore(
-                RunStore(store_flag or None), model, image, config,
-                args.strategy, args.seed, _parse_regions(args),
-                argv=sys.argv[1:])
-        except RunStoreError as error:
-            sys.stderr.write("error: %s\n" % error)
-            return 1
-    else:
-        engine = Engine(model, config=config, strategy=args.strategy,
-                        seed=args.seed)
-        engine.load_image(image)
-        for start, size, track in _parse_regions(args):
-            engine.add_region(start, size, track_uninit=track)
-        result = engine.explore()
+    config = _config(args, obs, args.attr,
+                     max_wall_seconds=args.max_seconds, health=health)
+    engine = Engine(model, config=config, strategy=args.strategy,
+                    seed=args.seed)
+    engine.load_image(image)
+    for start, size, track in _parse_regions(args):
+        engine.add_region(start, size, track_uninit=track)
+    result = engine.explore()
     print(result.summary())
-    if stored is not None:
-        print("store: %s %s (%s)"
-              % ("hit" if store_hit else "recorded", stored.run_id,
-                 "cached result, zero new solver checks" if store_hit
-                 else stored.path))
     cache_line = result.solver_cache_line()
     if cache_line is not None:
         print(cache_line)
@@ -309,25 +311,14 @@ def cmd_record(args) -> int:
     """
     model, image = _load(args)
     store = RunStore(args.store)
-    obs = Obs(metrics=True, profile=True)
     # Recorded runs always carry a cost-attribution profile:
     # attribution is observe-only, so it never changes the run id or
     # the outcome.
-    config = EngineConfig(
-        max_steps_per_path=args.max_steps,
-        check_uninit=args.uninit,
-        check_tainted_control=args.taint,
-        merge_states=args.merge,
-        collect_coverage=True,
-        use_solver_cache=not args.no_solver_cache,
-        obs=obs,
-        attr=True,
-    )
+    config = _config(args, Obs(metrics=True, profile=True), True)
     try:
         result, stored, hit = cached_explore(
             store, model, image, config, args.strategy, args.seed,
-            _parse_regions(args), argv=sys.argv[1:], force=args.force,
-            warm_start=args.warm_start)
+            _parse_regions(args), argv=sys.argv[1:], force=args.force)
     except RunStoreError as error:
         sys.stderr.write("error: %s\n" % error)
         return 1
@@ -341,10 +332,6 @@ def cmd_record(args) -> int:
               % stored.run_id)
     else:
         print("store: recorded %s -> %s" % (stored.run_id, stored.path))
-        warm = stored.manifest.get("warm_start")
-        if warm:
-            print("store: solver warm-started from %s (%d entries)"
-                  % (warm, stored.manifest.get("warm_loaded", 0)))
     return 2 if result.defects else 0
 
 
@@ -397,10 +384,6 @@ def cmd_runs(args) -> int:
             print("  %-9s %s" % (field + ":", digest))
         for field, digest in sorted(run.fingerprints.items()):
             print("  fp.%-6s %s" % (field + ":", digest))
-        if manifest.get("warm_start"):
-            print("  warm:     from %s (%s entries)"
-                  % (manifest["warm_start"],
-                     manifest.get("warm_loaded", 0)))
         env = run.environment
         for field in ("python", "implementation", "platform", "machine",
                       "package_version", "git_sha"):
@@ -419,8 +402,8 @@ def cmd_runs(args) -> int:
         return 0
     runs = store.list_runs()
     if not runs:
-        print("store %s is empty (record with 'repro record' or "
-              "'repro explore --store')" % store.root)
+        print("store %s is empty (record with 'repro record')"
+              % store.root)
         return 0
     print("%-32s %-8s %6s %6s %6s  %s"
           % ("run", "isa", "age", "paths", "defect", "strategy"))
@@ -549,27 +532,6 @@ def _attr_block_from_sidecar(path):
     return run.attr_block(), False
 
 
-def _attr_block_from_store(target, store_dir):
-    """Resolve ``target`` as a run-store id; returns (block, run)."""
-    store = RunStore(store_dir)
-    run = store.get(target)
-    if run is None:
-        return None, None
-    block = run.attr()
-    if block is None:
-        # Runs recorded before the attr.json artifact still carry the
-        # block inside result.json's telemetry.
-        try:
-            telemetry = run.result_dict().get("telemetry")
-        except RunStoreError:
-            telemetry = None
-        if isinstance(telemetry, dict):
-            candidate = telemetry.get("attr")
-            if isinstance(candidate, dict):
-                block = candidate
-    return block, run
-
-
 def cmd_hot(args) -> int:
     """Cost-attribution views of a run: hottest rules / branch sites,
     flamegraphs, Chrome traces, spec heat maps.
@@ -594,7 +556,8 @@ def cmd_hot(args) -> int:
             return 1
     else:
         try:
-            block, run = _attr_block_from_store(args.target, args.store)
+            run = RunStore(args.store).get(args.target)
+            block = run.attr() if run is not None else None
         except RunStoreError as error:
             sys.stderr.write("error: %s\n" % error)
             return 1
@@ -1078,22 +1041,7 @@ def main(argv=None) -> int:
     explore = commands.add_parser(
         "explore", help="symbolic execution (paths + defects + coverage)")
     _add_common(explore)
-    explore.add_argument("--strategy", default="dfs",
-                         choices=["dfs", "bfs", "random", "coverage"])
-    explore.add_argument("--seed", type=int, default=0)
-    explore.add_argument("--merge", action="store_true",
-                         help="enable state merging (use with bfs)")
-    explore.add_argument("--taint", action="store_true",
-                         help="report input-dependent jump targets")
-    explore.add_argument("--uninit", action="store_true",
-                         help="track uninitialized reads in --region areas")
-    explore.add_argument("--region", action="append",
-                         metavar="START:SIZE",
-                         help="map extra memory (repeatable)")
-    explore.add_argument("--no-solver-cache", action="store_true",
-                         help="disable the solver query cache and the "
-                              "engine's incremental check reuse "
-                              "(ablation baseline)")
+    _add_search(explore)
     explore.add_argument("--telemetry-out", metavar="FILE.jsonl",
                          help="write a structured event trace (JSONL); "
                               "inspect with 'repro stats FILE.jsonl'")
@@ -1125,44 +1073,19 @@ def main(argv=None) -> int:
                          help="watchdog: diagnose frontier-pressure "
                               "when pending states exceed N "
                               "(implies --health)")
-    explore.add_argument("--store", nargs="?", const="", default=None,
-                         metavar="DIR",
-                         help="answer identical submissions from the "
-                              "content-addressed run store (and record "
-                              "misses into it); DIR overrides "
-                              "~/.repro/store / $REPRO_STORE")
 
     record = commands.add_parser(
         "record",
         help="symbolic execution persisted into the content-addressed "
              "run store (replayable with 'repro replay')")
     _add_common(record)
-    record.add_argument("--strategy", default="dfs",
-                        choices=["dfs", "bfs", "random", "coverage"])
-    record.add_argument("--seed", type=int, default=0)
-    record.add_argument("--merge", action="store_true",
-                        help="enable state merging (use with bfs)")
-    record.add_argument("--taint", action="store_true",
-                        help="report input-dependent jump targets")
-    record.add_argument("--uninit", action="store_true",
-                        help="track uninitialized reads in --region "
-                             "areas")
-    record.add_argument("--region", action="append",
-                        metavar="START:SIZE",
-                        help="map extra memory (repeatable)")
-    record.add_argument("--no-solver-cache", action="store_true",
-                        help="record without the solver query cache "
-                             "(ablation baseline)")
+    _add_search(record)
     record.add_argument("--store", metavar="DIR", default=None,
                         help="store root (default ~/.repro/store or "
                              "$REPRO_STORE)")
     record.add_argument("--force", action="store_true",
                         help="re-explore even when the store already "
                              "holds this run, and replace it")
-    record.add_argument("--warm-start", metavar="RUN_ID", default=None,
-                        help="preload the solver cache from a stored "
-                             "run (recorded in the manifest so replay "
-                             "uses the same warm start)")
 
     replay = commands.add_parser(
         "replay",

@@ -58,6 +58,13 @@ from .strategy import (CoverageStrategy, ObservedStrategy, Strategy,
 
 __all__ = ["Engine", "EngineConfig", "EngineError"]
 
+#: A symbolic address whose interval spans at most this many bytes
+#: becomes an ite-chain over every mapped byte in it; a wider one is
+#: solver-enumerated (see :meth:`Engine._resolve_address`).
+SYMBOLIC_READ_WINDOW = 32
+#: How many feasible values a wide symbolic address is enumerated to.
+MAX_ADDRESS_VALUES = 4
+
 
 class EngineError(Exception):
     """Engine misuse or an internal invariant violation."""
@@ -75,10 +82,7 @@ class EngineConfig:
                  max_wall_seconds: Optional[float] = None,
                  max_fork_targets: int = 4,
                  max_visits_per_pc: Optional[int] = None,
-                 symbolic_read_window: int = 32,
-                 max_address_values: int = 4,
                  check_div_zero: bool = True,
-                 div_check_respects_guards: bool = False,
                  check_oob: bool = True,
                  check_uninit: bool = False,
                  check_write_protect: bool = True,
@@ -106,17 +110,7 @@ class EngineConfig:
         # Loop bound: a single path revisiting one pc more than this many
         # times is pruned (recorded as a 'loop-limit' path). None = off.
         self.max_visits_per_pc = max_visits_per_pc
-        self.symbolic_read_window = symbolic_read_window
-        self.max_address_values = max_address_values
         self.check_div_zero = check_div_zero
-        # Architectural division guards are *inside* the instruction
-        # semantics ("(d == 0) ? -1 : a/d" on RISC-V-style ISAs): with this
-        # False (the default), the div-zero checker looks through such
-        # expression-level guards, because a software division whose divisor
-        # can be zero is a defect even though the hardware defines a result.
-        # Software guards are branch instructions, which land in the path
-        # condition and are always respected.
-        self.div_check_respects_guards = div_check_respects_guards
         self.check_oob = check_oob
         self.check_uninit = check_uninit
         self.check_write_protect = check_write_protect
@@ -158,9 +152,8 @@ class EngineConfig:
     _SERIALIZED_FIELDS = (
         "max_steps_per_path", "max_states", "max_paths", "max_defects",
         "max_instructions", "max_wall_seconds", "max_fork_targets",
-        "max_visits_per_pc", "symbolic_read_window",
-        "max_address_values", "check_div_zero",
-        "div_check_respects_guards", "check_oob", "check_uninit",
+        "max_visits_per_pc", "check_div_zero", "check_oob",
+        "check_uninit",
         "check_write_protect", "check_tainted_control", "merge_states",
         "dedup_defects", "collect_path_inputs", "collect_coverage",
         "cow_memory", "use_solver_cache")
@@ -173,7 +166,8 @@ class EngineConfig:
     @classmethod
     def from_dict(cls, payload: Dict[str, object]) -> "EngineConfig":
         """Rebuild a config from :meth:`to_dict` output.  Unknown keys
-        are ignored so newer stores replay on older code."""
+        are ignored, so a payload from older or newer code, which may
+        carry other fields, still loads."""
         known = {key: value for key, value in payload.items()
                  if key in cls._SERIALIZED_FIELDS}
         return cls(**known)
@@ -705,9 +699,14 @@ class Engine:
         site = (R.DIV_BY_ZERO, state.pc)
         if self.config.dedup_defects and site in self._defect_sites:
             return
+        # Architectural division guards are *inside* the instruction
+        # semantics ("(d == 0) ? -1 : a/d" on RISC-V-style ISAs), and the
+        # query looks through them (``guards`` is not asked): a software
+        # division whose divisor can be zero is a defect even though the
+        # hardware defines a result.  Software guards are branch
+        # instructions, which land in the path condition and are always
+        # respected.
         query = state.path_condition + [cond]
-        if self.config.div_check_respects_guards:
-            query = state.path_condition + list(guards) + [cond]
         if self.solver.check(extra=query) == SAT:
             self._report(state, R.DIV_BY_ZERO, decoded,
                          "divisor can be zero",
@@ -852,12 +851,10 @@ class Engine:
         """Concrete candidate addresses for a symbolic address term."""
         from ..smt.interval import interval
         lo, hi = interval(addr)
-        window = self.config.symbolic_read_window
-        if hi - lo + 1 <= window:
+        if hi - lo + 1 <= SYMBOLIC_READ_WINDOW:
             return [value for value in range(lo, hi + 1)
                     if self.memory_map.is_mapped(value)]
-        return self._enumerate(state, addr, guards,
-                               self.config.max_address_values)
+        return self._enumerate(state, addr, guards, MAX_ADDRESS_VALUES)
 
     def _enumerate(self, state: SymState, term: T.Term, guards,
                    limit: int) -> List[int]:

@@ -33,11 +33,11 @@ block's ``eval_calls``/``eval_s`` and ``solver_checks``/``solver_s``
 
 The :meth:`CostAttribution.snapshot` dict is the wire format: it rides
 in ``result.telemetry["attr"]`` (sidecar ``run_summary`` blocks since
-schema 5), is persisted as ``attr.json`` in the run store, and is what
-the offline renderers (:func:`hot_report`,
-:func:`annotate_spec_costs`, :mod:`repro.obs.flame`) and the
-``repro hot`` CLI consume.  The renderers read only the rule and site
-tables, so older blocks still render.
+schema 5, and a stored run's ``result.json``), and is what the offline
+renderers (:func:`hot_report`, :func:`annotate_spec_costs`,
+:mod:`repro.obs.flame`) and the ``repro hot`` CLI consume.  The
+renderers read only the rule and site tables, so older blocks still
+render.
 """
 
 from __future__ import annotations

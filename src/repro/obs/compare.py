@@ -88,16 +88,19 @@ def extract_metrics(run: RunFile) -> Dict[str, object]:
             put("run.%s" % key, summary[key], INFO)
     telemetry = summary.get("telemetry") or {}
     solver = telemetry.get("solver") or {}
+    phases = telemetry.get("phases") or {}
     if isinstance(solver.get("checks"), (int, float)):
         put("solver.checks", solver["checks"], LOWER)
-    if isinstance(solver.get("solve_time"), (int, float)):
+    # The solver stats' solve time and the ``solver`` phase read one
+    # clock: a profiled sidecar reports it once, as the phase.
+    if (isinstance(solver.get("solve_time"), (int, float))
+            and "solver" not in phases):
         put("solver.solve_time_s", solver["solve_time"], LOWER)
     if solver.get("checks"):
         try:
             put("solver.cache_hit_ratio", cache_hit_ratio(solver), HIGHER)
         except TypeError:
             pass        # a malformed count: no ratio, never a traceback
-    phases = telemetry.get("phases") or {}
     for name, stats in phases.items():
         total = (stats or {}).get("total_s")
         if isinstance(total, (int, float)):

@@ -3,8 +3,8 @@
 Both renderers are pure functions over the JSON-able snapshot produced
 by :meth:`repro.obs.attr.CostAttribution.snapshot`, so they work
 offline from a telemetry sidecar's ``run_summary`` block or a
-run-store ``attr.json`` artifact — the ``repro hot --flame/--trace``
-round trip.
+stored run's ``result.json`` — the ``repro hot --flame/--trace`` round
+trip.
 
 * :func:`collapsed_stacks` emits Brendan-Gregg collapsed-stack lines
   (``frame;frame;frame weight``) with ``isa;rule`` and

@@ -13,9 +13,9 @@ Two cooperating pieces, both driven from the executor main loop:
 
 :class:`HealthMonitor` (sampler)
     A low-overhead periodic sampler — every ``sample_every_steps``
-    engine steps and (optionally) at least ``min_interval_s`` apart —
-    that snapshots frontier size, steps/sec, solver time share and
-    cache hit rates, term-pool growth (:meth:`TermPool.growth_since
+    engine steps — that snapshots frontier size, steps/sec, solver time
+    share and cache hit rates, term-pool growth
+    (:meth:`TermPool.growth_since
     <repro.smt.terms.TermPool.growth_since>`), coverage/path/defect
     progress and a top-k heaviest-states view built from
     :meth:`SymState.footprint <repro.core.state.SymState.footprint>`.
@@ -35,10 +35,10 @@ watchdog (inside the monitor)
     a ``watchdog`` event).
     Diagnoses only report: the engine never acts on them.
 
-Determinism: sampling is read-only — with the default
-``min_interval_s=0`` the cadence is a pure function of the step count,
-so a run with the monitor attached explores exactly the same tree as a
-run without it (pinned by ``tests/obs/test_health.py``).
+Determinism: sampling is read-only and its cadence is a pure function
+of the step count, so a run with the monitor attached explores exactly
+the same tree as a run without it (pinned by
+``tests/obs/test_health.py``).
 """
 
 from __future__ import annotations
@@ -69,6 +69,12 @@ POOL_PRESSURE = "term-pool-pressure"
 
 DIAGNOSES = (STALL, SOLVER_DOMINATED, FRONTIER_PRESSURE, POOL_PRESSURE)
 
+#: The heaviest-states view scans at most this many frontier states.
+MAX_SCAN = 4096
+#: Samples kept in memory for programmatic access and ``report()``
+#: (the JSONL sink keeps every one).
+HISTORY = 512
+
 
 class HealthConfig:
     """Tunables for the sampler and the watchdog.
@@ -80,10 +86,7 @@ class HealthConfig:
 
     def __init__(self,
                  sample_every_steps: int = 256,
-                 min_interval_s: float = 0.0,
                  top_k: int = 5,
-                 max_scan: int = 4096,
-                 history: int = 512,
                  stall_window: Optional[int] = 16,
                  solver_share_threshold: Optional[float] = 0.9,
                  solver_min_window_s: float = 0.05,
@@ -91,18 +94,11 @@ class HealthConfig:
                  pool_budget: Optional[int] = None):
         if sample_every_steps < 1:
             raise ValueError("sample_every_steps must be >= 1")
-        # -- sampler cadence.  With min_interval_s == 0 (the default)
-        # the cadence is a pure function of the step count, so the
+        # -- sampler cadence: a pure function of the step count, so the
         # monitor is bit-for-bit deterministic across runs.
         self.sample_every_steps = sample_every_steps
-        self.min_interval_s = min_interval_s
-        # -- heaviest-states view: scan at most max_scan frontier
-        # states, report the top_k by footprint.
+        # -- heaviest-states view: report the top_k by footprint.
         self.top_k = top_k
-        self.max_scan = max_scan
-        # -- bounded in-memory sample history (the JSONL sink keeps
-        # everything; this is for programmatic access and `report()`).
-        self.history = history
         # -- watchdog thresholds (None disables the diagnosis).
         self.stall_window = stall_window
         self.solver_share_threshold = solver_share_threshold
@@ -130,7 +126,7 @@ class HealthMonitor:
 
     def __init__(self, config: Optional[HealthConfig] = None, obs=None):
         self.config = config if config is not None else HealthConfig()
-        self.samples: deque = deque(maxlen=self.config.history)
+        self.samples: deque = deque(maxlen=HISTORY)
         self.diagnoses: List[Dict[str, object]] = []
         self.total_samples = 0
         self._engine = None
@@ -176,12 +172,8 @@ class HealthMonitor:
         self._ticks += 1
         if self._ticks < self._next_tick:
             return
-        now = time.perf_counter()
         self._next_tick = self._ticks + self.config.sample_every_steps
-        if (self.config.min_interval_s > 0.0
-                and now - self._last_time < self.config.min_interval_s):
-            return      # too soon in wall time; re-armed a window out
-        self._sample(now)
+        self._sample(time.perf_counter())
 
     def finish(self) -> Dict[str, object]:
         """Seal the run and return the summary dict (stored by the
@@ -249,7 +241,7 @@ class HealthMonitor:
             return []
         scanned = []
         for index, state in enumerate(engine.strategy.states()):
-            if index >= config.max_scan:
+            if index >= MAX_SCAN:
                 break
             scanned.append(state.footprint())
         scanned.sort(key=lambda f: (f["path_terms"] + f["pages"],

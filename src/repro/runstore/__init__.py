@@ -1,20 +1,19 @@
 """Content-addressed run store, provenance capture, deterministic replay.
 
-The reproducibility backbone (ROADMAP item 3): every exploration is an
-immutable, content-addressed artifact that can be listed, replayed and
-verified bit-for-bit, deduplicated against, and used to warm-start the
-solver of a later run.
+Every recorded exploration is an immutable artifact, keyed by its
+inputs and by the code that explored, that can be listed, replayed and
+verified bit-for-bit, and deduplicated against.
 
 * :mod:`repro.runstore.store` — the store itself (``RunStore``,
   ``cached_explore``, ``record_exploration``),
 * :mod:`repro.runstore.replay` — re-execute + verify (``replay_run``),
 * :mod:`repro.runstore.fingerprint` — canonical tree/leaf/defect
   digests that make runs comparable across processes,
-* :mod:`repro.runstore.provenance` — environment snapshots and spec
-  digests.
+* :mod:`repro.runstore.provenance` — environment snapshots and the
+  spec and engine digests.
 
-CLI: ``repro record`` / ``repro replay`` / ``repro runs`` and
-``repro explore --store``; see docs/OBSERVABILITY.md.
+CLI: ``repro record`` (the one way into the store) / ``repro replay``
+/ ``repro runs`` / ``repro hot <run-id>``; see docs/OBSERVABILITY.md.
 """
 
 from .certs import (  # noqa: F401

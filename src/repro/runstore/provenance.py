@@ -1,11 +1,12 @@
 """Provenance capture: who/what/where produced a recorded run.
 
 Reproducing a symbolic-execution run bit-for-bit needs the *inputs*
-(spec, program bytes, config, strategy, seed — the run-store key, see
-:mod:`repro.runstore.store`) — but auditing a divergence needs the
-*context*: which python, which platform, which package version, which
-git revision, which exact spec file bytes, which command line.  This
-module captures that context as a plain JSON-able dict:
+(spec, program bytes, config, strategy, seed) and the code that
+explored — the run-store key, see :mod:`repro.runstore.store` — but
+auditing a divergence needs the *context*: which python, which
+platform, which package version, which git revision, which exact spec
+file bytes, which command line.  This module captures that context as
+a plain JSON-able dict:
 
 * :func:`environment_snapshot` — python/platform/package/git block,
   stamped into every JSONL sidecar's ``schema`` meta record (schema v4)
@@ -13,6 +14,9 @@ module captures that context as a plain JSON-able dict:
 * :func:`spec_digest` — the content digest of an ISA's ADL spec source
   (the first component of the run-store key: two runs over different
   spec revisions are different runs),
+* :func:`engine_digest` — the content digest of the ``repro`` package's
+  Python source (the engine component of the run-store key: a run
+  recorded by other code is a different run),
 * :func:`file_digest` — generic helper for hashing artifact files.
 
 Everything is best-effort and dependency-free: no git binary is
@@ -23,6 +27,7 @@ rather than an error.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -32,8 +37,9 @@ from typing import Dict, List, Optional
 from .. import __version__
 from ..obs.events import SCHEMA_VERSION
 
-__all__ = ["environment_snapshot", "spec_digest", "file_digest",
-           "git_revision", "canonical_json", "content_digest"]
+__all__ = ["environment_snapshot", "spec_digest", "engine_digest",
+           "file_digest", "git_revision", "canonical_json",
+           "content_digest"]
 
 
 def canonical_json(payload) -> str:
@@ -81,6 +87,32 @@ def spec_digest(model) -> str:
         digest = content_digest({"isa": model.name, "rules": rows})
     model.source_digest = digest
     return digest
+
+
+@functools.lru_cache(maxsize=None)
+def engine_digest() -> str:
+    """Content digest of the code that explores: every ``*.py`` file of
+    the ``repro`` package, each hashed with its package-relative path.
+
+    Any edit to the package (engine, solver, compiler, checkers) gives
+    a new digest, so a run recorded by other code never answers for
+    this code.  Computed once per process: the package does not change
+    under a running process.
+    """
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    hasher = hashlib.sha256()
+    for directory, subdirs, files in os.walk(root):
+        subdirs.sort()
+        for name in sorted(files):
+            if not name.endswith(".py"):
+                continue
+            path = os.path.join(directory, name)
+            with open(path, "rb") as handle:
+                data = handle.read()
+            relative = os.path.relpath(path, root).replace(os.sep, "/")
+            hasher.update(("%s %d\n" % (relative, len(data))).encode())
+            hasher.update(data)
+    return "sha256:" + hasher.hexdigest()
 
 
 def git_revision(start: Optional[str] = None) -> Optional[str]:

@@ -14,14 +14,14 @@ Verification is two-staged:
    is recomputed from the whole key.  An edited ``manifest.json``
    (tampered program bytes, tweaked config) diverges *here*, before any
    execution, naming the component (``key_digests.program``, ...).
-   The current machine's ADL spec is also digest-checked against the
-   recorded one: replaying against a changed spec is reported as
-   ``spec``, not as a mystery tree mismatch.
-2. **fingerprints** — the run is re-executed (cold solver cache by
-   default; if the run was recorded with a warm start, the same source
-   cache is re-loaded first) and the canonical fingerprints must match
-   bit-for-bit.  ``--diff`` locates the first diverging structural
-   event for post-mortem.
+   The code running replay and the current machine's ADL spec are also
+   digest-checked against the recorded ones: a run recorded by other
+   code is reported as ``engine``, one recorded against a changed spec
+   as ``spec``, never as a mystery tree mismatch, and neither is
+   executed.
+2. **fingerprints** — the run is re-executed and the canonical
+   fingerprints must match bit-for-bit.  ``--diff`` locates the first
+   diverging structural event for post-mortem.
 """
 
 from __future__ import annotations
@@ -34,9 +34,9 @@ from ..isa import build
 from ..obs import Obs
 from .fingerprint import (defects_fingerprint, first_divergence,
                           leaves_fingerprint, tree_fingerprint)
-from .provenance import spec_digest
-from .store import (RunStore, RunStoreError, StoredRun, _build_engine,
-                    _warm_start_engine, image_from_payload, key_digests)
+from .provenance import engine_digest, spec_digest
+from .store import (RunStore, RunStoreError, _build_engine,
+                    image_from_payload, key_digests)
 
 __all__ = ["ReplayReport", "replay_run"]
 
@@ -110,9 +110,9 @@ def replay_run(store: RunStore, run_id: str,
                diff: bool = False) -> ReplayReport:
     """Re-execute a stored run and verify it; see module docstring.
 
-    Raises :class:`RunStoreError` when the run (or its warm-start
-    source) is missing or unreadable — conditions where verification
-    cannot even start (CLI exit 1, distinct from divergence's 3).
+    Raises :class:`RunStoreError` when the run is missing or
+    unreadable — conditions where verification cannot even start (CLI
+    exit 1, distinct from divergence's 3).
     """
     stored = store.get(run_id)
     if stored is None:
@@ -139,12 +139,17 @@ def replay_run(store: RunStore, run_id: str,
     if not report.ok:
         return report       # tampered at rest: do not execute it
 
+    # The code and spec on this machine must be the ones the run was
+    # recorded with — otherwise an honest, named divergence, not a
+    # tree mystery.
+    current_engine = engine_digest()
+    if current_engine != key.get("engine"):
+        report.flag("engine", key.get("engine"), current_engine)
     model = build(key["isa"])
     current_spec = spec_digest(model)
     if current_spec != key.get("spec"):
-        # The spec on this machine is not the one the run was recorded
-        # against — an honest, named divergence, not a tree mystery.
         report.flag("spec", key.get("spec"), current_spec)
+    if not report.ok:
         return report
 
     # -- stage 2: re-execute and compare fingerprints ------------------------
@@ -158,7 +163,6 @@ def replay_run(store: RunStore, run_id: str,
     engine = _build_engine(model, image, config, key.get("strategy",
                                                          "dfs"),
                            key.get("seed", 0), key.get("regions") or ())
-    _warm_start_engine(store, engine, manifest.get("warm_start"))
     result = engine.explore()
     report.wall_time = time.perf_counter() - started
     report.executed = True

@@ -4,32 +4,31 @@ A *run* is keyed by what determines its outcome — nothing more, nothing
 less::
 
     run_id = sha256(canonical_json({
-        isa, spec digest, program {base, entry, data}, engine config,
-        strategy, seed, memory regions}))[:32]
+        isa, spec digest, engine digest, program {base, entry, data},
+        engine config, strategy, seed, memory regions}))[:32]
 
 Two submissions with the same key are the *same exploration*: the
 engine is deterministic given that tuple (state ids and wall-clock are
 process-local, which is why fingerprints canonicalize them — see
-:mod:`repro.runstore.fingerprint`).  That buys three things:
+:mod:`repro.runstore.fingerprint`).  The engine digest
+(:func:`~repro.runstore.provenance.engine_digest`) pins the code that
+explored, so any edit to the package gives new run ids.  That buys two
+things:
 
 * **dedup** — :func:`cached_explore` answers a repeated submission from
   the store (``store.hit`` counter + ``store`` event) without building
   an engine, so zero new solver checks;
 * **replay** — :mod:`repro.runstore.replay` re-executes from the stored
-  key and verifies the tree/leaf/defect fingerprints bit-for-bit;
-* **warm starts** — a recorded run persists its solver
-  :class:`~repro.smt.cache.QueryCache` (process-portable structural
-  digests), which a later exploration can preload.
+  key and verifies the tree/leaf/defect fingerprints bit-for-bit.
 
 Layout (under ``~/.repro/store`` or ``--store DIR`` /
 ``$REPRO_STORE``)::
 
     runs/<run_id>/manifest.json        key, digests, fingerprints, env
     runs/<run_id>/events.jsonl.gz      full schema event stream
-    runs/<run_id>/result.json          serialized ExplorationResult
-    runs/<run_id>/solver_cache.json.gz persisted QueryCache (optional)
-    runs/<run_id>/attr.json            cost-attribution profile
-                                       (optional; repro hot <run_id>)
+    runs/<run_id>/result.json          serialized ExplorationResult, with
+                                       the cost-attribution profile in
+                                       telemetry.attr (repro hot <run_id>)
 
 Writes are atomic: a run is streamed into ``runs/.tmp-*`` and
 ``os.rename``-d into place, so readers never observe a half-written
@@ -38,7 +37,6 @@ run and concurrent recorders of the same key race harmlessly.
 
 from __future__ import annotations
 
-import gzip
 import json
 import os
 import shutil
@@ -53,7 +51,7 @@ from ..obs.events import STORE
 from ..obs.sinks import load_run
 from .fingerprint import (defects_fingerprint, leaves_fingerprint,
                           tree_fingerprint)
-from .provenance import (canonical_json, content_digest,
+from .provenance import (canonical_json, content_digest, engine_digest,
                          environment_snapshot, spec_digest)
 
 __all__ = ["RunStore", "RunStoreError", "StoredRun", "resolve_store_root",
@@ -68,8 +66,6 @@ DEFAULT_ROOT = os.path.join("~", ".repro", "store")
 MANIFEST = "manifest.json"
 EVENTS = "events.jsonl.gz"
 RESULT = "result.json"
-SOLVER_CACHE = "solver_cache.json.gz"
-ATTR = "attr.json"
 
 
 class RunStoreError(Exception):
@@ -112,10 +108,12 @@ def _normalize_regions(regions) -> List[List[object]]:
 def run_key(isa: str, spec: str, image, config: EngineConfig,
             strategy: str, seed: int,
             regions: Sequence = ()) -> Dict[str, object]:
-    """The canonical key material of one exploration."""
+    """The canonical key material of one exploration, under the code
+    running in this process."""
     return {
         "isa": isa,
         "spec": spec,
+        "engine": engine_digest(),
         "program": image_payload(image),
         "config": config.to_dict(),
         "strategy": strategy,
@@ -129,6 +127,7 @@ def key_digests(key: Dict[str, object]) -> Dict[str, str]:
     replay can name *which* component a tampered run diverges in."""
     return {
         "spec": str(key.get("spec")),
+        "engine": str(key.get("engine")),
         "program": content_digest(key.get("program")),
         "config": content_digest(key.get("config")),
         "strategy": content_digest({"strategy": key.get("strategy"),
@@ -191,37 +190,26 @@ class StoredRun:
     def result_dict(self) -> Dict[str, object]:
         try:
             with open(os.path.join(self.path, RESULT)) as handle:
-                return json.load(handle)
+                payload = json.load(handle)
         except (OSError, ValueError) as exc:
             raise RunStoreError("run %s has no readable result: %s"
                                 % (self.run_id, exc))
+        if not isinstance(payload, dict):
+            raise RunStoreError("run %s has no readable result: not a "
+                                "JSON object" % self.run_id)
+        return payload
 
     def result(self) -> ExplorationResult:
         return ExplorationResult.from_dict(self.result_dict())
 
-    def solver_cache(self) -> Optional[Dict[str, object]]:
-        """The persisted QueryCache snapshot, or None (not recorded or
-        unreadable — a warm start degrades to cold, never errors)."""
-        path = os.path.join(self.path, SOLVER_CACHE)
-        try:
-            with gzip.open(path, "rt") as handle:
-                return json.load(handle)
-        except (OSError, EOFError, ValueError):
-            return None
-
     def attr(self) -> Optional[Dict[str, object]]:
         """The cost-attribution profile (``repro.obs.attr`` snapshot
-        block), or None — runs stored without attribution (``explore
-        --store`` without ``--attr``, or older code) simply have no
-        profile; a corrupt artifact degrades to None, never errors
-        (``repro hot`` reports it as missing)."""
-        path = os.path.join(self.path, ATTR)
-        try:
-            with open(path) as handle:
-                payload = json.load(handle)
-        except (OSError, ValueError):
-            return None
-        return payload if isinstance(payload, dict) else None
+        block) from the stored result's telemetry, or None for a run
+        explored without attribution.  An unreadable result raises
+        :class:`RunStoreError`, like :meth:`result_dict`."""
+        telemetry = self.result_dict().get("telemetry")
+        block = telemetry.get("attr") if isinstance(telemetry, dict) else None
+        return block if isinstance(block, dict) else None
 
     def __repr__(self):
         return "<StoredRun %s>" % self.run_id
@@ -325,29 +313,10 @@ def _build_engine(model, image, config: EngineConfig, strategy: str,
     return engine
 
 
-def _warm_start_engine(store: RunStore, engine: Engine,
-                       source_id: Optional[str]) -> Tuple[Optional[str], int]:
-    """Preload the engine's QueryCache from a stored run.  Returns
-    (resolved source run id, entries loaded)."""
-    if not source_id:
-        return None, 0
-    source = store.get(source_id)
-    if source is None:
-        raise RunStoreError("warm-start run %r is not in the store"
-                            % source_id)
-    if engine.solver.query_cache is None:
-        return source.run_id, 0
-    payload = source.solver_cache()
-    if payload is None:
-        return source.run_id, 0
-    return source.run_id, engine.solver.query_cache.load_state(payload)
-
-
 def record_exploration(store: RunStore, model, image,
                        config: EngineConfig, strategy: str = "dfs",
                        seed: int = 0, regions: Sequence = (),
                        argv: Optional[List[str]] = None,
-                       warm_start: Optional[str] = None,
                        replace: bool = False
                        ) -> Tuple[ExplorationResult, StoredRun]:
     """Explore and atomically persist the run; returns the *live*
@@ -381,8 +350,6 @@ def record_exploration(store: RunStore, model, image,
     try:
         engine = _build_engine(model, image, config, strategy, seed,
                                regions)
-        warm_source, warm_loaded = _warm_start_engine(store, engine,
-                                                      warm_start)
         result = engine.explore()
         sink.write_meta(result.run_summary(model.name))
     except Exception:
@@ -403,15 +370,6 @@ def record_exploration(store: RunStore, model, image,
     with open(os.path.join(tmp, RESULT), "w") as handle:
         json.dump(result_dict, handle, sort_keys=True,
                   default=_jsonable)
-    if engine.solver.query_cache is not None:
-        with gzip.open(os.path.join(tmp, SOLVER_CACHE), "wt") as handle:
-            json.dump(engine.solver.query_cache.save_state(), handle)
-    # Cost-attribution profile: persisted as its own artifact so
-    # ``repro hot <run-id>`` reads it without parsing the full result.
-    attr_block = (result.telemetry or {}).get("attr")
-    if isinstance(attr_block, dict):
-        with open(os.path.join(tmp, ATTR), "w") as handle:
-            json.dump(attr_block, handle, sort_keys=True)
     manifest = {
         "run_id": run_id,
         "created": time.time(),
@@ -421,8 +379,6 @@ def record_exploration(store: RunStore, model, image,
         "fingerprints": fingerprints,
         "env": environment_snapshot(argv=argv,
                                     spec_digests={model.name: spec}),
-        "warm_start": warm_source,
-        "warm_loaded": warm_loaded,
         "counts": {"paths": len(result.paths),
                    "defects": len(result.defects),
                    "instructions": result.instructions_executed,
@@ -459,19 +415,17 @@ def cached_explore(store: RunStore, model, image, config: EngineConfig,
                    strategy: str = "dfs", seed: int = 0,
                    regions: Sequence = (),
                    argv: Optional[List[str]] = None,
-                   force: bool = False,
-                   warm_start: Optional[str] = None,
-                   persist_on_miss: bool = True
-                   ) -> Tuple[ExplorationResult, Optional[StoredRun], bool]:
+                   force: bool = False
+                   ) -> Tuple[ExplorationResult, StoredRun, bool]:
     """Store-backed exploration: answer an identical submission from
-    the store, explore (and by default record) otherwise.
+    the store, explore and record otherwise.
 
     Returns ``(result, stored_run, hit)``.  A hit increments the
     ``store.hit`` counter, emits a ``store`` event, and never
     constructs an engine — zero new solver checks.  A miss increments
-    ``store.miss`` and explores; with ``persist_on_miss`` the run is
-    committed so the next identical submission hits.  ``force`` skips
-    the probe and replaces the stored run with the new one.
+    ``store.miss``, explores and commits the run, so the next identical
+    submission hits.  ``force`` skips the probe and replaces the stored
+    run with the new one.
     """
     spec = spec_digest(model)
     key = run_key(model.name, spec, image, config, strategy, seed,
@@ -487,11 +441,7 @@ def cached_explore(store: RunStore, model, image, config: EngineConfig,
         return existing.result(), existing, True
     obs.metrics.counter("store.miss").inc()
     obs.tracer.emit(STORE, state_id=-1, pc=0, hit=False, run_id=run_id)
-    if persist_on_miss:
-        result, stored = record_exploration(
-            store, model, image, config, strategy, seed, regions,
-            argv=argv, warm_start=warm_start, replace=force)
-        return result, stored, False
-    engine = _build_engine(model, image, config, strategy, seed, regions)
-    _warm_start_engine(store, engine, warm_start)
-    return engine.explore(), None, False
+    result, stored = record_exploration(
+        store, model, image, config, strategy, seed, regions,
+        argv=argv, replace=force)
+    return result, stored, False

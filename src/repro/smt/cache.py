@@ -31,6 +31,9 @@ layer for :class:`repro.smt.solver.Solver`:
 Everything here is *sound by construction*: exact hits replay a decided
 verdict for a semantically identical query, subsumption only weakens
 satisfiability, and model reuse proves SAT with an explicit witness.
+Like KLEE's, the cache lives in one process: it starts empty with its
+solver and is never saved, so an exploration's answers come only from
+that exploration's own queries.
 The differential harness (``tests/smt/test_cache_differential.py``)
 checks the claim against a cache-free twin on randomized query streams.
 """
@@ -40,7 +43,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Dict, FrozenSet, Iterator, Optional, Tuple
 
-from .sat import SAT, UNSAT
+from .sat import UNSAT
 
 __all__ = ["CacheEntry", "QueryCache"]
 
@@ -169,61 +172,6 @@ class QueryCache:
         self._models[fingerprint] = (model, {})
         if len(self._models) > self.model_probe:
             self._models.popitem(last=False)
-
-    # -- persistence ---------------------------------------------------------
-    #
-    # Cache keys are frozensets of *structural* term digests
-    # (terms.digest / terms.query_key): 16-byte blake2b hashes computed
-    # from operator + operands, independent of term ids or process.
-    # That makes the whole cache process-portable — the run store
-    # persists it alongside a recorded run so later explorations can
-    # warm-start (repro.runstore).
-
-    def save_state(self) -> Dict[str, object]:
-        """JSON-able snapshot of every decided query, unsat set and
-        recent model (evaluation memos are process-local and dropped)."""
-        return {
-            "version": 1,
-            "entries": [
-                {"key": sorted(digest.hex() for digest in key),
-                 "verdict": entry.verdict,
-                 "model": entry.model}
-                for key, entry in self._entries.items()],
-            "unsat_sets": [sorted(digest.hex() for digest in key)
-                           for key in self._unsat_sets],
-            "models": [model for model, _memo in self._models.values()],
-        }
-
-    def load_state(self, payload: Dict[str, object]) -> int:
-        """Merge a :meth:`save_state` snapshot into this cache; returns
-        the number of entries loaded.  Tolerant of malformed payloads
-        (a corrupt warm-start file degrades to a cold cache)."""
-        if not isinstance(payload, dict):
-            return 0
-        loaded = 0
-        for record in payload.get("entries") or ():
-            try:
-                key = frozenset(bytes.fromhex(digest)
-                                for digest in record["key"])
-                verdict = record["verdict"]
-                model = record.get("model")
-            except (KeyError, TypeError, ValueError):
-                continue
-            if verdict not in (SAT, UNSAT):
-                continue
-            self.store(key, verdict,
-                       model if isinstance(model, dict) else None)
-            loaded += 1
-        for row in payload.get("unsat_sets") or ():
-            try:
-                self._remember_unsat(frozenset(bytes.fromhex(digest)
-                                               for digest in row))
-            except (TypeError, ValueError):
-                continue
-        for model in payload.get("models") or ():
-            if isinstance(model, dict):
-                self._remember_model(model)
-        return loaded
 
     # -- maintenance ---------------------------------------------------------
 

@@ -430,3 +430,30 @@ class TestStrategySelection:
         """, config=config)
         result = engine.explore()
         assert result.states_pruned >= 1
+
+
+class TestConfigSerialization:
+    #: ``EngineConfig(collect_coverage=True).to_dict()`` of code that
+    #: still had three fields which are now engine constants.
+    OLDER = {
+        "check_div_zero": True, "check_oob": True,
+        "check_tainted_control": False, "check_uninit": False,
+        "check_write_protect": True, "collect_coverage": True,
+        "collect_path_inputs": True, "cow_memory": True,
+        "dedup_defects": True, "div_check_respects_guards": False,
+        "max_address_values": 4, "max_defects": None,
+        "max_fork_targets": 4, "max_instructions": None,
+        "max_paths": None, "max_states": 4096,
+        "max_steps_per_path": 4096, "max_visits_per_pc": None,
+        "max_wall_seconds": None, "merge_states": False,
+        "symbolic_read_window": 32, "use_solver_cache": True,
+    }
+    RETIRED = ("div_check_respects_guards", "max_address_values",
+               "symbolic_read_window")
+
+    def test_older_payload_loads_and_round_trips(self):
+        config = EngineConfig.from_dict(self.OLDER)
+        current = {key: value for key, value in self.OLDER.items()
+                   if key not in self.RETIRED}
+        assert config.to_dict() == current
+        assert EngineConfig.from_dict(current).to_dict() == current

@@ -14,7 +14,7 @@ Acceptance pins:
 * flamegraph weights sum to the attributed total;
 * the heat map / flamegraph / report round-trip through JSON (the
   sidecar wire format) unchanged;
-* the attr block rides into the run store as ``attr.json`` and never
+* the attr block rides into the run store in ``result.json`` and never
   perturbs the run key (observe-only);
 * degenerate inputs (missing block, pre-v5 sidecar) degrade to empty
   output, never a traceback, and a version-2 block (per-IR-kind tables,
@@ -507,9 +507,13 @@ class TestCli:
 
     def test_hot_stored_run_without_attr_is_clean_error(
             self, branchy, tmp_path, capsys):
+        from repro.isa import assemble, build
+        from repro.runstore import RunStore, record_exploration
+
         store = str(tmp_path / "store")
-        assert main(["explore", "rv32", branchy, "--store", store]) == 0
-        out = capsys.readouterr().out
-        run_id = out.split("store: recorded ")[1].split()[0]
-        assert main(["hot", run_id, "--store", store]) == 1
+        model = build("rv32")
+        _, stored = record_exploration(
+            RunStore(store), model, assemble(model, BRANCHY),
+            EngineConfig())
+        assert main(["hot", stored.run_id, "--store", store]) == 1
         assert "no cost-attribution profile" in capsys.readouterr().err

@@ -14,7 +14,8 @@ from repro.obs import extract_metrics, load_run
 
 
 def write_run(path, rates, wall_time=1.0, instructions=1000, paths=4,
-              defects=1, frontier=5, solver_checks=100):
+              defects=1, frontier=5, solver_checks=100, solve_time=0.2,
+              profiled=True):
     """Synthesize a minimal but realistic telemetry sidecar."""
     lines = [{"kind": "meta", "record": "schema", "version": 3}]
     for seq, rate in enumerate(rates):
@@ -31,9 +32,10 @@ def write_run(path, rates, wall_time=1.0, instructions=1000, paths=4,
         "instructions": instructions, "wall_time": wall_time,
         "stop_reason": "exhausted",
         "telemetry": {"solver": {"checks": solver_checks,
-                                 "solve_time": 0.2,
+                                 "solve_time": solve_time,
                                  "cache_hit_sat": 40},
-                      "phases": {"solver": {"total_s": 0.2}}}})
+                      "phases": ({"solver": {"total_s": solve_time}}
+                                 if profiled else {})}})
     with open(path, "w") as handle:
         for record in lines:
             handle.write(json.dumps(record) + "\n")
@@ -84,6 +86,22 @@ class TestExtract:
         assert metrics["run.instructions_per_sec"] == 1000.0
         assert metrics["solver.cache_hit_ratio"] == pytest.approx(0.4)
         assert metrics["phase.solver.total_s"] == pytest.approx(0.2)
+
+    def test_one_solver_clock_is_one_row(self, baseline, tmp_path):
+        """Solve time and the ``solver`` phase read one clock, so a
+        solver slowdown is one regression; an unprofiled sidecar still
+        reports its solve time."""
+        slower = write_run(tmp_path / "slow_solver.jsonl",
+                           [1000.0, 1100.0, 1050.0], solve_time=0.5)
+        comparison = compare(baseline, slower)
+        rows = [row.bench_id for row in comparison.rows
+                if row.bench_id in ("solver.solve_time_s",
+                                    "phase.solver.total_s")]
+        assert rows == ["phase.solver.total_s"]
+        assert flagged(comparison, "regression") == {"phase.solver.total_s"}
+        unprofiled = write_run(tmp_path / "unprofiled.jsonl", [],
+                               profiled=False)
+        assert values(unprofiled)["solver.solve_time_s"] == 0.2
 
     def test_healthless_run_still_extracts_summary(self, tmp_path):
         path = write_run(tmp_path / "nohealth.jsonl", rates=[])

@@ -1,4 +1,4 @@
-"""CLI surface of the run store: record / replay / runs / explore --store."""
+"""CLI surface of the run store: record / replay / runs."""
 
 import json
 import os
@@ -67,32 +67,47 @@ class TestRecord:
 
     def test_force_replaces_the_stored_run(self, demo_file, store_dir,
                                            capsys):
-        """A run first stored without attribution gains its profile
-        from ``record --force``, and still replays."""
-        assert main(["explore", "rv32", demo_file,
+        """``record --force`` re-explores and swaps a fresh run
+        directory in under the same id, which profiles and replays."""
+        assert main(["record", "rv32", demo_file,
                      "--store", store_dir]) == 2
         run_id = only_run_id(store_dir)
-        run_dir = os.path.join(store_dir, "runs", run_id)
-        assert not os.path.exists(os.path.join(run_dir, "attr.json"))
+        marker = os.path.join(store_dir, "runs", run_id, "marker")
+        open(marker, "w").close()
         capsys.readouterr()
         assert main(["record", "rv32", demo_file, "--store", store_dir,
                      "--force"]) == 2
         assert "store: recorded %s" % run_id in capsys.readouterr().out
         assert only_run_id(store_dir) == run_id
-        assert os.path.exists(os.path.join(run_dir, "attr.json"))
+        assert not os.path.exists(marker)
         assert main(["hot", run_id, "--store", store_dir]) == 0
         assert "cost attribution" in capsys.readouterr().out
         assert main(["replay", run_id, "--store", store_dir]) == 0
         assert "VERIFIED" in capsys.readouterr().out
 
-    def test_warm_start_flag(self, demo_file, store_dir, capsys):
+    def test_non_object_result_is_clean_error(self, demo_file, store_dir,
+                                              capsys):
+        """``hot`` reads the profile from ``result.json``, and a store
+        hit serves it: a result that is not a JSON object is a one-line
+        error for both, never a traceback."""
         main(["record", "rv32", demo_file, "--store", store_dir])
-        source = only_run_id(store_dir)
+        run_id = only_run_id(store_dir)
+        with open(os.path.join(store_dir, "runs", run_id, "result.json"),
+                  "w") as handle:
+            handle.write("[]")
         capsys.readouterr()
-        assert main(["record", "rv32", demo_file, "--store", store_dir,
-                     "--seed", "4", "--warm-start", source[:8]]) == 2
-        assert "warm-started from %s" % source in \
-            capsys.readouterr().out
+        assert main(["hot", run_id, "--store", store_dir]) == 1
+        assert main(["record", "rv32", demo_file,
+                     "--store", store_dir]) == 1
+        assert capsys.readouterr().err.count("no readable result") == 2
+
+    def test_store_env_override(self, demo_file, tmp_path, monkeypatch,
+                                capsys):
+        env_store = tmp_path / "envstore"
+        monkeypatch.setenv("REPRO_STORE", str(env_store))
+        # without --store the root resolves via $REPRO_STORE
+        assert main(["record", "rv32", demo_file]) == 2
+        assert only_run_id(str(env_store))
 
 
 class TestReplayCli:
@@ -140,31 +155,3 @@ class TestRunsCli:
         assert main(["runs", "--store", store_dir, "--gc",
                      "--keep", "1"]) == 0
         assert "deleted 1 run" in capsys.readouterr().out
-
-
-class TestExploreStore:
-    def test_explore_store_dedup(self, demo_file, store_dir, capsys):
-        assert main(["explore", "rv32", demo_file,
-                     "--store", store_dir]) == 2
-        first = capsys.readouterr().out
-        assert "store: recorded" in first
-        assert main(["explore", "rv32", demo_file,
-                     "--store", store_dir]) == 2
-        second = capsys.readouterr().out
-        assert "store: hit" in second
-        # The cached result still feeds the coverage report.
-        assert "coverage:" in second
-
-    def test_store_rejects_timing_dependent_flags(self, demo_file,
-                                                  store_dir, capsys):
-        assert main(["explore", "rv32", demo_file, "--store", store_dir,
-                     "--max-seconds", "5"]) == 1
-        assert "deterministic" in capsys.readouterr().err
-
-    def test_store_env_override(self, demo_file, tmp_path, monkeypatch,
-                                capsys):
-        env_store = tmp_path / "envstore"
-        monkeypatch.setenv("REPRO_STORE", str(env_store))
-        # bare --store (no DIR) resolves via $REPRO_STORE
-        assert main(["explore", "rv32", demo_file, "--store"]) == 2
-        assert (env_store / "runs").exists()

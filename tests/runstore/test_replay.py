@@ -51,12 +51,6 @@ class TestRoundTrip:
         stored = record(store, "rv32")
         assert replay_run(store, stored.run_id[:10]).ok
 
-    def test_warm_started_run_replays(self, store):
-        source = record(store, "rv32")
-        warmed = record(store, "rv32", seed=5,
-                        warm_start=source.run_id)
-        assert replay_run(store, warmed.run_id).ok
-
 
 class TestTamperDetection:
     def test_edited_program_bytes_exit_3_naming_field(self, store):
@@ -116,11 +110,3 @@ class TestErrors:
     def test_missing_run_raises(self, store):
         with pytest.raises(RunStoreError):
             replay_run(store, "cafebabe")
-
-    def test_collected_warm_source_fails_honestly(self, store):
-        source = record(store, "rv32")
-        warmed = record(store, "rv32", seed=9,
-                        warm_start=source.run_id)
-        store.delete(source.run_id)
-        with pytest.raises(RunStoreError):
-            replay_run(store, warmed.run_id)

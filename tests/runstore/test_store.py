@@ -4,7 +4,9 @@ Acceptance pins:
 * an identical submission hits the store, increments ``store.hit`` and
   performs ZERO new solver checks (no engine is even constructed);
 * the stored result round-trips paths/defects/coverage;
-* the run id depends on every key component and nothing else.
+* the run id depends on every key component and nothing else;
+* a run recorded by other engine code is never a hit, and its replay
+  names ``engine`` without executing.
 """
 
 import json
@@ -16,7 +18,8 @@ from repro.core import EngineConfig
 from repro.programs.kernels import build_kernel
 from repro.runstore import (RunStore, RunStoreError, cached_explore,
                             image_from_payload, image_payload,
-                            record_exploration, run_key, spec_digest)
+                            record_exploration, replay_run, run_key,
+                            spec_digest)
 
 
 @pytest.fixture(scope="module")
@@ -50,6 +53,7 @@ class TestRunKey:
         lambda k: k["program"].__setitem__("data", "00"),
         lambda k: k.__setitem__("regions", [[0x9000, 64, False]]),
         lambda k: k.__setitem__("spec", "sha256:other"),
+        lambda k: k.__setitem__("engine", "sha256:other"),
     ])
     def test_every_component_changes_the_id(self, kernel, store, mutate):
         model, image = kernel
@@ -113,12 +117,11 @@ class TestRecordAndDedup:
         model, image = kernel
         _, stored = record_exploration(store, model, image,
                                        fresh_config())
-        # No temp dirs left behind; every artifact in place.
+        # No temp dirs left behind; the three artifacts in place.
         assert not [n for n in os.listdir(store.runs_dir)
                     if n.startswith(".tmp-")]
-        for artifact in ("manifest.json", "events.jsonl.gz",
-                         "result.json", "solver_cache.json.gz"):
-            assert os.path.exists(os.path.join(stored.path, artifact))
+        assert sorted(os.listdir(stored.path)) == \
+            ["events.jsonl.gz", "manifest.json", "result.json"]
 
     def test_manifest_provenance(self, kernel, store):
         model, image = kernel
@@ -130,7 +133,7 @@ class TestRecordAndDedup:
         assert set(manifest["fingerprints"]) == \
             {"tree", "leaves", "defects"}
         assert set(manifest["key_digests"]) == \
-            {"spec", "program", "config", "strategy"}
+            {"spec", "engine", "program", "config", "strategy"}
         env = manifest["env"]
         assert env["argv"] == ["record", "rv32", "x.s"]
         assert env["python"] and env["platform"]
@@ -206,20 +209,24 @@ class TestLookupAndGc:
         assert not os.path.exists(crashed)
 
 
-class TestWarmStart:
-    def test_warm_start_loads_entries_and_stays_deterministic(
-            self, kernel, store):
-        model, image = kernel
-        _, source = record_exploration(store, model, image,
-                                       fresh_config())
-        _, warmed = record_exploration(store, model, image,
-                                       fresh_config(), seed=3,
-                                       warm_start=source.run_id[:8])
-        assert warmed.manifest["warm_start"] == source.run_id
-        assert warmed.manifest["warm_loaded"] > 0
+class TestEngineDigest:
+    def test_run_recorded_by_other_code_is_never_a_hit(
+            self, kernel, store, monkeypatch):
+        import repro.runstore.replay as replay_module
+        import repro.runstore.store as store_module
 
-    def test_unknown_warm_start_raises(self, kernel, store):
         model, image = kernel
-        with pytest.raises(RunStoreError):
-            record_exploration(store, model, image, fresh_config(),
-                               warm_start="nope")
+        _, old, _ = cached_explore(store, model, image, fresh_config())
+        # Edit the package: both the key and replay see the new code.
+        for module in (store_module, replay_module):
+            monkeypatch.setattr(module, "engine_digest",
+                                lambda: "sha256:edited")
+        _, new, hit = cached_explore(store, model, image,
+                                     fresh_config())
+        assert not hit and new.run_id != old.run_id
+        report = replay_run(store, old.run_id)
+        assert report.exit_code == 3
+        assert report.mismatches == [
+            ("engine", old.key["engine"], "sha256:edited")]
+        assert not report.executed
+        assert replay_run(store, new.run_id).ok
