@@ -308,6 +308,8 @@ def cmd_record(args) -> int:
     ``--health`` is left out too: a store hit runs no exploration to
     sample.
     Exit codes mirror ``explore``: 2 when defects were found, else 0.
+    A stored run that cannot be read, or whose result no longer
+    matches its manifest's fingerprints, exits 1.
     """
     model, image = _load(args)
     store = RunStore(args.store)
@@ -363,19 +365,23 @@ def _format_age(created: float) -> str:
 
 def cmd_runs(args) -> int:
     """List, inspect (``--show``) or garbage-collect (``--gc``) the
-    run store."""
+    run store.
+
+    A run whose manifest cannot be read is one ``error:`` line on
+    stderr: ``--show`` exits 1, and the listing prints every other run
+    and then exits 1.
+    """
     store = RunStore(args.store)
     if args.show:
         try:
             run = store.get(args.show)
+            if run is None:
+                raise RunStoreError("run %r is not in the store"
+                                    % args.show)
+            manifest = run.manifest
         except RunStoreError as error:
             sys.stderr.write("error: %s\n" % error)
             return 1
-        if run is None:
-            sys.stderr.write("error: run %r is not in the store\n"
-                             % args.show)
-            return 1
-        manifest = run.manifest
         print("run %s  (%s)" % (run.run_id, run.path))
         print("  isa:      %s" % manifest.get("isa"))
         print("  summary:  %s" % manifest.get("summary"))
@@ -407,8 +413,14 @@ def cmd_runs(args) -> int:
         return 0
     print("%-32s %-8s %6s %6s %6s  %s"
           % ("run", "isa", "age", "paths", "defect", "strategy"))
+    unreadable = 0
     for run in runs:
-        manifest = run.manifest
+        try:
+            manifest = run.manifest
+        except RunStoreError as error:
+            sys.stderr.write("error: %s\n" % error)
+            unreadable += 1
+            continue
         counts = manifest.get("counts") or {}
         key = manifest.get("key") or {}
         print("%-32s %-8s %6s %6s %6s  %s"
@@ -416,7 +428,7 @@ def cmd_runs(args) -> int:
                  _format_age(run.created), counts.get("paths", "?"),
                  counts.get("defects", "?"),
                  (key.get("strategy", "?"))))
-    return 0
+    return 1 if unreadable else 0
 
 
 def _open_run(path):

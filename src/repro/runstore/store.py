@@ -67,6 +67,13 @@ MANIFEST = "manifest.json"
 EVENTS = "events.jsonl.gz"
 RESULT = "result.json"
 
+#: Manifest fields whose values are JSON objects.
+_OBJECT_FIELDS = ("key", "key_digests", "fingerprints", "env", "counts")
+
+#: (fingerprint, result section, digest) of what a store hit checks.
+_RESULT_FINGERPRINTS = (("leaves", "paths", leaves_fingerprint),
+                        ("defects", "defects", defects_fingerprint))
+
 
 class RunStoreError(Exception):
     """Store misuse, a missing/ambiguous run id, or a corrupt run."""
@@ -154,13 +161,32 @@ class StoredRun:
 
     @property
     def manifest(self) -> Dict[str, object]:
+        """The parsed ``manifest.json``.  One that cannot be read, is not
+        a JSON object, or holds a non-object where an object belongs
+        (``key``, ``fingerprints``, ...) or a non-number ``created``
+        raises :class:`RunStoreError`."""
         if self._manifest is None:
             try:
                 with open(os.path.join(self.path, MANIFEST)) as handle:
-                    self._manifest = json.load(handle)
+                    manifest = json.load(handle)
             except (OSError, ValueError) as exc:
                 raise RunStoreError("run %s has no readable manifest: %s"
                                     % (self.run_id, exc))
+            if not isinstance(manifest, dict):
+                raise RunStoreError("run %s has a malformed manifest: not "
+                                    "a JSON object" % self.run_id)
+            for field in _OBJECT_FIELDS:
+                if not isinstance(manifest.get(field, {}), dict):
+                    raise RunStoreError(
+                        "run %s has a malformed manifest: %r is not a "
+                        "JSON object" % (self.run_id, field))
+            created = manifest.get("created", 0.0)
+            if isinstance(created, bool) \
+                    or not isinstance(created, (int, float)):
+                raise RunStoreError("run %s has a malformed manifest: "
+                                    "'created' is not a number"
+                                    % self.run_id)
+            self._manifest = manifest
         return self._manifest
 
     @property
@@ -200,7 +226,21 @@ class StoredRun:
         return payload
 
     def result(self) -> ExplorationResult:
-        return ExplorationResult.from_dict(self.result_dict())
+        """The stored result, once its paths and defects match the
+        manifest's ``leaves`` and ``defects`` fingerprints.  A result
+        edited or cut short at rest raises :class:`RunStoreError` naming
+        the fingerprint."""
+        payload = self.result_dict()
+        recorded = self.fingerprints
+        for field, section, digest in _RESULT_FINGERPRINTS:
+            rows = payload.get(section)
+            if not isinstance(rows, list) \
+                    or not all(isinstance(row, dict) for row in rows) \
+                    or recorded.get(field) != digest(rows):
+                raise RunStoreError(
+                    "run %s: result.json does not match the %s "
+                    "fingerprint in its manifest" % (self.run_id, field))
+        return ExplorationResult.from_dict(payload)
 
     def attr(self) -> Optional[Dict[str, object]]:
         """The cost-attribution profile (``repro.obs.attr`` snapshot
@@ -260,9 +300,15 @@ class RunStore:
                                            MANIFEST))
 
     def list_runs(self) -> List[StoredRun]:
-        """Every committed run, newest first."""
+        """Every committed run, newest first.  Runs whose manifest
+        cannot be read come last."""
         runs = [StoredRun(self.root, run_id) for run_id in self._ids()]
-        return sorted(runs, key=lambda run: run.created, reverse=True)
+
+        def newest_first(run):
+            created = _created(run)
+            return (created is None, -(created or 0.0))
+
+        return sorted(runs, key=newest_first)
 
     # -- maintenance ---------------------------------------------------------
 
@@ -285,8 +331,11 @@ class RunStore:
             doomed.update(run.run_id for run in runs[max(keep, 0):])
         if older_than_days is not None:
             horizon = time.time() - older_than_days * 86400.0
-            doomed.update(run.run_id for run in runs
-                          if run.created < horizon)
+            for run in runs:
+                created = _created(run)
+                # A run whose manifest cannot be read has no known age.
+                if created is not None and created < horizon:
+                    doomed.add(run.run_id)
         for run_id in sorted(doomed):
             if self.delete(run_id):
                 deleted.append(run_id)
@@ -299,6 +348,14 @@ class RunStore:
             shutil.rmtree(os.path.join(self.runs_dir, name),
                           ignore_errors=True)
         return deleted
+
+
+def _created(run: StoredRun) -> Optional[float]:
+    """``run.created``, or None when its manifest cannot be read."""
+    try:
+        return run.created
+    except RunStoreError:
+        return None
 
 
 # -- recording ---------------------------------------------------------------
@@ -420,9 +477,12 @@ def cached_explore(store: RunStore, model, image, config: EngineConfig,
     """Store-backed exploration: answer an identical submission from
     the store, explore and record otherwise.
 
-    Returns ``(result, stored_run, hit)``.  A hit increments the
-    ``store.hit`` counter, emits a ``store`` event, and never
-    constructs an engine — zero new solver checks.  A miss increments
+    Returns ``(result, stored_run, hit)``.  A hit serves the stored
+    result only once it matches the manifest's fingerprints
+    (:meth:`StoredRun.result` raises :class:`RunStoreError`
+    otherwise), increments the ``store.hit`` counter, emits a
+    ``store`` event, and never constructs an engine — zero new solver
+    checks.  A miss increments
     ``store.miss``, explores and commits the run, so the next identical
     submission hits.  ``force`` skips the probe and replaces the stored
     run with the new one.
@@ -435,10 +495,11 @@ def cached_explore(store: RunStore, model, image, config: EngineConfig,
     config.obs = obs
     existing = None if force else store.get(run_id)
     if existing is not None:
+        result = existing.result()
         obs.metrics.counter("store.hit").inc()
         obs.tracer.emit(STORE, state_id=-1, pc=0, hit=True,
                         run_id=run_id)
-        return existing.result(), existing, True
+        return result, existing, True
     obs.metrics.counter("store.miss").inc()
     obs.tracer.emit(STORE, state_id=-1, pc=0, hit=False, run_id=run_id)
     result, stored = record_exploration(

@@ -5,6 +5,18 @@ literals, least-significant bit first.  The translation is cached per term
 id, and gate outputs are cached structurally, so repeated sub-terms (the
 common case with hash-consed path conditions) cost nothing the second time.
 
+Literals are the SAT core's codes (:mod:`repro.smt.sat`): ``2*v`` for
+variable ``v``, ``2*v + 1`` for its negation, so negation is ``lit ^ 1``.
+Each ``_and`` and ``_xor`` clause starts with the gate's fresh output
+and its variables are distinct, so it goes to the core through
+:meth:`SatSolver.attach <repro.smt.sat.SatSolver.attach>` as built.  Every
+other clause goes through :meth:`SatSolver.add_codes
+<repro.smt.sat.SatSolver.add_codes>`, which drops a repeated literal or
+a tautology: a mux's select can equal one of its arms (``shl(x, x)``).
+The DIMACS interface stays at the edges: :meth:`BitBlaster.literal_for`
+returns a DIMACS literal and :meth:`BitBlaster.extract_model` reads a
+DIMACS model.
+
 The blaster owns a :class:`~repro.smt.sat.SatSolver` and is *persistent*: the
 SMT solver layer blasts every asserted term into the same CNF and solves
 under assumptions, which lets learned clauses survive across path-feasibility
@@ -16,7 +28,7 @@ from __future__ import annotations
 from typing import Dict, List, Tuple
 
 from . import terms as T
-from .sat import SatSolver
+from .sat import SatSolver, code_to_lit
 
 __all__ = ["BitBlaster"]
 
@@ -26,10 +38,10 @@ class BitBlaster:
 
     def __init__(self, solver: SatSolver = None):
         self.sat = solver if solver is not None else SatSolver()
-        # Variable 1 is the constant TRUE.
-        self._true = self.sat.new_var()
-        self._false = -self._true
-        self.sat.add_clause([self._true])
+        # The first variable is the constant TRUE.
+        self._true = self._fresh()
+        self._false = self._true ^ 1
+        self.sat.add_codes([self._true])
         self._term_bits: Dict[int, List[int]] = {}
         self._gate_cache: Dict[Tuple, int] = {}
         self._var_bits: Dict[str, Tuple[T.Term, List[int]]] = {}
@@ -37,10 +49,10 @@ class BitBlaster:
     # -- gates ---------------------------------------------------------------
 
     def _fresh(self) -> int:
-        return self.sat.new_var()
+        return 2 * self.sat.new_var()
 
     def _and(self, a: int, b: int) -> int:
-        if a == self._false or b == self._false or a == -b:
+        if a == self._false or b == self._false or a == b ^ 1:
             return self._false
         if a == self._true:
             return b
@@ -51,14 +63,15 @@ class BitBlaster:
         if out is not None:
             return out
         out = self._fresh()
-        self.sat.add_clause([-out, a])
-        self.sat.add_clause([-out, b])
-        self.sat.add_clause([out, -a, -b])
+        attach = self.sat.attach
+        attach([out ^ 1, a])
+        attach([out ^ 1, b])
+        attach([out, a ^ 1, b ^ 1])
         self._gate_cache[key] = out
         return out
 
     def _or(self, a: int, b: int) -> int:
-        return -self._and(-a, -b)
+        return self._and(a ^ 1, b ^ 1) ^ 1
 
     def _xor(self, a: int, b: int) -> int:
         if a == self._false:
@@ -66,22 +79,23 @@ class BitBlaster:
         if b == self._false:
             return a
         if a == self._true:
-            return -b
+            return b ^ 1
         if b == self._true:
-            return -a
+            return a ^ 1
         if a == b:
             return self._false
-        if a == -b:
+        if a == b ^ 1:
             return self._true
         key = ("xor", a, b) if a < b else ("xor", b, a)
         out = self._gate_cache.get(key)
         if out is not None:
             return out
         out = self._fresh()
-        self.sat.add_clause([-out, a, b])
-        self.sat.add_clause([-out, -a, -b])
-        self.sat.add_clause([out, -a, b])
-        self.sat.add_clause([out, a, -b])
+        attach = self.sat.attach
+        attach([out ^ 1, a, b])
+        attach([out ^ 1, a ^ 1, b ^ 1])
+        attach([out, a ^ 1, b])
+        attach([out, a, b ^ 1])
         self._gate_cache[key] = out
         return out
 
@@ -98,15 +112,18 @@ class BitBlaster:
         if out is not None:
             return out
         out = self._fresh()
-        self.sat.add_clause([-sel, -then, out])
-        self.sat.add_clause([-sel, then, -out])
-        self.sat.add_clause([sel, -other, out])
-        self.sat.add_clause([sel, other, -out])
+        # sel may equal then or other, or negate one: these clauses can
+        # repeat a literal or be tautologies, so they are normalized.
+        add = self.sat.add_codes
+        add([sel ^ 1, then ^ 1, out])
+        add([sel ^ 1, then, out ^ 1])
+        add([sel, other ^ 1, out])
+        add([sel, other, out ^ 1])
         self._gate_cache[key] = out
         return out
 
     def _iff(self, a: int, b: int) -> int:
-        return -self._xor(a, b)
+        return self._xor(a, b) ^ 1
 
     def _and_many(self, lits) -> int:
         out = self._true
@@ -137,7 +154,7 @@ class BitBlaster:
         return out
 
     def _negate(self, xs: List[int]) -> List[int]:
-        return self._adder([-x for x in xs],
+        return self._adder([x ^ 1 for x in xs],
                            [self._false] * len(xs), self._true)
 
     def _multiplier(self, xs: List[int], ys: List[int]) -> List[int]:
@@ -157,7 +174,8 @@ class BitBlaster:
         borrow = self._false
         for a, b in zip(xs, ys):
             diff = self._xor(a, b)
-            borrow = self._or(self._and(-a, b), self._and(-diff, borrow))
+            borrow = self._or(self._and(a ^ 1, b),
+                              self._and(diff ^ 1, borrow))
         return borrow
 
     def _equal(self, xs: List[int], ys: List[int]) -> int:
@@ -209,7 +227,7 @@ class BitBlaster:
         for i in range(width):
             self._imply_iff(nz, total[i], xs[i])
         for i in range(width, 2 * width):
-            self._imply_lit(nz, -total[i])
+            self._imply_lit(nz, total[i] ^ 1)
         # nz -> r < y.
         self._imply_lit(nz, self._ult(r, ys))
         q_out = [self._mux(nz, qi, self._true) for qi in q]
@@ -217,16 +235,16 @@ class BitBlaster:
         return q_out, r_out
 
     def _imply_lit(self, cond: int, lit: int) -> None:
-        self.sat.add_clause([-cond, lit])
+        self.sat.add_codes([cond ^ 1, lit])
 
     def _imply_iff(self, cond: int, a: int, b: int) -> None:
-        self.sat.add_clause([-cond, -a, b])
-        self.sat.add_clause([-cond, a, -b])
+        self.sat.add_codes([cond ^ 1, a ^ 1, b])
+        self.sat.add_codes([cond ^ 1, a, b ^ 1])
 
     # -- term translation ------------------------------------------------------
 
     def blast(self, term: T.Term) -> List[int]:
-        """Literals of ``term``, LSB first (cached)."""
+        """Literal codes of ``term``, LSB first (cached)."""
         cached = self._term_bits.get(term.tid)
         if cached is not None:
             return cached
@@ -260,7 +278,7 @@ class BitBlaster:
         if op == T.ADD:
             return self._adder(argv[0], argv[1], self._false)
         if op == T.SUB:
-            return self._adder(argv[0], [-b for b in argv[1]], self._true)
+            return self._adder(argv[0], [b ^ 1 for b in argv[1]], self._true)
         if op == T.MUL:
             return self._multiplier(argv[0], argv[1])
         if op == T.UDIV:
@@ -276,7 +294,7 @@ class BitBlaster:
         if op == T.XOR:
             return [self._xor(a, b) for a, b in zip(argv[0], argv[1])]
         if op == T.NOT:
-            return [-a for a in argv[0]]
+            return [a ^ 1 for a in argv[0]]
         if op == T.SHL:
             return self._shifter(argv[0], argv[1], "shl")
         if op == T.LSHR:
@@ -300,7 +318,7 @@ class BitBlaster:
         if op == T.ULT:
             return [self._ult(argv[0], argv[1])]
         if op == T.ULE:
-            return [-self._ult(argv[1], argv[0])]
+            return [self._ult(argv[1], argv[0]) ^ 1]
         raise T.SmtError("cannot bit-blast operator %r" % op)
 
     def _signed_div(self, node: T.Term, xs: List[int], ys: List[int]) -> List[int]:
@@ -317,10 +335,10 @@ class BitBlaster:
     # -- query helpers ----------------------------------------------------------
 
     def literal_for(self, term: T.Term) -> int:
-        """The single literal of a width-1 (boolean) term."""
+        """The DIMACS literal of a width-1 (boolean) term."""
         if term.width != 1:
             raise T.WidthError("expected a boolean term, got width %d" % term.width)
-        return self.blast(term)[0]
+        return code_to_lit(self.blast(term)[0])
 
     def to_dimacs(self, assumptions=()) -> str:
         """Export the current CNF (plus unit assumptions) in DIMACS format.
@@ -340,8 +358,8 @@ class BitBlaster:
         model: Dict[str, int] = {}
         for name, (term, bits) in self._var_bits.items():
             value = 0
-            for i, lit in enumerate(bits):
-                if sat_model.get(abs(lit), 0) == (1 if lit > 0 else 0):
+            for i, code in enumerate(bits):
+                if sat_model.get(code >> 1, 0) == 1 - (code & 1):
                     value |= 1 << i
             model[name] = value & T.mask(term.width)
         return model

@@ -6,13 +6,25 @@ minimization, EVSIDS branching, phase saving, and Luby restarts.  Pure
 Python, tuned for the clause counts the bit-blaster produces (tens of
 thousands of clauses), not for SAT-competition instances.
 
-The interface speaks DIMACS: variables are positive integers, and a
+The public interface (:meth:`SatSolver.add_clause`, ``solve``, ``model``
+and ``clauses``) speaks DIMACS: variables are positive integers, and a
 negative integer denotes the negated literal.  Inside, a literal is a
 *code*, ``2*v`` for ``v`` and ``2*v + 1`` for ``-v``: negation is
 ``code ^ 1``, the variable is ``code >> 1``, and one value list indexed
 by code says whether a literal is true (1), false (0) or unassigned (-1).
 Watch lists are indexed by code too; ``_watches[p]`` holds the clauses
 watching ``p ^ 1``, visited when ``p`` becomes true.
+
+Clauses come in at one normalizing path with two entry points:
+:meth:`SatSolver.add_clause` takes DIMACS literals and
+:meth:`SatSolver.add_codes` takes codes.  Both drop repeated literals
+and tautologies, declare unseen variables and re-watch a clause added
+after a solve.  The bit-blaster (:mod:`repro.smt.bitblast`) feeds
+codes, and hands its ``and``/``xor`` gate clauses to
+:meth:`SatSolver.attach`, which stores and watches a clause as it is.
+That is sound only for the clauses a gate builds: the gate's fresh,
+unassigned output first, then literals over distinct, declared
+variables.
 
 Branching takes the unassigned variable of highest activity, the lowest
 index among ties.  A lazy min-heap of ``(-activity, var)`` entries finds
@@ -34,7 +46,7 @@ from __future__ import annotations
 from heapq import heapify, heappop, heappush
 from typing import Dict, Iterable, List, Optional, Sequence
 
-__all__ = ["SatSolver", "SAT", "UNSAT"]
+__all__ = ["SatSolver", "SAT", "UNSAT", "lit_to_code", "code_to_lit"]
 
 SAT = "sat"
 UNSAT = "unsat"
@@ -56,7 +68,8 @@ def luby(i: int) -> int:
     return 1 << seq
 
 
-def _code(lit: int) -> int:
+def lit_to_code(lit: int) -> int:
+    """The code of a DIMACS literal."""
     if lit > 0:
         return lit << 1
     if lit < 0:
@@ -64,7 +77,8 @@ def _code(lit: int) -> int:
     raise ValueError("0 is not a valid literal")
 
 
-def _dimacs(code: int) -> int:
+def code_to_lit(code: int) -> int:
+    """The DIMACS literal of a code."""
     return -(code >> 1) if code & 1 else code >> 1
 
 
@@ -125,16 +139,16 @@ class SatSolver:
 
     def add_clause(self, lits: Sequence[int]) -> None:
         """Add a clause (a sequence of DIMACS literals)."""
+        self.add_codes([lit_to_code(lit) for lit in lits])
+
+    def add_codes(self, codes: Sequence[int]) -> None:
+        """Add a clause given as literal codes.  Repeated literals are
+        dropped, a tautology is dropped whole, the empty clause refutes
+        the solver, and undeclared variables are declared."""
         clause: List[int] = []
         top = 0
-        for lit in lits:
-            if lit > 0:
-                var, code = lit, lit << 1
-            elif lit < 0:
-                var = -lit
-                code = (var << 1) | 1
-            else:
-                raise ValueError("0 is not a valid literal")
+        for code in codes:
+            var = code >> 1
             if var > top:
                 top = var
             if code in clause:
@@ -148,14 +162,23 @@ class SatSolver:
         if not clause:
             self._refuted = True
             return
-        self._clauses.append(clause)
         if len(clause) == 1:
+            self._clauses.append(clause)
             # Kept apart so every solve replays them at level 0.
             self._units.append(clause[0])
             return
         val = self._val
         if val[clause[0]] == 0 and val[clause[1]] == 0:
             self._watch_past_level0(clause)
+        self.attach(clause)
+
+    def attach(self, clause: List[int]) -> None:
+        """Store a clause of literal codes as it is and watch its first
+        two literals.  The caller guarantees what :meth:`add_codes`
+        would otherwise establish: at least two literals over distinct,
+        declared variables, and a first literal whose variable is
+        unassigned, as a gate's fresh output is."""
+        self._clauses.append(clause)
         watches = self._watches
         watches[clause[0] ^ 1].append(clause)
         watches[clause[1] ^ 1].append(clause)
@@ -188,7 +211,8 @@ class SatSolver:
 
     def clauses(self) -> List[List[int]]:
         """Every stored clause as DIMACS literals, in the order added."""
-        return [[_dimacs(code) for code in clause] for clause in self._clauses]
+        return [[code_to_lit(code) for code in clause]
+                for clause in self._clauses]
 
     # -- assignment helpers --------------------------------------------------
 
@@ -227,8 +251,10 @@ class SatSolver:
                 if val[first] == 1:
                     i += 1
                     continue
-                # Look for a replacement watch.
-                for k in range(2, len(clause)):
+                # Look for a replacement watch, scanning the tail in order.
+                k = 2
+                size = len(clause)
+                while k < size:
                     other = clause[k]
                     if val[other] != 0:
                         clause[1] = other
@@ -238,6 +264,7 @@ class SatSolver:
                         watch_list[i] = watch_list[end]
                         watch_list.pop()
                         break
+                    k += 1
                 else:
                     # Clause is unit or conflicting.
                     if val[first] == 0:
@@ -403,7 +430,7 @@ class SatSolver:
         if self._propagate() is not None:
             self._refuted = True
             return UNSAT
-        assumptions = [_code(lit) for lit in assumptions]
+        assumptions = [lit_to_code(lit) for lit in assumptions]
         for code in assumptions:
             self._grow(code >> 1)
         trail = self._trail

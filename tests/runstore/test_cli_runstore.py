@@ -109,6 +109,38 @@ class TestRecord:
         assert main(["record", "rv32", demo_file]) == 2
         assert only_run_id(str(env_store))
 
+    @pytest.mark.parametrize("edit, fingerprint", [
+        ("emptied", "leaves"),
+        ("path removed", "leaves"),
+        ("defect removed", "defects"),
+    ])
+    def test_hit_checks_result_against_manifest(
+            self, exerciser_file, store_dir, capsys, edit, fingerprint):
+        """A store hit serves ``result.json`` only if its paths and
+        defects still match the manifest's fingerprints; otherwise
+        ``record`` prints one line naming the run and the fingerprint
+        and exits 1."""
+        assert main(["record", "rv32", exerciser_file,
+                     "--store", store_dir]) == 2
+        run_id = only_run_id(store_dir)
+        path = os.path.join(store_dir, "runs", run_id, "result.json")
+        result = json.load(open(path))
+        if edit == "emptied":
+            result = {}
+        else:
+            section = result["paths" if edit == "path removed"
+                             else "defects"]
+            assert section
+            section.pop()
+        json.dump(result, open(path, "w"))
+        capsys.readouterr()
+        assert main(["record", "rv32", exerciser_file,
+                     "--store", store_dir]) == 1
+        captured = capsys.readouterr()
+        assert "store: hit" not in captured.out
+        [line] = captured.err.splitlines()
+        assert run_id in line and fingerprint + " fingerprint" in line
+
 
 class TestReplayCli:
     def test_tampered_config_exits_3(self, demo_file, store_dir,
@@ -155,3 +187,30 @@ class TestRunsCli:
         assert main(["runs", "--store", store_dir, "--gc",
                      "--keep", "1"]) == 0
         assert "deleted 1 run" in capsys.readouterr().out
+
+
+class TestMalformedManifest:
+    @pytest.mark.parametrize("text", ['{"key": [1]}', "[]", "not json"])
+    def test_one_line_per_unreadable_run(self, demo_file, store_dir,
+                                         capsys, text):
+        """``runs`` lists every readable run and names each unreadable
+        one on a stderr line; ``runs --show`` and ``replay`` of the
+        unreadable run print one line.  All three exit 1."""
+        for seed in ("0", "1"):
+            main(["record", "rv32", demo_file, "--store", store_dir,
+                  "--seed", seed])
+        bad, good = sorted(os.listdir(os.path.join(store_dir, "runs")))
+        with open(os.path.join(store_dir, "runs", bad, "manifest.json"),
+                  "w") as handle:
+            handle.write(text)
+        capsys.readouterr()
+        assert main(["runs", "--store", store_dir]) == 1
+        captured = capsys.readouterr()
+        assert good in captured.out and bad not in captured.out
+        [line] = captured.err.splitlines()
+        assert line.startswith("error:") and bad in line
+        for argv in (["runs", "--show", bad], ["replay", bad]):
+            assert main(argv + ["--store", store_dir]) == 1, argv
+            captured = capsys.readouterr()
+            [line] = captured.err.splitlines()
+            assert line.startswith("error:") and bad in line, argv
